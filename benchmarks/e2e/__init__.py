@@ -1,0 +1,1 @@
+"""End-to-end benchmark of the repro package (see README.md)."""
