@@ -7,10 +7,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## The default verification path: unit tests, the quick perf gate, and
-## every end-to-end smoke (cache, tracing, faults, serving).  Run
+## the CLI smokes (cache, tracing, faults, compare).  The serve, shard,
+## explore and fidelity end-to-end checks are tier-1 tests.  Run
 ## `make bench-check` for the full kernel gate before refreshing
 ## BENCH_kernels.json.
-check: test bench-quick smoke trace-smoke faults-smoke serve-smoke shard-smoke fidelity-smoke explore-smoke compare-smoke
+check: test bench-quick smoke trace-smoke faults-smoke compare-smoke
 	@echo "check ok: tests, bench guard and all smokes passed"
 
 ## Measure the tracked kernels and refresh the "current" section of
@@ -68,41 +69,6 @@ faults-smoke:
 	@$(PYTHON) -c "import re,sys; t=open('$(FAULTS_SMOKE_DIR)/warm_stats.txt').read(); m=re.search(r'(\d+) total, (\d+) cached, (\d+) executed', t); ok=bool(m) and int(m.group(2)) == int(m.group(1)) and int(m.group(3)) == 0; sys.exit(0 if ok else 1)" \
 	  || { echo 'faults-smoke FAILED: resume re-executed cells instead of replaying the journal'; exit 1; }
 	@echo "faults-smoke ok: faulted sweep completed and resumed from checkpoint"
-
-## Boot the scenario service on an ephemeral TCP port, fire 20
-## concurrent requests (duplicates included) through ServeClient, and
-## assert coalescing happened and responses are byte-identical to
-## direct Runner execution.  Details in src/repro/serve/smoke.py.
-.PHONY: serve-smoke
-serve-smoke:
-	$(PYTHON) -m repro.serve.smoke
-
-## The sharded serve tier end to end: 3 worker processes behind the
-## consistent-hash router over a shared cache, a duplicate-heavy burst
-## (global coalescing, each distinct cell executed once fleet-wide),
-## then one worker SIGKILLed mid-sweep — the sweep must complete with
-## byte-identical output via the shared cache.  Details in
-## src/repro/serve/shard_smoke.py.
-.PHONY: shard-smoke
-shard-smoke:
-	$(PYTHON) -m repro.serve.shard_smoke
-
-## The exploration tier end to end: both worked studies through the
-## full SearchSpace -> optimizer -> serve.submit stack, journal resume
-## with zero re-submitted cells, and byte-identical trajectories from
-## one seed.  Details in src/repro/explore/smoke.py.
-.PHONY: explore-smoke
-explore-smoke:
-	$(PYTHON) -m repro.explore.smoke
-
-## The fidelity tier end to end: committed calibration table fresh,
-## analytic sweep byte-identical to full-DES for exact passthroughs
-## (no worker pool), modeled error within the table bound, warm cache
-## parity, and an analytic burst served entirely inline.  Details in
-## src/repro/surrogate/smoke.py.
-.PHONY: fidelity-smoke
-fidelity-smoke:
-	$(PYTHON) -m repro.surrogate.smoke
 
 COMPARE_SMOKE_DIR := /tmp/repro-compare-smoke
 

@@ -17,7 +17,10 @@ from repro.machine.node import NodeType
 from repro.machine.placement import Placement
 from repro.mpi import run_mpi
 from repro.mpi.collectives import alltoall
-from repro.npb import run_bt, run_cg, run_ft, run_mg
+from repro.npb.bt import run_bt
+from repro.npb.cg import run_cg
+from repro.npb.ft import run_ft
+from repro.npb.mg import run_mg
 from repro.sim.rng import make_rng
 
 

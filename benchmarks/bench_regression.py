@@ -376,7 +376,7 @@ def bench_serve() -> dict[str, float]:
 
     Pushes SERVE_CELLS distinct cells through an in-process
     :class:`~repro.serve.ScenarioService` (queue, coalescing index,
-    batch formation, ``run_batch`` hand-off) with a no-op workload, so
+    batch formation, ``Runner.run`` hand-off) with a no-op workload, so
     the cells/sec number is the scheduler's own overhead ceiling —
     not simulation time.
     """

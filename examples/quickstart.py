@@ -21,7 +21,7 @@ from repro.api import (
 )
 from repro.hpcc import pingpong
 from repro.machine.specs import format_table1
-from repro.npb import run_mg
+from repro.npb.mg import run_mg
 from repro.units import to_gb_per_s, to_usec
 
 

@@ -576,6 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run_experiment(
                 args.experiment_id, fast=args.fast, runner=runner
             )
+            runner.close()
             print(_render(result, args.format))
             # Machine-readable cell accounting (parsed by `make faults-smoke`).
             print(runner.stats.summary(), file=sys.stderr)
@@ -586,6 +587,7 @@ def main(argv: list[str] | None = None) -> int:
                 result = spec.run(fast=args.fast, runner=runner)
                 print(result.format())
                 print()
+            runner.close()
             # Machine-readable cell accounting (parsed by `make smoke`).
             print(runner.stats.summary(), file=sys.stderr)
             return _report_failures(runner, args)

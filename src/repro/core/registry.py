@@ -6,7 +6,7 @@ point in a frozen :class:`ExperimentSpec` carrying the things every
 consumer used to fish out of module attributes: the paper anchor, the
 human title, the scenario sweep factory and the default fault
 overlay.  ``repro run``/``repro trace``, the suite report and the
-serve smoke harness all consume the spec — the modules themselves are
+serve tests all consume the spec — the modules themselves are
 an implementation detail.
 
 The experiment modules are imported at the *bottom* of this module,

@@ -23,7 +23,8 @@ Four declarative pieces:
   resumable JSONL file.
 
 Worked studies live in :mod:`repro.explore.studies`; the CLI verb is
-``repro explore``; the end-to-end gate is ``make explore-smoke``.
+``repro explore``; the end-to-end checks live in
+``tests/test_explore.py``.
 """
 
 from __future__ import annotations

@@ -1,25 +1,34 @@
 """Ambient fault context: which injector (if any) is active.
 
 Mirrors :func:`repro.obs.spans.use_tracer`: installing an injector
-process-wide means the machine model, the network cost model, and the
-MPI layer pick it up at construction time without signature changes
-anywhere.  ``current_injector()`` returns ``None`` on a healthy
-machine, so every per-call check stays a plain load + branch.
+for the current thread means the machine model, the network cost
+model, and the MPI layer pick it up at construction time without
+signature changes anywhere.  The context is per thread, so a served
+batch running faulted cells on one thread never changes the injector
+that cells resolved on another thread see.  ``current_injector()``
+returns ``None`` on a healthy machine, so every per-call check stays
+an attribute load + branch.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
 
 __all__ = ["use_faults", "current_injector"]
 
-_current: Optional["FaultInjector"] = None  # noqa: F821 - forward ref
+
+class _Ambient(threading.local):
+    #: the active injector on this thread (class default: healthy).
+    injector = None
+
+
+_current = _Ambient()
 
 
 def current_injector():
     """The active :class:`~repro.faults.injector.FaultInjector`, or
     ``None`` when the machine is healthy."""
-    return _current
+    return _current.injector
 
 
 class use_faults:
@@ -46,7 +55,6 @@ class use_faults:
         self._salt = salt
 
     def __enter__(self):
-        global _current
         faults = self._faults
         if faults is None:
             injector = None
@@ -59,10 +67,9 @@ class use_faults:
                 injector = FaultInjector(faults, salt=self._salt)
             else:
                 injector = None
-        self._previous = _current
-        _current = injector
+        self._previous = _current.injector
+        _current.injector = injector
         return injector
 
     def __exit__(self, *exc) -> None:
-        global _current
-        _current = self._previous
+        _current.injector = self._previous

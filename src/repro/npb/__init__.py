@@ -11,27 +11,8 @@ model (:mod:`repro.npb.timing`) that prices the same computation and
 communication pattern on the simulated machine at any class and CPU
 count.  The multi-zone benchmarks live in :mod:`repro.npb.multizone`
 and :mod:`repro.npb.hybrid`.
+
+The package itself imports nothing: import the submodule you need
+(``from repro.npb.mg import run_mg``), so that pricing a cell never
+pays for NumPy or SciPy it does not use.
 """
-
-from repro.npb.classes import NPB_CLASSES, ProblemSize, problem
-from repro.npb.mg import MGResult, run_mg
-from repro.npb.cg import CGResult, run_cg
-from repro.npb.ft import FTResult, run_ft
-from repro.npb.bt import BTResult, run_bt
-from repro.npb.timing import NPBTimingModel, npb_gflops_per_cpu
-
-__all__ = [
-    "NPB_CLASSES",
-    "ProblemSize",
-    "problem",
-    "MGResult",
-    "run_mg",
-    "CGResult",
-    "run_cg",
-    "FTResult",
-    "run_ft",
-    "BTResult",
-    "run_bt",
-    "NPBTimingModel",
-    "npb_gflops_per_cpu",
-]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = ["Zone", "MZProblem", "MZ_CLASSES", "mz_problem", "zone_sizes_1d"]
@@ -96,6 +94,9 @@ def zone_sizes_1d(total: int, n_zones: int, ratio: float) -> list[int]:
         raise ConfigurationError(f"ratio must be >= 1: {ratio}")
     if n_zones == 1:
         return [total]
+    # Imported here: reading MZ_CLASSES must not pay for NumPy.
+    import numpy as np
+
     r = ratio ** (1.0 / (n_zones - 1))
     weights = np.power(r, np.arange(n_zones))
     ideal = weights / weights.sum() * total

@@ -36,6 +36,7 @@ threading a tracer argument through every workload signature.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict, deque
 from contextlib import contextmanager
 from typing import Any, NamedTuple
@@ -368,27 +369,31 @@ class NullTracer:
 #: Shared no-op tracer for callers that want a default object.
 NULL_TRACER = NullTracer()
 
-#: The ambient tracer installed by :func:`use_tracer` (None = off).
-_current: Tracer | NullTracer | None = None
+class _Ambient(threading.local):
+    #: this thread's tracer installed by :func:`use_tracer` (None = off).
+    tracer: Tracer | NullTracer | None = None
+
+
+_current = _Ambient()
 
 
 def current_tracer() -> Tracer | NullTracer | None:
-    """The ambient tracer, or ``None`` when tracing is off."""
-    return _current
+    """This thread's ambient tracer, or ``None`` when tracing is off."""
+    return _current.tracer
 
 
 @contextmanager
 def use_tracer(tracer: Tracer | NullTracer | None):
-    """Install ``tracer`` as the ambient tracer for the ``with`` body.
+    """Install ``tracer`` as this thread's ambient tracer for the
+    ``with`` body.
 
     Instrumented layers constructed inside the body (``MPIWorld``,
     ``run_parallel_for``, ``mlp_step_time``) record into it without
     any explicit argument threading.
     """
-    global _current
-    previous = _current
-    _current = tracer
+    previous = _current.tracer
+    _current.tracer = tracer
     try:
         yield tracer
     finally:
-        _current = previous
+        _current.tracer = previous

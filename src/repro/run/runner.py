@@ -34,18 +34,18 @@ Resilience knobs (all off by default):
   every scenario (merged with any cell-level spec), the CLI's
   ``--faults`` path.
 
-Long-lived callers (the :mod:`repro.serve` scenario service) use
-:meth:`Runner.run_batch` instead of :meth:`Runner.run`: same cache,
-retry and ordering contract, but cache misses fan out to a
-*persistent* process pool kept across batches, so per-batch pool
-startup cost does not dominate a stream of small batches.  Call
-:meth:`Runner.close` to release it.
+Each runner owns at most one worker pool: built lazily by its first
+parallel :meth:`Runner.run`, reused by every later call (a CLI sweep's
+experiments and a serve batch stream alike), and released by
+:meth:`Runner.close`.  Rows come back from the workers by pickle.
+Workers fork when the pool is built, so workloads and machines
+registered after a runner's first parallel ``run()`` are not visible to
+its workers.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -61,7 +61,6 @@ from repro.faults.spec import FaultSpec
 from repro.run.cache import ResultCache
 from repro.run.scenario import Scenario, canonical_value
 from repro.run.workloads import resolve
-from repro.shmem.arena import ResultArena
 
 __all__ = [
     "RunRecord",
@@ -203,36 +202,6 @@ def execute_scenario(scenario: Scenario) -> tuple[tuple, ...]:
         return _normalize_rows(scenario, fn(**kwargs))
 
 
-#: Worker-process arena handle, set once by :func:`_attach_arena`
-#: when the pool was built with the shared-memory transport.  Stays
-#: ``None`` in sequential runs and quarantine pools, which therefore
-#: return rows through the normal pickle path.
-_worker_arena: ResultArena | None = None
-
-
-def _attach_arena(name: str, n_strips: int, strip_bytes: int, counter) -> None:
-    """Pool initializer: map the parent's arena and claim a strip.
-
-    Strip indices are handed out by a shared counter so each worker
-    writes a distinct strip (the single-writer invariant the arena's
-    safety argument rests on).  Any hiccup — or running out of strips,
-    which cannot happen while pool workers are never respawned — just
-    leaves the worker on the pickle path; the initializer must never
-    raise, because an initializer exception breaks the whole pool.
-    """
-    global _worker_arena
-    try:
-        with counter.get_lock():
-            strip = counter.value
-            counter.value += 1
-        if strip < n_strips:
-            _worker_arena = ResultArena.attach(
-                name, n_strips, strip_bytes, strip
-            )
-    except Exception:  # pragma: no cover - defensive; fall back to pickle
-        _worker_arena = None
-
-
 def _trace_path(trace_dir: str, scenario: Scenario):
     from pathlib import Path
 
@@ -261,14 +230,6 @@ def _run_cell(scenario: Scenario, trace_dir: str | None = None):
                 rows = execute_scenario(scenario)
             if tracer.spans or tracer.messages:
                 write_chrome_trace(tracer, _trace_path(trace_dir, scenario))
-        if _worker_arena is not None:
-            # Zero-pickle transport: park the rows in shared memory and
-            # send back only the token; ``encode`` returns None for
-            # rows it cannot represent (or a full strip), in which case
-            # the rows travel over the pipe as usual.
-            token = _worker_arena.encode(rows)
-            if token is not None:
-                return token, None, time.perf_counter() - start
         return rows, None, time.perf_counter() - start
     except Exception as exc:  # per-cell capture: one bad cell reports
         err = f"{type(exc).__name__}: {exc}"
@@ -314,23 +275,6 @@ def _run_fast_cell(scenario: Scenario, trace_dir: str | None = None):
     except Exception as exc:  # per-cell capture, like _run_cell
         err = f"{type(exc).__name__}: {exc}"
         return None, err, time.perf_counter() - start
-
-
-def _decode_outcome(arena: ResultArena | None, outcome):
-    """Materialize a worker outcome: arena tokens become rows again.
-
-    Rows proper are always a tuple, so a dict payload is unambiguously
-    a shared-memory token.  A decode failure is reported as the cell's
-    error rather than crashing the sweep (it would indicate arena
-    corruption, so no retry is attempted).
-    """
-    rows, error, dt = outcome
-    if arena is not None and type(rows) is dict:
-        try:
-            rows = arena.decode(rows)
-        except Exception as exc:  # pragma: no cover - corruption guard
-            return None, f"shared-memory decode failed: {exc}", dt
-    return rows, error, dt
 
 
 def _resolve_jobs(jobs) -> int:
@@ -491,10 +435,8 @@ class Runner:
         self.stats = RunStats(
             cache=cache.stats if cache is not None else None
         )
-        #: persistent pool for :meth:`run_batch`; built lazily.
+        #: the worker pool, built by the first parallel :meth:`run`.
         self._pool: ProcessPoolExecutor | None = None
-        #: shared-memory result arena paired with the persistent pool.
-        self._arena: ResultArena | None = None
         #: guards ``stats``: the serve tier resolves fast cells on the
         #: event loop while a batch may be finishing in a worker
         #: thread, and both account through :meth:`_finish_cell`.
@@ -523,71 +465,16 @@ class Runner:
             changes["fidelity"] = self.fidelity
         return replace(sc, **changes) if changes else sc
 
-    def run(self, scenarios: Sequence[Scenario]) -> list[RunRecord]:
-        """All cells, as records in input order."""
-        return self._run(scenarios, reuse_pool=False, trace_dir=self.trace_dir)
-
-    def run_batch(
-        self,
-        scenarios: Sequence[Scenario],
-        trace_dir: str | None = None,
-    ) -> list[RunRecord]:
-        """Batch-submit entry point for long-lived callers.
-
-        Identical contract to :meth:`run` — records in input order,
-        cache/checkpoint consulted, per-cell error capture — but cache
-        misses fan out to a persistent process pool reused across
-        calls (created lazily, released by :meth:`close`; a pool
-        poisoned by a dying worker is discarded and rebuilt on the
-        next batch).  ``trace_dir`` overrides the runner-level trace
-        directory for this batch only, which is how the serve layer
-        honors per-request ``--trace``.  Not thread-safe: one batch at
-        a time per runner (the serve dispatcher is the single caller).
-        """
-        return self._run(
-            scenarios, reuse_pool=True,
-            trace_dir=trace_dir if trace_dir is not None else self.trace_dir,
-        )
-
     def close(self) -> None:
-        """Release the persistent pool and the checkpoint journal."""
+        """Release the worker pool and the checkpoint journal."""
         self._discard_pool()
         if self.checkpoint is not None:
             self.checkpoint.close()
-
-    @staticmethod
-    def _make_pool(workers: int) -> tuple[ProcessPoolExecutor, ResultArena]:
-        """A worker pool plus its paired result arena.
-
-        Workers claim strips through a shared counter in the pool
-        initializer; the caller owns the arena (decode + rewind +
-        eventual unlink).
-        """
-        arena = ResultArena.create(workers)
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_attach_arena,
-            initargs=(
-                arena.name,
-                arena.n_strips,
-                arena.strip_bytes,
-                multiprocessing.Value("i", 0),
-            ),
-        )
-        return pool, arena
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool, self._arena = self._make_pool(self.jobs)
-        return self._pool
 
     def _discard_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        if self._arena is not None:
-            self._arena.unlink()
-            self._arena = None
 
     def _lookup(self, sc: Scenario, trace_dir: str | None):
         """Cache/checkpoint probe for one cell; ``None`` on a miss.
@@ -680,9 +567,8 @@ class Runner:
         surrogate-evaluated right here — microseconds, no queue, no
         pool, no pickling.  ``None`` means "not mine": the cell is
         ``full`` fidelity, or it must escalate — the caller sends it
-        through :meth:`run`/:meth:`run_batch` unchanged.  Under the
-        ``refuse`` policy an unservable cell returns an error record
-        instead of escalating.  ``assume_effective`` skips the
+        through :meth:`run` unchanged.  Under the ``refuse`` policy an
+        unservable cell returns an error record instead of escalating.  ``assume_effective`` skips the
         :meth:`effective_scenario` overlay for callers that already
         applied it (never pass a raw scenario with it set — the fault
         overlay would be silently dropped).
@@ -706,12 +592,22 @@ class Runner:
         rows, error, dt = _run_fast_cell(sc, trace)
         return self._finish_cell(sc, rows, error, dt, fast=True)
 
-    def _run(
+    def run(
         self,
         scenarios: Sequence[Scenario],
-        reuse_pool: bool,
-        trace_dir: str | None,
+        trace_dir: str | None = None,
     ) -> list[RunRecord]:
+        """All cells, as records in input order.
+
+        Cache misses fan out to the runner's worker pool when
+        ``jobs > 1`` and more than one cell misses.  ``trace_dir``
+        overrides the runner-level trace directory for this call only,
+        which is how the serve layer honors per-request ``--trace``.
+        Not thread-safe: one call at a time per runner (the serve
+        dispatcher is the single caller).
+        """
+        if trace_dir is None:
+            trace_dir = self.trace_dir
         scenarios = [self.effective_scenario(sc) for sc in scenarios]
         records: list[RunRecord | None] = [None] * len(scenarios)
 
@@ -749,7 +645,7 @@ class Runner:
 
         if len(pending) > 1 and self.jobs > 1:
             outcomes = self._run_parallel(
-                [scenarios[i] for i in pending], trace_dir, reuse_pool
+                [scenarios[i] for i in pending], trace_dir
             )
         else:
             outcomes = [
@@ -800,62 +696,40 @@ class Runner:
             except BrokenProcessPool:
                 return None, WORKER_DIED, time.perf_counter() - start
 
-    def _run_parallel(
-        self,
-        scenarios: list[Scenario],
-        trace_dir: str | None,
-        reuse_pool: bool = False,
-    ):
-        """Fan cells out to a process pool; results in input order.
+    def _run_parallel(self, scenarios: list[Scenario], trace_dir: str | None):
+        """Fan cells out to the runner's pool; results in input order.
 
-        A worker death poisons the shared pool: the culprit's future
-        *and* every future still queued behind it raise
+        A worker death poisons the pool: the culprit's future *and*
+        every future still queued behind it raise
         ``BrokenProcessPool``, and the executor cannot say which cell
         pulled the trigger.  All affected cells are therefore re-run
         quarantined (one fresh single-worker pool each) — innocents
         complete on the retry, the culprit fails alone, and the sweep
-        always returns one outcome per cell.  With ``reuse_pool`` a
-        poisoned persistent pool is additionally discarded so the next
-        batch starts on a fresh one.
+        always returns one outcome per cell.  The poisoned pool is
+        discarded, so the next call builds a fresh one.
         """
         outcomes: list = [None] * len(scenarios)
         suspects: list[int] = []
-        if reuse_pool:
-            pool = self._ensure_pool()
-            arena = self._arena
-        else:
-            pool, arena = self._make_pool(min(self.jobs, len(scenarios)))
-        broken = False
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
+            futures = [
+                self._pool.submit(_run_cell, sc, trace_dir) for sc in scenarios
+            ]
+        except BrokenProcessPool:
+            # The pool died mid-submission (a worker lost since the
+            # last call): every cell goes through quarantine below.
+            suspects = list(range(len(scenarios)))
+            futures = []
+        # Futures are awaited in submission order, so the outcome list
+        # is ordered no matter which worker finishes first.
+        for i, future in enumerate(futures):
             try:
-                futures = [
-                    pool.submit(_run_cell, sc, trace_dir) for sc in scenarios
-                ]
+                outcomes[i] = future.result()
             except BrokenProcessPool:
-                # The pool died mid-submission (only possible for a
-                # reused pool poisoned since its last batch): every
-                # cell goes through the quarantine path below.
-                broken = True
-                suspects = [i for i in range(len(scenarios))]
-                futures = []
-            # Futures are awaited in submission order, so the outcome
-            # list is ordered no matter which worker finishes first.
-            for i, future in enumerate(futures):
-                try:
-                    outcomes[i] = _decode_outcome(arena, future.result())
-                except BrokenProcessPool:
-                    broken = True
-                    suspects.append(i)
-        finally:
-            if not reuse_pool:
-                pool.shutdown()
-                arena.unlink()
-            elif broken:
-                self._discard_pool()
-            elif arena is not None:
-                # All futures resolved and decoded, workers idle:
-                # safe to rewind the strips for the next batch.
-                arena.rewind()
+                suspects.append(i)
+        if suspects:
+            self._discard_pool()
         for i in suspects:
             outcomes[i] = self._run_with_retries(
                 scenarios[i], isolated=True, trace_dir=trace_dir

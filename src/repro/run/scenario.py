@@ -101,8 +101,9 @@ _LEGACY_SANCTIONED = threading.local()
 
 _DEPRECATION_NOTE = (
     "constructing MachineSpec from the legacy "
-    "single_node/multinode/custom_bx2 fields is deprecated and "
-    "scheduled for removal in PR 12; name a machine-zoo config "
+    "single_node/multinode/custom_bx2 fields is deprecated; its "
+    "removal is deferred until the end-to-end benchmark golden is "
+    "re-keyed to config-form cache keys; name a machine-zoo config "
     "instead, e.g. MachineSpec(config='columbia') — see docs/api.md"
 )
 
@@ -119,7 +120,8 @@ class MachineSpec:
       to :meth:`~repro.machine.zoo.MachineConfig.with_overrides`.
       Any machine in the zoo joins the cache-key / wire-protocol /
       explore surfaces with no new code.
-    * **legacy form** (deprecated, removal scheduled PR 12): the seven
+    * **legacy form** (deprecated; removal deferred until the
+      end-to-end benchmark golden is re-keyed): the seven
       Columbia builder fields mirroring ``single_node`` /
       ``multinode`` / ``custom_bx2``.  Constructing this form warns;
       internal callers use :meth:`legacy`.  Cache keys for the legacy
@@ -180,7 +182,8 @@ class MachineSpec:
     def legacy(cls, **fields: Any) -> "MachineSpec":
         """Construct the legacy (Columbia-builder) form without the
         deprecation warning — for internal callers that must keep
-        producing byte-identical cache keys until the PR 12 removal."""
+        producing byte-identical cache keys until the legacy form is
+        removed."""
         prev = getattr(_LEGACY_SANCTIONED, "on", False)
         _LEGACY_SANCTIONED.on = True
         try:

@@ -6,7 +6,8 @@ The package splits along the classic service seam:
   (:class:`ScenarioService`): bounded priority queue, admission
   control with ``retry_after`` backpressure, in-flight request
   coalescing by scenario content hash, micro-batching into
-  :meth:`Runner.run_batch`;
+  :meth:`Runner.run`, whose one long-lived worker pool runs each
+  batch;
 * :mod:`repro.serve.protocol` — the JSON-lines wire format;
 * :mod:`repro.serve.server` — the TCP front end and the ``repro
   serve`` loop;

@@ -11,8 +11,7 @@ Two entry points wrap it:
 * :func:`serve_forever` — the blocking loop behind the ``repro serve``
   CLI verb;
 * :class:`BackgroundServer` — a context manager that runs the whole
-  stack (event loop, service, server) on a daemon thread, for tests
-  and the serve smoke target.
+  stack (event loop, service, server) on a daemon thread, for tests.
 """
 
 from __future__ import annotations
@@ -265,8 +264,8 @@ class BackgroundServer:
 
     ``with BackgroundServer(runner) as server:`` yields once the socket
     is bound (``server.port`` is then real even for ``port=0``); exit
-    drains the service and joins the thread.  Intended for tests and
-    ``make serve-smoke`` — production use is ``repro serve``.
+    drains the service and joins the thread.  Intended for tests —
+    production use is ``repro serve``.
     """
 
     def __init__(

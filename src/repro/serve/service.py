@@ -21,8 +21,8 @@ with the three mechanisms a long-lived scenario service needs:
   executes still attaches;
 * **micro-batching** — the single dispatcher drains up to
   ``max_batch`` compatible cells (same per-request trace directory)
-  per cycle and hands them to :meth:`Runner.run_batch`, whose
-  persistent process pool executes the batch in parallel; results
+  per cycle and hands them to :meth:`Runner.run`, whose one
+  long-lived worker pool executes the batch in parallel; results
   stream back to each waiter as its batch completes.  Batches size
   themselves to the backlog: under light load a cell dispatches
   alone and immediately, under pressure batches fill up.
@@ -272,6 +272,15 @@ class ScenarioService:
     async def start(self) -> "ScenarioService":
         """Start the dispatcher (idempotent)."""
         if self._task is None:
+            # From here on cells run on two threads: inline cells on the
+            # event loop, batches on a worker thread.  Two threads that
+            # first import submodules of one package at the same time can
+            # deadlock on CPython's per-module import locks, which the
+            # import system breaks by handing one of them a partially
+            # initialised module.  Load the layers every cell shares
+            # (machine, netmodel, mpi, sim) here, on one thread.
+            import repro.surrogate.families  # noqa: F401
+
             self._task = asyncio.get_running_loop().create_task(
                 self._dispatch_loop(), name="repro-serve-dispatcher"
             )
@@ -320,7 +329,7 @@ class ScenarioService:
         self._check_quota(client_id, now)
         # The *effective* scenario (runner fault overlay merged in) is
         # the coalescing key only; the queue carries the raw scenario,
-        # because Runner._run applies the overlay itself — enqueuing
+        # because Runner.run applies the overlay itself — enqueuing
         # the merged form would apply it twice and shift the cache key
         # away from direct Runner.run.
         effective = self.runner.effective_scenario(scenario)
@@ -539,7 +548,7 @@ class ScenarioService:
         """Drain up to ``max_batch`` compatible entries, best priority
         first.  Compatibility = same per-request trace directory (a
         traced cell and an untraced one cannot share a
-        :meth:`Runner.run_batch` call); incompatible pops go straight
+        :meth:`Runner.run` call); incompatible pops go straight
         back on the heap for the next cycle."""
         batch: list[_Entry] = []
         holdover: list[tuple[int, int, _Entry]] = []
@@ -584,7 +593,7 @@ class ScenarioService:
             t_batch = time.monotonic()
             try:
                 records = await asyncio.to_thread(
-                    self.runner.run_batch,
+                    self.runner.run,
                     [entry.scenario for entry in batch],
                     batch[0].trace_dir,
                 )

@@ -4,14 +4,8 @@ The paper lists SHMEM among Columbia's supported paradigms (§2) and
 names porting INS3D to SHMEM as future work (§5).  We provide the
 cost model so that the "future work" experiment can be run against
 the simulated machine (see ``benchmarks/bench_ablation_shmem.py``).
-
-The package also hosts :mod:`repro.shmem.arena` — host-side POSIX
-shared memory used by the sweep runner for zero-pickle result
-transport.  (Same name, different layer: one models the target
-machine's shared memory, the other uses this machine's.)
 """
 
-from repro.shmem.arena import DEFAULT_STRIP_BYTES, SHM_TOKEN, ResultArena
 from repro.shmem.shmem import ShmemModel
 
-__all__ = ["ShmemModel", "ResultArena", "SHM_TOKEN", "DEFAULT_STRIP_BYTES"]
+__all__ = ["ShmemModel"]

@@ -36,3 +36,19 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "bench_regression" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def built_pools(monkeypatch):
+    """Every worker pool ``repro.run.runner`` builds, in build order."""
+    import repro.run.runner as runner_mod
+
+    built = []
+
+    class RecordingPool(runner_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", RecordingPool)
+    return built

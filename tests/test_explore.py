@@ -448,6 +448,20 @@ class TestStudies:
         if healthy:
             assert result.best.score <= min(r.score for r in healthy)
 
+    def test_cheapest_machine_picks_gpu_node_deterministically(
+        self, runner, tmp_path
+    ):
+        journals = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.jsonl"
+            result = run_study("cheapest-machine", runner=runner, journal=path)
+            journals.append(path.read_bytes())
+        assert journals[0] == journals[1]
+        assert result.best is not None
+        # The accelerator preset undercuts the big-iron ones while
+        # BT-MZ stays within the Columbia bound.
+        assert dict(result.best.assignment)["machine.config"] == "gpu_node"
+
     def test_unknown_study_rejected(self):
         from repro.explore import study_driver
 

@@ -154,6 +154,26 @@ class TestInjector:
             assert inj is None
             assert current_injector() is None
 
+    def test_context_is_per_thread(self):
+        import threading
+
+        inside, checked = threading.Event(), threading.Event()
+
+        def faulted():
+            with use_faults(COLUMBIA_DEGRADED):
+                inside.set()
+                checked.wait(timeout=30)
+
+        thread = threading.Thread(target=faulted)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            seen = current_injector()
+        finally:
+            checked.set()
+            thread.join(timeout=30)
+        assert seen is None
+
     def test_drop_exhaustion_raises(self):
         inj = build_injector(
             FaultSpec((MessageDrop(probability=0.999, max_retries=2),))

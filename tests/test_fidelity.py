@@ -257,20 +257,18 @@ class TestRunnerDispatch:
         """Satellite 1: with jobs>1 and every cell non-full, worker
         processes must never spin up — the fast path is in-process."""
 
-        def boom(workers):  # pragma: no cover - the assertion *is* the test
+        import repro.run.runner as runner_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover - the assertion *is* the test
             raise AssertionError("process pool built for an analytic sweep")
 
-        monkeypatch.setattr(Runner, "_make_pool", staticmethod(boom))
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", boom)
         runner = Runner(jobs=4, cache=None, fidelity="analytic")
         cells = sweep("fig9.cell", {"processes": [4, 9, 16], "threads": [1, 2]})
         records = runner.run(cells)
         assert all(r.ok for r in records)
         assert runner._pool is None
         assert runner.stats.fast == len(records)
-        # run_batch (the serve entry point, persistent pool) too.
-        records = runner.run_batch(cells)
-        assert all(r.ok for r in records)
-        assert runner._pool is None
 
     def test_unservable_cell_escalates_with_flag(self):
         runner = Runner(jobs=1, cache=None, fidelity="analytic")
@@ -316,6 +314,21 @@ class TestRunnerDispatch:
         assert first.rows == second.rows == third.rows
         assert runner.stats.cached == 1 and runner.stats.executed == 2
 
+    def test_analytic_rows_survive_disk_cache_round_trip(self, tmp_path):
+        cells = sweep("fig9.cell", {"processes": [1, 4, 16], "threads": [1, 2]})
+
+        def analytic_runner():
+            return Runner(
+                jobs=1, cache=ResultCache(cache_dir=tmp_path), fidelity="analytic"
+            )
+
+        cold = analytic_runner().run(cells)
+        warm_runner = analytic_runner()
+        warm = warm_runner.run(cells)
+        assert warm_runner.stats.cached == len(cells)
+        assert warm_runner.stats.executed == 0
+        assert [r.rows for r in warm] == [r.rows for r in cold]
+
     def test_bad_runner_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
             Runner(fidelity="quick")
@@ -346,6 +359,18 @@ class TestServeInline:
         assert stats["serve.requests.analytic"] == 1
         assert stats["serve.analytic.latency_p50_s"] >= 0.0
         assert stats.get("serve.batches", 0) == 0  # never touched the queue
+
+    def test_analytic_burst_through_submit_is_all_inline(self):
+        from repro.serve import submit
+
+        burst = sweep(
+            "fig9.cell", {"processes": [1, 2, 4, 8, 16], "threads": [1, 2]},
+            fidelity="analytic",
+        )
+        runner = Runner(jobs=1, cache=None)
+        results = submit(burst, runner=runner)
+        assert all(r.ok and not r.escalated for r in results)
+        assert runner.stats.fast == len(burst)
 
     def test_analytic_and_full_twins_do_not_coalesce(self):
         async def drive():

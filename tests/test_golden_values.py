@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from repro.apps.md import MDSimulation
-from repro.npb import run_bt, run_cg, run_ft, run_mg
+from repro.npb.bt import run_bt
+from repro.npb.cg import run_cg
+from repro.npb.ft import run_ft
+from repro.npb.mg import run_mg
 from repro.npb.sp import run_sp
 
 

@@ -10,7 +10,7 @@ The load-bearing pins:
   legacy :func:`repro.machine.cluster.columbia` builder — the
   redesign's byte-identity foundation;
 * legacy ``MachineSpec(node_type=...)`` construction still works but
-  warns (removal scheduled for PR 12); the sanctioned
+  warns (removal deferred until the benchmark golden is re-keyed); the sanctioned
   ``MachineSpec.legacy()`` and the config form stay silent;
 * legacy scenarios keep their exact historic cache keys — the
   7-field payload dict that ``vars(machine)`` used to produce.
@@ -142,7 +142,7 @@ class TestColumbiaIdentity:
 
 class TestDeprecation:
     def test_bare_legacy_form_warns(self):
-        with pytest.warns(DeprecationWarning, match="PR 12"):
+        with pytest.warns(DeprecationWarning, match="removal is deferred"):
             MachineSpec(node_type="BX2b", n_nodes=2)
 
     def test_sanctioned_and_config_forms_stay_silent(self):

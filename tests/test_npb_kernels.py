@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.npb import run_bt, run_cg, run_ft, run_mg
+from repro.npb.bt import run_bt
+from repro.npb.cg import run_cg
+from repro.npb.ft import run_ft
+from repro.npb.mg import run_mg
 from repro.npb.bt import NVARS, adi_step, block_thomas
 from repro.npb.cg import cg_solve, make_matrix
 from repro.npb.classes import NPB_CLASSES, problem

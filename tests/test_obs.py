@@ -171,6 +171,16 @@ class TestNullTracer:
             assert current_tracer() is t
         assert current_tracer() is None
 
+    def test_ambient_context_is_per_thread(self):
+        import threading
+
+        seen = []
+        with use_tracer(Tracer()):
+            thread = threading.Thread(target=lambda: seen.append(current_tracer()))
+            thread.start()
+            thread.join(timeout=30)
+        assert seen == [None]
+
 
 class TestTracedRuns:
     def test_traced_and_untraced_identical_times(self):

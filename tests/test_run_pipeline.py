@@ -28,6 +28,16 @@ def _boom_cell(x=0):
     raise ValueError(f"cell exploded at x={x}")
 
 
+@workload("test.numeric")
+def _numeric_cell(x=0):
+    return [(float(x), x, True, None), (x * 2.0, -x)]
+
+
+@workload("test.strings")
+def _strings_cell(x=0):
+    return [("label", float(x), x)]
+
+
 @workload("test.geometry")
 def _geometry_cell(placement=None, cluster=None):
     if placement is not None:
@@ -206,6 +216,24 @@ class TestParallelMatchesSequential:
         par = run_experiment(eid, fast=True, runner=Runner(jobs=2))
         assert par.columns == seq.columns
         assert par.rows == seq.rows
+
+    def test_two_runs_share_one_pool_and_match_jobs1(self, built_pools):
+        batches = (
+            [scenario("test.numeric", x=i) for i in range(6)],
+            [scenario("test.strings", x=i) for i in range(3)],
+        )
+        runner = Runner(jobs=2)
+        try:
+            par = [runner.run(cells) for cells in batches]
+        finally:
+            runner.close()
+        assert len(built_pools) == 1
+        seq = [Runner(jobs=1).run(cells) for cells in batches]
+        for a, b in zip(sum(seq, []), sum(par, [])):
+            assert a.ok and b.ok
+            assert a.rows == b.rows
+            for ra, rb in zip(a.rows, b.rows):
+                assert [type(v) for v in ra] == [type(v) for v in rb]
 
     def test_warm_cache_replays_identically(self, tmp_path):
         cold_runner = Runner(jobs=1, cache=ResultCache(cache_dir=tmp_path))

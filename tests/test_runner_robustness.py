@@ -68,6 +68,27 @@ class TestWorkerDeath:
         (line,) = runner.stats.failure_lines()
         assert line.startswith("FAILED test.rr_suicide")
 
+    def test_worker_death_discards_the_pool_and_next_run_rebuilds(
+        self, built_pools
+    ):
+        runner = Runner(jobs=2)
+        try:
+            first = runner.run([
+                scenario("test.rr_echo", x=1),
+                scenario("test.rr_suicide"),
+                scenario("test.rr_echo", x=2),
+            ])
+            assert first[1].error == WORKER_DIED
+            assert runner._pool is None  # the poisoned pool is gone
+            second = runner.run(
+                [scenario("test.rr_echo", x=5), scenario("test.rr_echo", x=6)]
+            )
+            assert [r.rows for r in second] == [((5, 10),), ((6, 12),)]
+            assert runner._pool is built_pools[-1]
+            assert runner._pool is not built_pools[0]
+        finally:
+            runner.close()
+
     def test_failing_and_dead_cells_both_reported(self):
         cells = [
             scenario("test.rr_suicide"),

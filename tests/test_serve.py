@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,47 @@ class TestByteIdentical:
             assert json.dumps(r.rows) == json.dumps(expected)
 
 
+#: Full cells on the batch thread while analytic cells resolve inline
+#: on the event loop, in a fresh interpreter so that both threads are
+#: the first to import the model layers.
+_FIRST_USE = """
+import asyncio, dataclasses, sys
+from repro.core.registry import resolve_experiment
+from repro.run import Runner
+from repro.serve import ScenarioService
+
+cells = [sc for eid in ("fig5", "fig7", "fig8")
+         for sc in resolve_experiment(eid).scenarios(fast=True)]
+
+async def main():
+    async with ScenarioService(Runner(jobs=1, cache=None)) as service:
+        full = [asyncio.ensure_future(service.submit(sc)) for sc in cells]
+        await asyncio.sleep(0.001)  # the first batch is on its thread
+        inline = [
+            await service.submit(dataclasses.replace(sc, fidelity="analytic"))
+            for sc in cells
+        ]
+        return inline + list(await asyncio.gather(*full))
+
+bad = [r.error for r in asyncio.run(main()) if not r.ok]
+sys.exit(f"failed cells: {bad[:3]}" if bad else 0)
+"""
+
+
+class TestFirstUseOnTwoThreads:
+    def test_cold_service_serves_inline_and_batch_cells_together(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", _FIRST_USE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestRunnerFaultOverlay:
     def test_runner_faults_applied_once_and_match_direct_run(self):
         # Regression: the serve path used to enqueue the *effective*
@@ -247,13 +292,15 @@ class TestRunnerFaultOverlay:
 
 class TestRunBatch:
     def test_run_batch_matches_run_and_reuses_pool(self):
+        # A serve batch is one Runner.run call; successive batches
+        # share the runner's single worker pool.
         cells = [scenario("serve_test.cell", x=300 + i) for i in range(4)]
         runner = Runner(jobs=2, cache=None)
         try:
-            first = runner.run_batch(cells)
+            first = runner.run(cells)
             pool = runner._pool
             assert pool is not None  # persistent pool created...
-            second = runner.run_batch(cells)
+            second = runner.run(cells)
             assert runner._pool is pool  # ...and reused across batches
             baseline = _runner().run(cells)
             for records in (first, second):
@@ -304,6 +351,27 @@ class TestTcpServe:
         assert stats["serve.coalesced"] == 3
         for reply, sc in zip(replies, burst):
             assert reply.rows == execute_scenario(sc)
+
+    def test_fig9_burst_over_tcp_matches_direct_runner(self):
+        """Real fig9 cells through a two-worker pool and the JSON wire
+        come back byte-identical to a direct sequential run."""
+        from repro.core.registry import resolve_experiment
+
+        cells = list(resolve_experiment("fig9").scenarios(fast=True))
+        burst = cells + cells[:4]
+        runner = Runner(jobs=2, cache=ResultCache(memory_only=True))
+        try:
+            with BackgroundServer(runner, batch_wait=0.05) as server:
+                with ServeClient(port=server.port) as client:
+                    replies = client.submit_many(burst)
+        finally:
+            runner.close()
+        assert all(r.ok for r in replies)
+        assert runner.stats.executed == len(cells)
+        direct = _runner().run(cells)
+        rows_by_key = {r.scenario.key(): r.rows for r in direct}
+        for reply, sc in zip(replies, burst):
+            assert json.dumps(reply.rows) == json.dumps(rows_by_key[sc.key()])
 
     def test_per_request_faults_prevent_false_coalescing(self):
         CALLS.clear()

@@ -33,7 +33,7 @@ def _cells(n: int):
 def _direct_rows(cells):
     """Ground truth: each distinct cell through a direct Runner."""
     runner = Runner(jobs=1, cache=None)
-    records = runner.run_batch(list(cells))
+    records = runner.run(list(cells))
     return {sc.key(): r.rows for sc, r in zip(cells, records)}
 
 

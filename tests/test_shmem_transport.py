@@ -1,195 +1,56 @@
-"""Zero-pickle result transport: arena round trips, fallbacks, and
-parity between the shared-memory path and the pickle path."""
-
-import pytest
+"""Result transport from pool workers: rows return by pickle, and the
+parallel path must be invisible — output equal to sequential, value
+for value and type for type, across batches on one persistent pool."""
 
 import repro.core  # noqa: F401  (imported first: repro.run's harness half lives there)
 from repro.run import Runner, scenario, workload
-from repro.run.runner import _attach_arena, _decode_outcome, _run_cell
-from repro.shmem import SHM_TOKEN, ResultArena
 
 
-@workload("test.shm_numeric")
+@workload("test.transport_numeric")
 def _numeric(x=0):
     return [(float(x), x, True, None), (x * 2.0, -x)]
 
 
-@workload("test.shm_rect")
+@workload("test.transport_rect")
 def _rect(x=0):
     return [(float(x) * i, float(x) + i) for i in range(4)]
 
 
-@workload("test.shm_strings")
+@workload("test.transport_strings")
 def _strings(x=0):
     return [("label", float(x), x)]
 
 
-@workload("test.shm_sees_arena")
-def _sees_arena():
-    import repro.run.runner as runner_mod
-
-    return [(runner_mod._worker_arena is not None,)]
-
-
-@pytest.fixture
-def arena():
-    a = ResultArena.create(2, strip_bytes=4096)
-    yield a
-    a.unlink()
-
-
-@pytest.fixture
-def strip(arena):
-    w = ResultArena.attach(arena.name, 2, 4096, strip=0)
-    yield w
-    w.close()
-
-
-class TestArenaRoundTrip:
-    def test_rect_f64(self, arena, strip):
-        rows = ((1.0, 2.5, -3.0), (4.0, 5.0, 6.5))
-        token = strip.encode(rows)
-        assert set(token) == {SHM_TOKEN}
-        assert arena.decode(token) == rows
-
-    def test_tagged_types_survive(self, arena, strip):
-        rows = ((1.0, 7, True, None), (False,), (-(2**62), 0.0))
-        out = arena.decode(strip.encode(rows))
-        assert out == rows
-        # equality is not enough: bool == int and float == int in
-        # Python, so check the concrete types round-trip too.
-        assert [type(v) for v in out[0]] == [float, int, bool, type(None)]
-        assert type(out[1][0]) is bool
-        assert type(out[2][0]) is int
-
-    def test_float_bits_exact(self, arena, strip):
-        import math
-        import struct
-
-        rows = ((0.1 + 0.2, math.pi, 5e-324, float("inf")),)
-        (out,) = arena.decode(strip.encode(rows))
-        for a, b in zip(rows[0], out):
-            assert struct.pack("<d", a) == struct.pack("<d", b)
-
-    def test_nan_payload(self, arena, strip):
-        import math
-
-        (out,) = arena.decode(strip.encode(((float("nan"), 1.0),)))
-        assert math.isnan(out[0]) and out[1] == 1.0
-
-    def test_multiple_records_per_strip(self, arena, strip):
-        first = ((1.0, 2.0),)
-        second = ((3, None), (True, 4.0, 5))
-        t1 = strip.encode(first)
-        t2 = strip.encode(second)
-        # appended, not overwritten
-        assert arena.decode(t1) == first
-        assert arena.decode(t2) == second
-
-    def test_both_strips_independent(self, arena):
-        w0 = ResultArena.attach(arena.name, 2, 4096, strip=0)
-        w1 = ResultArena.attach(arena.name, 2, 4096, strip=1)
-        t0 = w0.encode(((0.0,),))
-        t1 = w1.encode(((1.0,),))
-        assert arena.decode(t0) == ((0.0,),)
-        assert arena.decode(t1) == ((1.0,),)
-        w0.close()
-        w1.close()
-
-
-class TestArenaFallback:
-    def test_strings_fall_back(self, strip):
-        assert strip.encode((("x", 1.0),)) is None
-
-    def test_huge_int_falls_back(self, strip):
-        assert strip.encode(((2**64,),)) is None
-        assert strip.encode(((-(2**63) - 1,),)) is None
-
-    def test_int64_bounds_encode(self, arena, strip):
-        rows = ((2**63 - 1, -(2**63)),)
-        assert arena.decode(strip.encode(rows)) == rows
-
-    def test_empty_rows_fall_back(self, strip):
-        assert strip.encode(()) is None
-
-    def test_exhaustion_falls_back_then_rewind(self, arena, strip):
-        big = tuple((float(i),) for i in range(400))  # ~3.2 KiB of 4 KiB
-        t1 = strip.encode(big)
-        assert t1 is not None
-        assert strip.encode(big) is None  # strip full -> pickle path
-        assert arena.decode(t1) == big  # earlier record untouched
-        arena.rewind()
-        assert strip.encode(big) is not None
-
-    def test_parent_side_encode_refuses(self, arena):
-        # The parent has no strip: encode is a worker-side operation.
-        assert arena.encode(((1.0,),)) is None
-
-
-class TestWorkerPath:
-    def test_run_cell_emits_token_and_decodes(self, arena):
-        import multiprocessing
-
-        import repro.run.runner as runner_mod
-
-        _attach_arena(arena.name, 2, 4096, multiprocessing.Value("i", 0))
-        try:
-            sc = scenario("test.shm_numeric", x=3)
-            payload, err, _dt = _run_cell(sc)
-            assert err is None
-            assert type(payload) is dict and SHM_TOKEN in payload
-            rows, err, _dt = _decode_outcome(arena, (payload, None, 0.0))
-            assert err is None
-            assert rows == ((3.0, 3, True, None), (6.0, -3))
-        finally:
-            runner_mod._worker_arena.close()
-            runner_mod._worker_arena = None
-
-    def test_decode_outcome_passthrough(self):
-        rows = ((1.0,),)
-        assert _decode_outcome(None, (rows, None, 0.1)) == (rows, None, 0.1)
-        assert _decode_outcome(None, (None, "boom", 0.1)) == (None, "boom", 0.1)
-
-
 class TestRunnerParity:
-    """The transport must be invisible: parallel output byte-identical
-    to sequential, for numeric rows (arena) and strings (fallback)."""
-
     def _scenarios(self):
         return (
-            [scenario("test.shm_numeric", x=i) for i in range(6)]
-            + [scenario("test.shm_rect", x=i) for i in range(3)]
-            + [scenario("test.shm_strings", x=7)]
+            [scenario("test.transport_numeric", x=i) for i in range(6)]
+            + [scenario("test.transport_rect", x=i) for i in range(3)]
+            + [scenario("test.transport_strings", x=7)]
         )
 
     def test_parallel_matches_sequential(self):
         scs = self._scenarios()
         seq = Runner(jobs=1).run(scs)
-        par = Runner(jobs=2).run(scs)
+        par_runner = Runner(jobs=2)
+        try:
+            par = par_runner.run(scs)
+        finally:
+            par_runner.close()
         for a, b in zip(seq, par):
             assert a.error is None and b.error is None
             assert a.rows == b.rows
             for ra, rb in zip(a.rows, b.rows):
                 assert [type(v) for v in ra] == [type(v) for v in rb]
 
-    def test_workers_actually_attach(self):
-        # Guard against the transport silently degrading to pickle:
-        # every pool worker must see an arena.
-        recs = Runner(jobs=2).run(
-            [scenario("test.shm_sees_arena"), scenario("test.shm_numeric")]
-        )
-        assert recs[0].rows == ((True,),)
-
     def test_persistent_pool_batches(self):
         r = Runner(jobs=2)
         try:
-            b1 = r.run_batch([scenario("test.shm_numeric", x=i) for i in range(4)])
-            b2 = r.run_batch([scenario("test.shm_numeric", x=i + 10) for i in range(4)])
+            b1 = r.run([scenario("test.transport_numeric", x=i) for i in range(4)])
+            b2 = r.run(
+                [scenario("test.transport_numeric", x=i + 10) for i in range(4)]
+            )
             assert all(rec.ok for rec in b1 + b2)
             assert b2[0].rows == ((10.0, 10, True, None), (20.0, -10))
         finally:
             r.close()
-
-    def test_sequential_path_untouched(self):
-        rec, = Runner(jobs=1).run([scenario("test.shm_numeric", x=1)])
-        assert rec.rows == ((1.0, 1, True, None), (2.0, -1))
