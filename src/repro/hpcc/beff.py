@@ -17,6 +17,21 @@ analytic cross-node contention factor (the DES prices paths unloaded;
 a ring loads every path at once — on InfiniBand that saturates the
 per-node card capacity, which is the §4.6.1 "severe problems with
 scalability of InfiniBand" mechanism).
+
+No DES work whose result is thrown away is simulated:
+
+* a ping-pong world runs only its two ranks (``run_mpi(ranks=...)``);
+  the idle ranks get no process, mailbox or handle;
+* each ring pattern call runs the dissemination barrier that opens
+  every ring iteration *once*, recording each rank's exit time and
+  injection-free time; every ring world then starts each rank from
+  that snapshot (restore the injection slot, sleep to the exit time)
+  instead of re-running the barrier.  On a healthy machine, and under
+  static path faults, the barrier is the same in every ring world, so
+  the results are exactly those of a per-world barrier.  Under DES
+  faults (drop, jitter, flap, straggler) all rings of one pattern
+  call share one barrier realization — deterministic per fault seed,
+  but not the realization a per-world barrier would draw.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
+from repro.sim.process import Timeout
 from repro.sim.rng import make_rng
 
 __all__ = ["PingPongResult", "RingResult", "pingpong", "natural_ring", "random_ring"]
@@ -105,8 +121,12 @@ def pingpong(
 
     latencies, bandwidths = [], []
     for pair in pairs:
-        lat = run_mpi(placement, prog_for(pair, LATENCY_BYTES)).values[pair[0]]
-        oneway = run_mpi(placement, prog_for(pair, BANDWIDTH_BYTES)).values[pair[0]]
+        lat = run_mpi(
+            placement, prog_for(pair, LATENCY_BYTES), ranks=pair
+        ).values[pair[0]]
+        oneway = run_mpi(
+            placement, prog_for(pair, BANDWIDTH_BYTES), ranks=pair
+        ).values[pair[0]]
         latencies.append(lat)
         bandwidths.append(BANDWIDTH_BYTES / oneway)
     return PingPongResult(
@@ -116,8 +136,27 @@ def pingpong(
     )
 
 
+def _barrier_exits(placement: Placement) -> tuple[tuple[float, float], ...]:
+    """Run the ring's opening barrier once.
+
+    Returns each rank's ``(exit time, injection-free time)``: all the
+    state a rank carries out of the barrier into its ring exchange.
+    Every barrier message is received before its receiver exits, so
+    nothing else outlives it.
+    """
+
+    def prog(comm: MPIComm):
+        yield from barrier(comm)
+        return comm.now, comm.inject_free_at
+
+    return run_mpi(placement, prog).values
+
+
 def _ring_times(
-    placement: Placement, order: list[int], nbytes: int
+    placement: Placement,
+    order: list[int],
+    nbytes: int,
+    exits: tuple[tuple[float, float], ...],
 ) -> np.ndarray:
     """Per-rank exchange times for one ring iteration under the DES.
 
@@ -127,6 +166,9 @@ def _ring_times(
     pipelined iterations b_eff runs, independent pairs stream at their
     own rate, so the benchmark's per-process results follow the
     per-pair path quality (HPCC averages over processes).
+
+    ``exits`` is :func:`_barrier_exits` of the placement: each rank
+    resumes from its barrier snapshot rather than re-running it.
     """
     p = placement.n_ranks
     pos = {rank: k for k, rank in enumerate(order)}
@@ -135,7 +177,9 @@ def _ring_times(
         k = pos[comm.rank]
         right = order[(k + 1) % p]
         left = order[(k - 1) % p]
-        yield from barrier(comm)
+        exit_time, inject_free = exits[comm.rank]
+        comm.inject_free_at = inject_free
+        yield Timeout(comm.sim, exit_time)
         t0 = comm.now
         # Bidirectional exchange with both neighbors, as b_eff does.
         comm.isend(right, nbytes, tag=1)
@@ -158,8 +202,9 @@ def natural_ring(placement: Placement) -> RingResult:
     """
     p = placement.n_ranks
     order = list(range(p))
-    lat = float(np.max(_ring_times(placement, order, LATENCY_BYTES)))
-    bw_times = _ring_times(placement, order, BANDWIDTH_BYTES)
+    exits = _barrier_exits(placement)
+    lat = float(np.max(_ring_times(placement, order, LATENCY_BYTES, exits)))
+    bw_times = _ring_times(placement, order, BANDWIDTH_BYTES, exits)
     # Few neighbor pairs cross nodes in natural order.
     cross = cross_node_flow_factor(placement, concurrent_fraction=2.0 / max(2, p))
     per_cpu = float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross
@@ -181,10 +226,12 @@ def random_ring(placement: Placement, trials: int = 3, seed: int = 1) -> RingRes
     lats, bws = [], []
     cross = cross_node_flow_factor(placement, concurrent_fraction=1.0)
     cross *= random_permutation_factor(p / placement.n_nodes_used())
+    exits = _barrier_exits(placement)
     for _ in range(max(1, trials)):
         order = [int(r) for r in rng.permutation(p)]
-        lats.append(float(np.mean(_ring_times(placement, order, LATENCY_BYTES))))
-        bw_times = _ring_times(placement, order, BANDWIDTH_BYTES)
+        lats.append(float(np.mean(
+            _ring_times(placement, order, LATENCY_BYTES, exits))))
+        bw_times = _ring_times(placement, order, BANDWIDTH_BYTES, exits)
         bws.append(float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross)
     geo = lambda xs: float(math.exp(np.mean(np.log(xs))))
     return RingResult(placement.total_cpus, geo(lats), geo(bws))

@@ -77,7 +77,10 @@ class MPIWorld:
         self.sim = sim
         self.network = network
         self.size = network.placement.n_ranks
-        self.mailboxes = [Channel(sim) for _ in range(self.size)]
+        #: rank -> mailbox, created by :meth:`mailbox` when a rank first
+        #: receives or is first sent to, so setup scales with the ranks
+        #: that communicate rather than with the placement size.
+        self.mailboxes: dict[int, Channel] = {}
         self.brick_contention = brick_contention
         #: OS-noise amplitude: each compute segment is stretched by an
         #: exponentially distributed factor with this mean (0 = quiet
@@ -92,15 +95,11 @@ class MPIWorld:
             from repro.sim.rng import make_rng
 
             self._noise_rng = make_rng(noise_seed)
-        self._inject_keys = [
-            self._injection_key(rank) for rank in range(self.size)
-        ]
         #: injection serialization slots: one per rank, or one per
-        #: (node, brick) when brick contention is on.  Pre-populated so
-        #: the per-message lookup is a plain subscript.
-        self.inject_busy_until: dict = {
-            key: 0.0 for key in self._inject_keys
-        }
+        #: (node, brick) when brick contention is on.  A slot is added
+        #: when the first handle using it is built (:meth:`comm`), so
+        #: the per-message lookup is still a plain subscript.
+        self.inject_busy_until: dict = {}
         #: per-rank handles built by :meth:`comm`; the message
         #: counters live on them (slot ints beat instance-dict
         #: read-modify-writes on the per-send path) and are summed on
@@ -158,6 +157,13 @@ class MPIWorld:
         hops = node.hops(cluster.local_cpu(cpu_a), cluster.local_cpu(cpu_b))
         return ("intra_brick" if hops == 0 else "intra_node", hops)
 
+    def mailbox(self, rank: int) -> Channel:
+        """``rank``'s mailbox, created on first use."""
+        box = self.mailboxes.get(rank)
+        if box is None:
+            box = self.mailboxes[rank] = Channel(self.sim)
+        return box
+
     def _injection_key(self, rank: int):
         if not self.brick_contention:
             return rank
@@ -206,9 +212,10 @@ class MPIComm:
         # Hot-path caches: one isend/irecv runs per simulated message,
         # so indirection through world/network is hoisted here.
         self._sim = world.sim
-        self._mailbox = world.mailboxes[rank]
-        self._inject_key = world._inject_keys[rank]
+        self._mailbox = world.mailbox(rank)
+        self._inject_key = key = world._injection_key(rank)
         self._busy = world.inject_busy_until
+        self._busy.setdefault(key, 0.0)
         #: the world's tracer is normalized once at construction and
         #: never reassigned, so the per-send check can read a slot.
         self._obs = world._obs
@@ -234,6 +241,21 @@ class MPIComm:
     def now(self) -> float:
         """Current simulated time (for rank-side timing)."""
         return self.world.sim.now
+
+    @property
+    def inject_free_at(self) -> float:
+        """When this rank's injection slot (its brick's, under brick
+        contention) is next free.
+
+        Settable, so a rank can resume from a recorded state: b_eff
+        runs its barrier once and starts every ring world from each
+        rank's snapshot of this value and its barrier exit time.
+        """
+        return self._busy[self._inject_key]
+
+    @inject_free_at.setter
+    def inject_free_at(self, when: float) -> None:
+        self._busy[self._inject_key] = when
 
     # -- local work ---------------------------------------------------------
 
@@ -273,7 +295,7 @@ class MPIComm:
             if not 0 <= dest < world.size:
                 raise CommunicationError(f"bad destination rank {dest}")
             spec = world.network.path(self.rank, dest)
-            path = (spec.latency, spec.bandwidth, world.mailboxes[dest].put)
+            path = (spec.latency, spec.bandwidth, world.mailbox(dest).put)
             self._paths[dest] = path
             obs = self._obs
             if obs is not None:
@@ -456,7 +478,7 @@ class _FaultedMPIComm(MPIComm):
                 link = self._links[dest] = world.link_info(self.rank, dest)
             # Flap windows matching this dest's link class, resolved
             # once per (comm, dest) instead of per message.
-            path = (spec.latency, spec.bandwidth, world.mailboxes[dest].put,
+            path = (spec.latency, spec.bandwidth, world.mailbox(dest).put,
                     self._faults.flap_windows(link[0]))
             self._paths[dest] = path
             obs = self._obs

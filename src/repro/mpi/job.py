@@ -1,16 +1,18 @@
 """Run a simulated MPI job.
 
-``run_mpi`` spawns one simulated process per rank, each executing the
-user's rank program (a generator taking an :class:`MPIComm`), runs the
-simulator to completion and reports per-rank finish times, return
-values and aggregate message statistics.
+``run_mpi`` spawns one simulated process per rank (or per rank of a
+chosen subset), each executing the user's rank program (a generator
+taking an :class:`MPIComm`), runs the simulator to completion and
+reports per-rank finish times, return values and aggregate message
+statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
+from repro.errors import CommunicationError
 from repro.machine.placement import Placement
 from repro.mpi.comm import MPIComm, MPIWorld
 from repro.netmodel.costs import NetworkModel
@@ -50,6 +52,7 @@ def run_mpi(
     os_noise: float = 0.0,
     noise_seed: int = 0,
     tracer: "object | None" = None,
+    ranks: Iterable[int] | None = None,
 ) -> MPIJobResult:
     """Execute ``rank_program`` on every rank of ``placement``.
 
@@ -63,6 +66,12 @@ def run_mpi(
     ``tracer`` — an :class:`repro.obs.spans.Tracer` recording full
     spans/counters; defaults to the ambient tracer installed by
     :func:`repro.obs.spans.use_tracer` (``None`` = tracing off).
+
+    ``ranks`` — the ranks that run the program (default: all).  The
+    others stay idle: they report ``None`` and finish at 0.0, exactly
+    what a program that returns at once reports, without paying for
+    a process, mailbox or handle each.  An unknown or repeated rank
+    raises :class:`~repro.errors.CommunicationError`.
     """
     sim = Simulator()
     net = network if network is not None else NetworkModel(placement)
@@ -76,22 +85,33 @@ def run_mpi(
     if obs is not None:
         obs.attach_engine(sim)
 
-    finish_times = [0.0] * world.size
+    size = world.size
+    if ranks is None:
+        active = range(size)
+    else:
+        requested = tuple(ranks)
+        active = sorted(set(requested))
+        if len(active) != len(requested):
+            raise CommunicationError(f"duplicate rank in {requested}")
+        if active and not (0 <= active[0] and active[-1] < size):
+            raise CommunicationError(
+                f"ranks {requested} outside world of {size}")
+
+    finish_times = [0.0] * size
+    values: list[Any] = [None] * size
 
     def wrap(rank: int) -> Generator[SimEvent, Any, Any]:
         value = yield from rank_program(world.comm(rank))
         finish_times[rank] = sim.now
-        return value
+        values[rank] = value
 
-    procs = [
+    for rank in active:
         SimProcess(sim, wrap(rank), name=f"rank{rank}")
-        for rank in range(world.size)
-    ]
     sim.run()
     return MPIJobResult(
         elapsed=max(finish_times),
         finish_times=tuple(finish_times),
-        values=tuple(proc.value for proc in procs),
+        values=tuple(values),
         messages_sent=world.messages_sent,
         bytes_sent=world.bytes_sent,
     )

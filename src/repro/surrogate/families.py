@@ -4,16 +4,17 @@ This is the one auditable list answering "what happens when I ask
 for ``fidelity="analytic"``?" per workload:
 
 * Every workload below except ``ext_noise.cell`` is an **exact
-  passthrough**: its cell function is already a closed-form model
-  (MZ timing model, bandwidth/latency arithmetic, capacity planning)
-  with no discrete-event simulation anywhere in the call tree, so
-  the analytic tier runs the very same function in-process and the
-  rows are byte-identical to the full path.  The calibration job
-  *verifies* that (rel. error must be 0.0) rather than trusting this
-  comment.
-* ``ext_noise.cell`` is the only DES-backed workload; it gets a real
-  modeled surrogate (below) whose error the calibration job measures
-  and bounds.
+  passthrough**: the analytic tier runs the very same cell function
+  in-process, so the rows are byte-identical to the full path.  That
+  is why they are exact, not that they are closed form: most are
+  (MZ timing model, bandwidth/latency arithmetic, capacity planning),
+  but ``fig5.cell``, ``fig10.cell`` and ``sec42.cell`` run the b_eff
+  patterns on the DES, and an analytic request for them runs that
+  DES inline.  The calibration job *verifies* the exactness (rel.
+  error must be 0.0) rather than trusting this comment.
+* ``ext_noise.cell`` is the only workload with a real modeled
+  surrogate (below) whose error the calibration job measures and
+  bounds.
 
 A workload id absent from this module has no fast path: the Runner
 escalates (or refuses) non-``full`` requests for it.
@@ -30,10 +31,10 @@ from repro.surrogate.models import (
 )
 from repro.surrogate.registry import register_exact, surrogate
 
-__all__ = ["CLOSED_FORM_WORKLOADS"]
+__all__ = ["EXACT_WORKLOADS"]
 
-#: Workload ids whose cell functions are closed-form end to end.
-CLOSED_FORM_WORKLOADS = (
+#: Workload ids whose analytic tier is the full cell function itself.
+EXACT_WORKLOADS = (
     "table1.rows",
     "sec411.cell",
     "fig5.cell",
@@ -60,7 +61,7 @@ CLOSED_FORM_WORKLOADS = (
     "ext_ins3d.multi",
 )
 
-for _wid in CLOSED_FORM_WORKLOADS:
+for _wid in EXACT_WORKLOADS:
     register_exact(_wid)
 
 

@@ -298,6 +298,20 @@ class TestDESFaults:
             flapped = _run_ring(pl)
         assert flapped > healthy
 
+    def test_faulted_beff_rows_repeat_per_seed(self):
+        """Under DES faults the rings of one b_eff pattern call share one
+        barrier realization; the rows stay a pure function of the seed."""
+        from repro.core.experiments import fig10
+
+        cells = [c for c in fig10.scenarios(fast=True)
+                 if dict(c.params)["cpus"] == 64][:3]
+        spec = parse_faults("drop:probability=0.01;seed=1")
+        healthy = Runner(jobs=1).run(cells)
+        runs = [Runner(jobs=1, faults=spec).run(cells) for _ in range(2)]
+        assert all(r.ok for run in runs for r in run)
+        assert [r.rows for r in runs[0]] == [r.rows for r in runs[1]]
+        assert [r.rows for r in runs[0]] != [r.rows for r in healthy]
+
     def test_retry_spans_and_counter_recorded(self):
         from repro.mpi import run_mpi
         from repro.obs.spans import Tracer, use_tracer

@@ -1,9 +1,13 @@
 """Tests for the HPCC microbenchmark implementations."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.faults import parse_faults, use_faults
 from repro.hpcc import (
     natural_ring,
     pingpong,
@@ -13,10 +17,24 @@ from repro.hpcc import (
     run_dgemm,
     run_stream,
 )
+from repro.hpcc.beff import (
+    BANDWIDTH_BYTES,
+    LATENCY_BYTES,
+    PingPongResult,
+    RingResult,
+    _pair_sample,
+)
 from repro.hpcc.dgemm import dgemm_problem_size
 from repro.machine.cluster import multinode, single_node
 from repro.machine.node import NodeType, build_node
 from repro.machine.placement import Placement
+from repro.mpi import run_mpi
+from repro.mpi.collectives import barrier
+from repro.netmodel.contention import (
+    cross_node_flow_factor,
+    random_permutation_factor,
+)
+from repro.sim.rng import make_rng
 from repro.units import GIB, to_gb_per_s
 
 
@@ -122,3 +140,107 @@ class TestBeff:
         r_ib = random_ring(ib, trials=1)
         assert r_ib.bandwidth_per_cpu < 0.5 * r_nl.bandwidth_per_cpu
         assert r_ib.latency > r_nl.latency
+
+
+# -- reference b_eff: every world runs every rank, every ring world runs
+# its own barrier.  The production patterns skip that idle work and
+# must still return exactly (==, not approx) these results.
+
+
+def _ref_pingpong(placement, max_pairs=64, seed=0):
+    def prog_for(pair, nbytes):
+        a, b = pair
+
+        def prog(comm):
+            if comm.rank == a:
+                t0 = comm.now
+                yield from comm.send(b, nbytes)
+                yield from comm.recv(b)
+                return (comm.now - t0) / 2.0
+            elif comm.rank == b:
+                yield from comm.recv(a)
+                yield from comm.send(a, nbytes)
+            return None
+
+        return prog
+
+    latencies, bandwidths = [], []
+    for pair in _pair_sample(placement.n_ranks, max_pairs, seed):
+        latencies.append(run_mpi(placement, prog_for(pair, LATENCY_BYTES)).values[pair[0]])
+        oneway = run_mpi(placement, prog_for(pair, BANDWIDTH_BYTES)).values[pair[0]]
+        bandwidths.append(BANDWIDTH_BYTES / oneway)
+    return PingPongResult(placement.total_cpus, float(np.mean(latencies)),
+                          float(np.mean(bandwidths)))
+
+
+def _ref_ring_times(placement, order, nbytes):
+    p = placement.n_ranks
+    pos = {rank: k for k, rank in enumerate(order)}
+
+    def prog(comm):
+        k = pos[comm.rank]
+        right = order[(k + 1) % p]
+        left = order[(k - 1) % p]
+        yield from barrier(comm)
+        t0 = comm.now
+        comm.isend(right, nbytes, tag=1)
+        comm.isend(left, nbytes, tag=2)
+        yield comm.irecv(left, tag=1)
+        yield comm.irecv(right, tag=2)
+        return comm.now - t0
+
+    return np.asarray(run_mpi(placement, prog).values, dtype=float)
+
+
+def _ref_natural_ring(placement):
+    p = placement.n_ranks
+    order = list(range(p))
+    lat = float(np.max(_ref_ring_times(placement, order, LATENCY_BYTES)))
+    bw_times = _ref_ring_times(placement, order, BANDWIDTH_BYTES)
+    cross = cross_node_flow_factor(placement, concurrent_fraction=2.0 / max(2, p))
+    per_cpu = float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross
+    return RingResult(placement.total_cpus, lat, per_cpu)
+
+
+def _ref_random_ring(placement, trials=3, seed=1):
+    p = placement.n_ranks
+    rng = make_rng(seed)
+    lats, bws = [], []
+    cross = cross_node_flow_factor(placement, concurrent_fraction=1.0)
+    cross *= random_permutation_factor(p / placement.n_nodes_used())
+    for _ in range(max(1, trials)):
+        order = [int(r) for r in rng.permutation(p)]
+        lats.append(float(np.mean(_ref_ring_times(placement, order, LATENCY_BYTES))))
+        bw_times = _ref_ring_times(placement, order, BANDWIDTH_BYTES)
+        bws.append(float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross)
+    geo = lambda xs: float(math.exp(np.mean(np.log(xs))))
+    return RingResult(placement.total_cpus, geo(lats), geo(bws))
+
+
+def _beff_placement(kind, p):
+    if kind == "single":
+        return Placement(single_node(NodeType.BX2B), n_ranks=p)
+    cluster = multinode(2, fabric=kind, n_cpus=256)
+    return Placement(cluster, n_ranks=p, spread_nodes=True)
+
+
+#: degrades a link class in each placement kind (static path faults:
+#: priced into the route table, no DES hook).
+_DEGRADE = ("degrade:link_class=intra_node,latency_factor=2,bandwidth_factor=0.5;"
+            "degrade:link_class=inter_node,latency_factor=3,bandwidth_factor=0.25")
+
+
+class TestBeffMatchesReference:
+    @pytest.mark.parametrize("faults", [None, _DEGRADE], ids=["healthy", "degrade"])
+    @pytest.mark.parametrize("p", [2, 3, 64, 256])
+    @pytest.mark.parametrize("kind", ["single", "numalink4", "infiniband"])
+    def test_patterns_equal_reference(self, kind, p, faults):
+        pl = _beff_placement(kind, p)
+        spec = parse_faults(faults) if faults else None
+        with use_faults(spec, salt="beff-oracle"):
+            got = (pingpong(pl, max_pairs=6), natural_ring(pl),
+                   random_ring(pl, trials=2, seed=4))
+        with use_faults(spec, salt="beff-oracle"):
+            want = (_ref_pingpong(pl, max_pairs=6), _ref_natural_ring(pl),
+                    _ref_random_ring(pl, trials=2, seed=4))
+        assert got == want

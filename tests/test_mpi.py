@@ -218,3 +218,60 @@ class TestDeterminism:
         assert r1.elapsed == r2.elapsed
         assert r1.values == r2.values
         assert r1.messages_sent == r2.messages_sent
+
+
+class TestActiveRanks:
+    @staticmethod
+    def _pingpong(a, b, nbytes, worlds=None):
+        def prog(comm):
+            if worlds is not None:
+                worlds.append(comm.world)
+            if comm.rank == a:
+                t0 = comm.now
+                yield from comm.send(b, nbytes)
+                yield from comm.recv(b)
+                return comm.now - t0
+            if comm.rank == b:
+                yield from comm.recv(a)
+                yield from comm.send(a, nbytes)
+                return comm.now
+            return None
+
+        return prog
+
+    @pytest.mark.parametrize("pair", [(0, 1), (3, 40), (63, 17)])
+    def test_pair_run_matches_all_ranks_run(self, pair):
+        """Idle ranks report None at 0.0, as a program that returns at
+        once does, so the whole result equals the all-ranks run."""
+        pl = placement(64)
+        prog = self._pingpong(*pair, 2_000_000)
+        full = run_mpi(pl, prog)
+        pair_only = run_mpi(pl, prog, ranks=pair)
+        assert pair_only == full
+        assert pair_only.values[pair[0]] > 0
+        assert pair_only.messages_sent == 2
+
+    def test_two_talking_ranks_create_two_mailboxes(self):
+        worlds = []
+        run_mpi(placement(256), self._pingpong(7, 200, 8, worlds),
+                ranks=(7, 200))
+        world = worlds[0]
+        assert sorted(world.mailboxes) == [7, 200]
+        assert sorted(world.inject_busy_until) == [7, 200]
+
+    def test_idle_destination_gets_a_mailbox_on_first_send(self):
+        worlds = []
+
+        def prog(comm):
+            worlds.append(comm.world)
+            comm.isend(9, 8)  # nobody receives: buffered, no deadlock
+            yield comm.compute(1e-6)
+
+        run_mpi(placement(16), prog, ranks=(3,))
+        assert sorted(worlds[0].mailboxes) == [3, 9]
+        assert worlds[0].mailboxes[9].buffered == 1
+
+    @pytest.mark.parametrize("ranks", [(0, 8), (-1, 2), (1, 1), (2, 3, 2)])
+    def test_bad_ranks_rejected(self, ranks):
+        with pytest.raises(CommunicationError):
+            run_mpi(placement(8), self._pingpong(0, 1, 8), ranks=ranks)

@@ -11,6 +11,13 @@ SciPy.
 After a deliberate output change, regenerate the golden with::
 
     PYTHONPATH=src python -m repro all --fast --no-cache > tests/golden/repro_all_fast.txt
+
+``tests/golden/beff_full.txt`` pins the *full* b_eff sweeps (Figs. 5
+and 10, up to 2,048 ranks), which ``--fast`` cuts to 64/512 CPUs.
+Regenerate it with::
+
+    (PYTHONPATH=src python -m repro run fig5 --no-cache;
+     PYTHONPATH=src python -m repro run fig10 --no-cache) > tests/golden/beff_full.txt
 """
 
 import os
@@ -19,6 +26,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "repro_all_fast.txt"
+BEFF_GOLDEN = Path(__file__).parent / "golden" / "beff_full.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs the CLI, then reports which heavy numeric packages got loaded.
@@ -32,16 +40,19 @@ sys.exit(code)
 """
 
 
-def _repro_all_fast(cache_dir: Path) -> subprocess.CompletedProcess:
+def _repro(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", _SCRIPT, "all", "--fast", "--jobs", "2",
-         "--cache-dir", str(cache_dir)],
+        [sys.executable, "-c", _SCRIPT, *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
+
+
+def _repro_all_fast(cache_dir: Path) -> subprocess.CompletedProcess:
+    return _repro("all", "--fast", "--jobs", "2", "--cache-dir", str(cache_dir))
 
 
 def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
@@ -55,3 +66,12 @@ def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
     assert "0 executed" in warm.stderr
     assert warm.stdout == golden
     assert "heavy modules: none" in warm.stderr
+
+
+def test_full_beff_sweeps_match_golden():
+    out = []
+    for name in ("fig5", "fig10"):
+        run = _repro("run", name, "--no-cache")
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert "".join(out) == BEFF_GOLDEN.read_text()
