@@ -208,26 +208,34 @@ def _trace_path(trace_dir: str, scenario: Scenario):
     return Path(trace_dir) / f"{scenario.workload}-{scenario.key()[:12]}.trace.json"
 
 
-def _run_cell(scenario: Scenario, trace_dir: str | None = None):
+def _run_cell(
+    scenario: Scenario, trace_dir: str | None = None, evaluate=None
+):
     """Worker entry point: never raises (errors travel in-band).
 
-    With ``trace_dir`` set, the cell runs under a fresh ambient
+    ``evaluate`` computes the rows (default :func:`execute_scenario`;
+    the fast path passes the surrogate evaluator).  With ``trace_dir``
+    set, the cell runs under a fresh ambient
     :class:`~repro.obs.spans.Tracer` and its Chrome trace is written
     to ``<trace_dir>/<workload>-<key12>.trace.json`` (cells whose
     workloads never touch an instrumented layer record nothing and
     write nothing).
     """
     start = time.perf_counter()
+    # Resolved per call, not as a default, so that a patched module
+    # attribute takes effect.
+    if evaluate is None:
+        evaluate = execute_scenario
     try:
         if trace_dir is None:
-            rows = execute_scenario(scenario)
+            rows = evaluate(scenario)
         else:
             from repro.obs.export import write_chrome_trace
             from repro.obs.spans import Tracer, use_tracer
 
             tracer = Tracer()
             with use_tracer(tracer):
-                rows = execute_scenario(scenario)
+                rows = evaluate(scenario)
             if tracer.spans or tracer.messages:
                 write_chrome_trace(tracer, _trace_path(trace_dir, scenario))
         return rows, None, time.perf_counter() - start
@@ -243,38 +251,14 @@ _evaluate_scenario = None
 
 
 def _run_fast_cell(scenario: Scenario, trace_dir: str | None = None):
-    """Fast-path cell execution: the surrogate evaluator, in-process.
+    """Fast-path cell execution: :func:`_run_cell` with the surrogate
+    evaluator, on the calling thread — no pickling and no pool."""
+    global _evaluate_scenario
+    if _evaluate_scenario is None:
+        from repro.surrogate.evaluator import evaluate_scenario
 
-    Same outcome contract as :func:`_run_cell` — ``(rows, error,
-    duration)``, never raises — but runs on the calling thread with
-    no pickling and no pool.  Tracing keeps its meaning (a fresh
-    ambient tracer per cell), though surrogates rarely touch an
-    instrumented layer, so most traced fast cells write nothing.
-    """
-    start = time.perf_counter()
-    try:
-        global _evaluate_scenario
-        evaluate_scenario = _evaluate_scenario
-        if evaluate_scenario is None:
-            from repro.surrogate.evaluator import evaluate_scenario
-
-            _evaluate_scenario = evaluate_scenario
-
-        if trace_dir is None:
-            rows = evaluate_scenario(scenario)
-        else:
-            from repro.obs.export import write_chrome_trace
-            from repro.obs.spans import Tracer, use_tracer
-
-            tracer = Tracer()
-            with use_tracer(tracer):
-                rows = evaluate_scenario(scenario)
-            if tracer.spans or tracer.messages:
-                write_chrome_trace(tracer, _trace_path(trace_dir, scenario))
-        return rows, None, time.perf_counter() - start
-    except Exception as exc:  # per-cell capture, like _run_cell
-        err = f"{type(exc).__name__}: {exc}"
-        return None, err, time.perf_counter() - start
+        _evaluate_scenario = evaluate_scenario
+    return _run_cell(scenario, trace_dir, _evaluate_scenario)
 
 
 def _resolve_jobs(jobs) -> int:
@@ -553,12 +537,7 @@ class Runner:
             self.checkpoint.put(sc.key(), rows)
         return record
 
-    def run_fast_cell(
-        self,
-        sc: Scenario,
-        trace_dir: str | None = None,
-        assume_effective: bool = False,
-    ) -> RunRecord | None:
+    def run_fast_cell(self, sc: Scenario) -> RunRecord | None:
         """Resolve one cell entirely on the calling thread, or return
         ``None`` when it needs the batch path.
 
@@ -568,18 +547,14 @@ class Runner:
         pool, no pickling.  ``None`` means "not mine": the cell is
         ``full`` fidelity, or it must escalate — the caller sends it
         through :meth:`run` unchanged.  Under the ``refuse`` policy an
-        unservable cell returns an error record instead of escalating.  ``assume_effective`` skips the
-        :meth:`effective_scenario` overlay for callers that already
-        applied it (never pass a raw scenario with it set — the fault
-        overlay would be silently dropped).
+        unservable cell returns an error record instead of escalating.
+        ``sc`` must already be effective (:meth:`effective_scenario`);
+        a raw scenario would silently lose the runner's fault overlay.
         """
-        if not assume_effective:
-            sc = self.effective_scenario(sc)
         if sc.fidelity == "full":
             return None
-        trace = trace_dir if trace_dir is not None else self.trace_dir
         if self.cache is not None or self.checkpoint is not None:
-            rows = self._lookup(sc, trace)
+            rows = self._lookup(sc, self.trace_dir)
             if rows is not None:
                 with self._stats_lock:
                     self.stats.cached += 1
@@ -589,7 +564,7 @@ class Runner:
             if self.surrogate_policy == "refuse":
                 return self._finish_cell(sc, None, reason, 0.0)
             return None
-        rows, error, dt = _run_fast_cell(sc, trace)
+        rows, error, dt = _run_fast_cell(sc, self.trace_dir)
         return self._finish_cell(sc, rows, error, dt, fast=True)
 
     def run(

@@ -3,19 +3,23 @@
 The package splits along the classic service seam:
 
 * :mod:`repro.serve.service` — the asyncio scheduler
-  (:class:`ScenarioService`): bounded priority queue, admission
-  control with ``retry_after`` backpressure, in-flight request
-  coalescing by scenario content hash, micro-batching into
-  :meth:`Runner.run`, whose one long-lived worker pool runs each
-  batch;
-* :mod:`repro.serve.protocol` — the JSON-lines wire format;
-* :mod:`repro.serve.server` — the TCP front end and the ``repro
-  serve`` loop;
+  (:class:`ScenarioService`): one admission step (quota, inline fast
+  path, bounded priority queue with ``retry_after`` backpressure),
+  in-flight request coalescing by scenario content hash,
+  micro-batching into :meth:`Runner.run`, whose one long-lived worker
+  pool runs each batch; one plain counter table and the fleet merge
+  rules for its stats;
+* :mod:`repro.serve.protocol` — the JSON-lines wire format and the
+  one reading of a ``submit`` message;
+* :mod:`repro.serve.server` — the one JSON-lines connection loop
+  (:class:`~repro.serve.server.LineServer`), the single-service TCP
+  front end on it, and the ``repro serve`` loop;
 * :mod:`repro.serve.client` — the blocking :class:`ServeClient`;
 * :mod:`repro.serve.shard` — the multi-worker tier
   (:class:`ShardedServer`): N worker processes behind one front-door
-  router, consistent hashing on the effective-scenario key, a shared
-  on-disk result cache, and worker-death failover.
+  router on the same connection loop, consistent hashing on the
+  service's coalescing key, a shared on-disk result cache, and
+  worker-death failover.
 
 For one-shot in-process use (no sockets), :func:`submit` runs a list
 of scenarios through a short-lived service and returns the results in
@@ -100,23 +104,13 @@ def submit(
             max_batch=max_batch, batch_wait=batch_wait,
         )
         async with service:
-            results: list[ServeResult | None] = [None] * len(cells)
-            pending: list[int] = []
-            for i, sc in enumerate(cells):
-                result = service.submit_nowait(sc)
-                if result is not None:
-                    results[i] = result
-                else:
-                    pending.append(i)
-            if pending:
-                answers = await asyncio.gather(
-                    *(
-                        service.submit(cells[i], priority=priority)
-                        for i in pending
-                    )
-                )
-                for i, answer in zip(pending, answers):
-                    results[i] = answer
+            results = [service.submit_nowait(sc) for sc in cells]
+            pending = [i for i, result in enumerate(results) if result is None]
+            answers = await asyncio.gather(
+                *(service.submit(cells[i], priority=priority) for i in pending)
+            )
+            for i, answer in zip(pending, answers):
+                results[i] = answer
             return results  # type: ignore[return-value]
 
     try:

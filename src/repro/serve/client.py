@@ -201,15 +201,9 @@ class ServeClient:
         request (``"analytic"`` resolves inline server-side through
         the surrogate; see ``ServeReply.escalated``).
         """
-        while True:
-            rid = self._send(
-                self._submit_message(sc, priority, faults, trace, fidelity)
-            )
-            reply = self._reply(self._wait(rid))
-            if reply.status == "rejected" and retry:
-                time.sleep(max(0.05, reply.retry_after))
-                continue
-            return reply
+        return self.submit_many(
+            [sc], priority, faults, trace, fidelity, retry
+        )[0]
 
     #: option names ``submit_many`` overrides may carry, mirroring
     #: the per-request wire fields.

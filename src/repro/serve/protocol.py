@@ -56,11 +56,12 @@ the property request coalescing and the result cache both key on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigurationError
-from repro.faults.spec import FaultSpec
+from repro.faults.spec import FaultSpec, parse_faults
 from repro.run.scenario import (
     MachineSpec,
     PlacementSpec,
@@ -70,9 +71,12 @@ from repro.run.scenario import (
 
 __all__ = [
     "DEFAULT_PORT",
+    "LINE_LIMIT",
     "PROTOCOL_VERSION",
+    "SubmitRequest",
     "decode_line",
     "encode_line",
+    "parse_submit",
     "scenario_from_wire",
     "scenario_to_wire",
 ]
@@ -81,6 +85,9 @@ PROTOCOL_VERSION = 1
 
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 7447
+
+#: Generous per-line cap; a scenario wire form is a few hundred bytes.
+LINE_LIMIT = 1 << 20
 
 
 def encode_line(message: dict[str, Any]) -> bytes:
@@ -94,7 +101,7 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     """Parse one protocol line; raises ConfigurationError on junk."""
     try:
         message = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # Recursion: deep nesting
         raise ConfigurationError(f"bad protocol line: {exc}") from None
     if not isinstance(message, dict):
         raise ConfigurationError(
@@ -164,4 +171,53 @@ def scenario_from_wire(payload: Any) -> Scenario:
         placement=pspec,
         faults=fspec,
         fidelity=str(payload.get("fidelity") or "full"),
+    )
+
+
+class SubmitRequest(NamedTuple):
+    """One decoded ``submit`` message, every field validated."""
+
+    #: the wire scenario with the request's ``faults`` and
+    #: ``fidelity`` overrides applied.
+    scenario: Scenario
+    priority: int
+    trace_dir: str | None
+    client_id: str | None
+
+
+def parse_submit(message: dict[str, Any]) -> SubmitRequest:
+    """Interpret one ``submit`` message; raises ConfigurationError on a
+    bad field.
+
+    This is *the* reading of a submit message: the single server builds
+    what it runs from it, and the shard router builds its routing key
+    and quota charge from it, so a cell can never hash to one worker
+    and execute as another.
+    """
+    sc = scenario_from_wire(message.get("scenario"))
+    faults_text = message.get("faults")
+    if faults_text:
+        overlay = parse_faults(str(faults_text))
+        sc = dataclasses.replace(
+            sc,
+            faults=overlay if sc.faults is None else sc.faults.merge(overlay),
+        )
+    fidelity = message.get("fidelity")
+    if fidelity is not None and str(fidelity) != sc.fidelity:
+        # Per-request override; the replaced scenario's constructor
+        # validates the tier name.
+        sc = dataclasses.replace(sc, fidelity=str(fidelity))
+    priority = message.get("priority") or 0
+    try:
+        priority = int(priority)
+    except (TypeError, ValueError, OverflowError):
+        # OverflowError: JSON admits 1e999, and int(inf) raises it.
+        raise ConfigurationError(f"bad priority {priority!r}") from None
+    trace_dir = message.get("trace")
+    client_id = message.get("client_id")
+    return SubmitRequest(
+        sc,
+        priority,
+        None if trace_dir is None else str(trace_dir),
+        None if client_id is None else str(client_id),
     )

@@ -1,87 +1,63 @@
-"""TCP front end of the scenario service.
+"""TCP front ends of the scenario service.
 
-:class:`ScenarioServer` speaks the JSON-lines protocol documented in
-:mod:`repro.serve.protocol` over plain ``asyncio`` streams (stdlib
-only).  Each connection is one reader task; each ``submit`` spawns its
-own task so slow cells never block the connection — responses stream
-back in completion order and clients match them to requests by ``id``.
+:class:`LineServer` is the one JSON-lines connection loop (the
+protocol is documented in :mod:`repro.serve.protocol`; plain
+``asyncio`` streams, stdlib only).  Each connection is one reader
+task; each ``submit`` runs as its own task so slow cells never block
+the connection — responses stream back in completion order and
+clients match them to requests by ``id``.  Two front doors run that
+loop and supply only their ``submit`` and ``stats`` handlers:
+:class:`ScenarioServer` over one :class:`ScenarioService`, and the
+shard router (:class:`repro.serve.shard.ShardRouter`) over a fleet.
 
-Two entry points wrap it:
-
-* :func:`serve_forever` — the blocking loop behind the ``repro serve``
-  CLI verb;
-* :class:`BackgroundServer` — a context manager that runs the whole
-  stack (event loop, service, server) on a daemon thread, for tests.
+:class:`BackgroundServer` runs the whole single-server stack (event
+loop, service, server) on a :class:`LoopThread` — the one host of an
+event-loop thread, which also runs the shard router.
+:func:`serve_forever`, the blocking loop behind the ``repro serve``
+CLI verb, and each shard worker wait on a ``BackgroundServer``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
+from typing import Any, Awaitable, Callable
 
 from repro.errors import ReproError
-from repro.faults.spec import parse_faults
 from repro.run.runner import Runner
-from repro.run.scenario import Scenario
 from repro.serve.protocol import (
     DEFAULT_PORT,
+    LINE_LIMIT,
     PROTOCOL_VERSION,
     decode_line,
     encode_line,
-    scenario_from_wire,
+    parse_submit,
 )
 from repro.serve.service import QuotaPolicy, ScenarioService, ServeRejected
 
 __all__ = [
     "BackgroundServer",
+    "LineServer",
+    "LoopThread",
     "ScenarioServer",
-    "request_scenario",
     "serve_forever",
 ]
 
-#: Generous per-line cap; a scenario wire form is a few hundred bytes.
-_LINE_LIMIT = 1 << 20
 
+class LineServer:
+    """A JSON-lines protocol endpoint: the one connection loop.
 
-def request_scenario(message: dict) -> Scenario:
-    """The scenario one ``submit`` message asks for, overrides applied.
-
-    Decodes the wire scenario, merges a request-level ``faults``
-    grammar string onto the scenario's own spec, and applies a
-    request-level ``fidelity`` override.  This is *the* submit-message
-    interpretation — the single server uses it to build what it runs,
-    and the shard router uses the identical reading to compute the
-    routing key, so a cell can never hash to one worker and execute as
-    another.
+    Subclasses answer the ops: :meth:`_submit` turns one ``submit``
+    message into a response body (raising :class:`ServeRejected` to
+    refuse it), :meth:`_stats` returns the stats snapshot and
+    :meth:`_pong` the ``ping`` body.  The loop owns everything else:
+    the line limit, blank and undecodable lines, the per-connection
+    write lock, unknown ops, exactly one response per request whatever
+    a handler raises, and answering what was asked before it closes
+    on EOF.
     """
-    sc = scenario_from_wire(message.get("scenario"))
-    faults_text = message.get("faults")
-    if faults_text:
-        overlay = parse_faults(str(faults_text))
-        sc = dataclasses.replace(
-            sc,
-            faults=overlay if sc.faults is None else sc.faults.merge(overlay),
-        )
-    fidelity = message.get("fidelity")
-    if fidelity is not None and str(fidelity) != sc.fidelity:
-        # Per-request override; the replaced scenario's constructor
-        # validates the tier name, so junk turns into an error
-        # response for this request only.
-        sc = dataclasses.replace(sc, fidelity=str(fidelity))
-    return sc
 
-
-class ScenarioServer:
-    """Bind a :class:`ScenarioService` to a TCP endpoint."""
-
-    def __init__(
-        self,
-        service: ScenarioService,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-    ) -> None:
-        self.service = service
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         #: requested port; after :meth:`start` the bound port (use
         #: ``port=0`` to let the OS pick one).
@@ -89,10 +65,9 @@ class ScenarioServer:
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
 
-    async def start(self) -> "ScenarioServer":
-        await self.service.start()
+    async def start(self) -> "LineServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_LINE_LIMIT
+            self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -106,15 +81,17 @@ class ScenarioServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        await self.service.close()
 
-    async def __aenter__(self) -> "ScenarioServer":
-        return await self.start()
+    async def _submit(self, message: dict) -> dict:
+        raise NotImplementedError
 
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
+    async def _stats(self) -> dict[str, float]:
+        raise NotImplementedError
 
-    async def _handle_connection(
+    def _pong(self) -> dict:
+        return {"status": "pong", "protocol": PROTOCOL_VERSION}
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(asyncio.current_task())
@@ -123,10 +100,27 @@ class ScenarioServer:
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
 
-        async def reply(message: dict) -> None:
+        async def reply(rid: Any, body: dict) -> None:
+            body["id"] = rid
             async with write_lock:
-                writer.write(encode_line(message))
+                writer.write(encode_line(body))
                 await writer.drain()
+
+        async def answer_submit(rid: Any, message: dict) -> None:
+            try:
+                body = await self._submit(message)
+            except ServeRejected as exc:
+                body = {"status": "rejected", "retry_after": exc.retry_after,
+                        "depth": exc.depth, "reason": exc.reason}
+            except Exception as exc:
+                # The per-request boundary: whatever a bad field or a
+                # handler raises becomes this request's error response,
+                # and the connection keeps serving.
+                body = {"status": "error", "error": str(exc)}
+            try:
+                await reply(rid, body)
+            except OSError:
+                pass  # client went away; nobody left to answer
 
         try:
             while True:
@@ -145,30 +139,23 @@ class ScenarioServer:
                 try:
                     message = decode_line(line)
                 except ReproError as exc:
-                    await reply({"id": None, "status": "error", "error": str(exc)})
+                    await reply(None, {"status": "error", "error": str(exc)})
                     continue
                 rid = message.get("id")
                 op = message.get("op")
                 if op == "submit":
-                    task = asyncio.ensure_future(
-                        self._do_submit(rid, message, reply)
-                    )
+                    task = asyncio.ensure_future(answer_submit(rid, message))
                     pending.add(task)
                     task.add_done_callback(pending.discard)
                 elif op == "stats":
                     await reply(
-                        {"id": rid, "status": "stats",
-                         "stats": self.service.stats()}
+                        rid, {"status": "stats", "stats": await self._stats()}
                     )
                 elif op == "ping":
-                    await reply(
-                        {"id": rid, "status": "pong",
-                         "protocol": PROTOCOL_VERSION}
-                    )
+                    await reply(rid, self._pong())
                 else:
                     await reply(
-                        {"id": rid, "status": "error",
-                         "error": f"unknown op {op!r}"}
+                        rid, {"status": "error", "error": f"unknown op {op!r}"}
                     )
             if pending:
                 # Client stopped sending; still answer what it asked for.
@@ -185,40 +172,51 @@ class ScenarioServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _do_submit(self, rid, message: dict, reply) -> None:
-        try:
-            sc = request_scenario(message)
-            trace_dir = message.get("trace")
-            client_id = message.get("client_id")
-            result = await self.service.submit(
-                sc,
-                priority=int(message.get("priority") or 0),
-                trace_dir=None if trace_dir is None else str(trace_dir),
-                client_id=None if client_id is None else str(client_id),
-            )
-        except ServeRejected as exc:
-            await reply(
-                {"id": rid, "status": "rejected",
-                 "retry_after": exc.retry_after, "depth": exc.depth,
-                 "reason": exc.reason}
-            )
-            return
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
-            await reply({"id": rid, "status": "error", "error": str(exc)})
-            return
-        if result.ok:
-            ok = {"id": rid, "status": "ok",
-                  "rows": [list(r) for r in result.rows],
-                  "cached": result.cached, "coalesced": result.coalesced,
-                  "duration_s": result.duration_s,
-                  "latency_s": result.latency_s}
-            if result.escalated:
-                # Only present when true: full-fidelity responses keep
-                # their exact pre-fidelity wire bytes.
-                ok["escalated"] = True
-            await reply(ok)
-        else:
-            await reply({"id": rid, "status": "error", "error": result.error})
+
+class ScenarioServer(LineServer):
+    """Bind a :class:`ScenarioService` to a TCP endpoint."""
+
+    def __init__(
+        self,
+        service: ScenarioService,
+        host: str = "127.0.0.1",
+        port: int = DEFAULT_PORT,
+    ) -> None:
+        super().__init__(host, port)
+        self.service = service
+
+    async def start(self) -> "ScenarioServer":
+        await self.service.start()
+        await super().start()
+        return self
+
+    async def close(self) -> None:
+        await super().close()
+        await self.service.close()
+
+    async def _submit(self, message: dict) -> dict:
+        request = parse_submit(message)
+        result = await self.service.submit(
+            request.scenario,
+            priority=request.priority,
+            trace_dir=request.trace_dir,
+            client_id=request.client_id,
+        )
+        if not result.ok:
+            return {"status": "error", "error": result.error}
+        ok = {"status": "ok",
+              "rows": [list(r) for r in result.rows],
+              "cached": result.cached, "coalesced": result.coalesced,
+              "duration_s": result.duration_s,
+              "latency_s": result.latency_s}
+        if result.escalated:
+            # Only present when true: full-fidelity responses keep
+            # their exact pre-fidelity wire bytes.
+            ok["escalated"] = True
+        return ok
+
+    async def _stats(self) -> dict[str, float]:
+        return self.service.stats()
 
 
 def serve_forever(
@@ -231,32 +229,76 @@ def serve_forever(
     quota: QuotaPolicy | None = None,
 ) -> int:
     """Run the scenario service until interrupted (``repro serve``)."""
-
-    async def _main() -> int:
-        service = ScenarioService(
-            runner, max_queue=max_queue,
-            max_batch=max_batch, batch_wait=batch_wait, quota=quota,
-        )
-        server = ScenarioServer(service, host=host, port=port)
-        await server.start()
-        print(
-            f"repro serve: listening on {server.host}:{server.port} "
-            f"(jobs={runner.jobs}, max_queue={max_queue}, "
-            f"max_batch={max_batch})",
-            flush=True,
-        )
-        try:
-            await asyncio.Event().wait()  # until cancelled
-        finally:
-            await server.close()
-        return 0
-
     try:
-        return asyncio.run(_main())
+        with BackgroundServer(
+            runner, host, port, max_queue, max_batch, batch_wait, quota
+        ) as server:
+            print(
+                f"repro serve: listening on {server.host}:{server.port} "
+                f"(jobs={runner.jobs}, max_queue={max_queue}, "
+                f"max_batch={max_batch})",
+                flush=True,
+            )
+            threading.Event().wait()  # until KeyboardInterrupt
     except KeyboardInterrupt:
-        return 0
+        pass
     finally:
         runner.close()
+    return 0
+
+
+class LoopThread:
+    """One front door's event loop, hosted on a daemon thread.
+
+    ``open_door`` is a coroutine function that builds and starts the
+    front door and returns it (anything with an async ``close``).
+    :meth:`start` blocks until it has, re-raising a startup failure in
+    the caller; :meth:`stop` closes the door on its own loop and joins
+    the thread.
+    """
+
+    def __init__(
+        self, open_door: Callable[[], Awaitable[Any]], name: str
+    ) -> None:
+        self._open_door = open_door
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), name=name, daemon=True
+        )
+        self._ready = threading.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._door: Any = None
+        self._startup_error: BaseException | None = None
+
+    def start(self) -> Any:
+        """Run the loop thread; the started front door once it is up."""
+        self._thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            self._thread.join()
+            raise self._startup_error
+        return self._door
+
+    def stop(self) -> None:
+        """Close the started front door and join the thread."""
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join()
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        try:
+            door = await self._open_door()
+        except BaseException as exc:
+            self._startup_error = exc
+            self._ready.set()
+            return
+        self._door = door
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            await door.close()
 
 
 class BackgroundServer:
@@ -264,8 +306,8 @@ class BackgroundServer:
 
     ``with BackgroundServer(runner) as server:`` yields once the socket
     is bound (``server.port`` is then real even for ``port=0``); exit
-    drains the service and joins the thread.  Intended for tests —
-    production use is ``repro serve``.
+    drains the service and joins the thread.  It hosts ``repro serve``
+    (:func:`serve_forever`), every shard worker, and the tests.
     """
 
     def __init__(
@@ -279,8 +321,6 @@ class BackgroundServer:
         quota: QuotaPolicy | None = None,
     ) -> None:
         self._runner = runner
-        self._host = host
-        self._port = port
         self._service_args = dict(
             max_queue=max_queue, max_batch=max_batch,
             batch_wait=batch_wait, quota=quota,
@@ -288,46 +328,18 @@ class BackgroundServer:
         self.host = host
         self.port = port
         self.service: ScenarioService | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
+        self._loop_thread: LoopThread | None = None
+
+    async def _open(self) -> ScenarioServer:
+        self.service = ScenarioService(self._runner, **self._service_args)
+        server = ScenarioServer(self.service, host=self.host, port=self.port)
+        return await server.start()
 
     def __enter__(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-serve", daemon=True,
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
+        self._loop_thread = LoopThread(self._open, name="repro-serve")
+        server = self._loop_thread.start()
+        self.host, self.port = server.host, server.port
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            self.service = ScenarioService(self._runner, **self._service_args)
-            server = ScenarioServer(
-                self.service, host=self._host, port=self._port
-            )
-            await server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.host, self.port = server.host, server.port
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.close()
+        self._loop_thread.stop()

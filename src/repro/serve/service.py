@@ -27,11 +27,12 @@ with the three mechanisms a long-lived scenario service needs:
   themselves to the backlog: under light load a cell dispatches
   alone and immediately, under pressure batches fill up.
 
-Everything observable is counted through a
-:class:`repro.obs.CounterSet` (wall-clock seconds since service start
-as the time axis): ``serve.queue_depth``, ``serve.coalesced``,
-``serve.batch_occupancy``, ``serve.rejected`` and friends, plus
-p50/p99 request latency in :meth:`ScenarioService.stats`.
+Everything observable is counted in one plain dict of totals
+(:attr:`ScenarioService.counts`: ``serve.requests``,
+``serve.coalesced``, ``serve.batch_occupancy``, ``serve.rejected`` and
+friends), reported with live queue depths and p50/p99 request latency
+by :meth:`ScenarioService.stats`; :func:`merge_stats` is the one rule
+set that folds those snapshots across a fleet.
 
 The service never executes *full-fidelity* cells on the event loop:
 batches run in a worker thread (``asyncio.to_thread``) so the loop
@@ -44,6 +45,11 @@ and the micro-batcher entirely — there is nothing to batch when the
 evaluation is cheaper than the queue hop.  A fast cell the calibrated
 error table cannot vouch for transparently escalates into the normal
 queue (and its result carries ``escalated=True``).
+
+:meth:`~ScenarioService.submit` and the synchronous
+:meth:`~ScenarioService.submit_nowait` are thin callers of one
+admission step, so a request is counted, quota-charged and keyed the
+same way whichever entry it takes.
 """
 
 from __future__ import annotations
@@ -52,11 +58,11 @@ import asyncio
 import heapq
 import itertools
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.counters import CounterSet
 from repro.run.runner import Runner, RunRecord
 from repro.run.scenario import Scenario
 
@@ -66,6 +72,8 @@ __all__ = [
     "ScenarioService",
     "ServeRejected",
     "ServeResult",
+    "coalescing_key",
+    "merge_stats",
 ]
 
 
@@ -138,12 +146,15 @@ class ClientQuota:
         #: client id -> (tokens, last refill timestamp), LRU order.
         self._buckets: OrderedDict[str, tuple[float, float]] = OrderedDict()
 
-    def admit(self, client_id: str | None, now: float) -> float:
-        """Spend one token; 0.0 if admitted, else seconds until one
-        token will have refilled (the ``retry_after`` hint)."""
+    def charge(self, client_id: str | None, depth: int = 0) -> None:
+        """Spend one of ``client_id``'s tokens, or raise
+        :class:`ServeRejected` (``reason="quota"``) with the seconds
+        until one will have refilled as the ``retry_after`` hint;
+        ``depth`` is the queue depth the rejection reports."""
         policy = self.policy
         key = client_id or self.ANONYMOUS
         buckets = self._buckets
+        now = time.monotonic()
         state = buckets.get(key)
         if state is None:
             tokens = policy.burst
@@ -155,10 +166,18 @@ class ClientQuota:
             buckets.move_to_end(key)
             if len(buckets) > policy.max_clients:
                 buckets.popitem(last=False)
-            return 0.0
+            return
         buckets[key] = (tokens, now)
         buckets.move_to_end(key)
-        return max(0.05, (1.0 - tokens) / policy.rate)
+        raise ServeRejected(
+            max(0.05, (1.0 - tokens) / policy.rate), depth, reason="quota"
+        )
+
+    def refund(self, client_id: str | None) -> None:
+        """Give back the token the last :meth:`charge` spent."""
+        key = client_id or self.ANONYMOUS
+        tokens, then = self._buckets[key]
+        self._buckets[key] = (min(self.policy.burst, tokens + 1.0), then)
 
 
 @dataclass(frozen=True)
@@ -197,10 +216,48 @@ class _Entry:
     trace_dir: str | None
     priority: int
     seq: int
-    futures: list[asyncio.Future] = field(default_factory=list)
+    #: ``(future, submit time, coalesced)`` per waiting request.
+    waiters: list[tuple[asyncio.Future, float, bool]] = field(
+        default_factory=list
+    )
     #: popped into a batch; stale heap tuples for it are skipped and
     #: new duplicates attach as in-flight coalesces.
     dispatched: bool = False
+
+
+def coalescing_key(effective: Scenario, trace_dir: str | None) -> tuple:
+    """The identity two requests share iff one execution answers both.
+
+    ``effective`` is the scenario as the runner will execute it
+    (:meth:`Runner.effective_scenario`).  Its content hash covers the
+    fidelity tier, so an analytic submit never coalesces with a
+    full-DES submit of the same cell; the tier rides along explicitly
+    so that invariant is visible here.  The shard router hashes this
+    same key onto its ring, which keeps coalescing global in a fleet.
+    """
+    return (effective.key(), trace_dir, effective.fidelity)
+
+
+#: Fleet merge rule of :meth:`ScenarioService.stats` keys: a key ending
+#: in one of these is a latency percentile or a ratio gauge and merges
+#: by max (a conservative fleet-wide bound — a sum of ratios means
+#: nothing); every other key is a count or a depth and sums.
+_MERGE_BY_MAX = ("_p50_s", "_p99_s", "serve.batch_occupancy")
+
+
+def merge_stats(snapshots: Iterable[dict[str, float]]) -> dict[str, float]:
+    """Fold per-worker :meth:`ScenarioService.stats` snapshots into one
+    fleet-wide view (summed ``runner.executed`` is the global execution
+    count)."""
+    merged: dict[str, float] = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            value = float(value)
+            if name.endswith(_MERGE_BY_MAX):
+                merged[name] = max(merged.get(name, 0.0), value)
+            else:
+                merged[name] = merged.get(name, 0.0) + value
+    return merged
 
 
 #: Cap on the retained latency samples (p50/p99 window).
@@ -222,7 +279,6 @@ class ScenarioService:
         max_queue: int = 1024,
         max_batch: int = 32,
         batch_wait: float = 0.0,
-        counters: CounterSet | None = None,
         quota: QuotaPolicy | None = None,
     ) -> None:
         if max_queue < 1 or max_batch < 1:
@@ -240,14 +296,9 @@ class ScenarioService:
         #: arrivals lands in one batch; 0 dispatches immediately
         #: (batches then form naturally while earlier ones execute).
         self.batch_wait = batch_wait
-        # Interval-sampled by default: the inline fast path records
-        # several counters per request at ~1e5 requests/s, so one
-        # sample per distinct timestamp (interval=0) would grow the
-        # series lists per request; folding into a window keeps them
-        # bounded and the per-add cost flat.
-        self.counters = (
-            counters if counters is not None else CounterSet(interval=0.25)
-        )
+        #: counter totals (plus the ``serve.batch_occupancy`` gauge) by
+        #: stats key; a key appears once first counted.
+        self.counts: Counter[str] = Counter()
         self._heap: list[tuple[int, int, _Entry]] = []
         self._index: dict[tuple, _Entry] = {}
         self._queued = 0
@@ -256,14 +307,8 @@ class ScenarioService:
         self._work = asyncio.Event()
         self._task: asyncio.Task | None = None
         self._closed = False
-        self._t0 = time.monotonic()
         #: latency samples per fidelity tier (p50/p99 windows).
         self._latencies: dict[str, list[float]] = {}
-        #: fast-path counter totals, plain int bumps — the inline path
-        #: serves ~1e5 requests/s and a CounterSet.add per counter per
-        #: request is a measurable slice of that budget.  Folded into
-        #: ``counters`` by :meth:`_flush_fast_counts`.
-        self._fast_counts: dict[str, int] = {}
         #: smoothed per-cell service time (seeds the retry-after hint).
         self._cell_s = 0.05
 
@@ -309,7 +354,7 @@ class ScenarioService:
         trace_dir: str | None = None,
         client_id: str | None = None,
     ) -> ServeResult:
-        """Queue one cell and wait for its result.
+        """Run one cell and wait for its result.
 
         Identical concurrent submissions coalesce: whichever arrives
         first owns the queue slot; later twins attach to it and every
@@ -320,64 +365,119 @@ class ScenarioService:
         request — queue full, or ``client_id``'s token bucket empty
         under a :class:`QuotaPolicy`.
         """
+        outcome = self._admit(scenario, priority, trace_dir, client_id)
+        if isinstance(outcome, ServeResult):
+            return outcome
+        return await outcome
+
+    def submit_nowait(
+        self, scenario: Scenario, client_id: str | None = None
+    ) -> ServeResult | None:
+        """Synchronous submission for cells the inline path can own.
+
+        Resolves the request on the calling thread — no coroutine, no
+        task, no event loop hop — when (and only when) it would have
+        taken the inline fast path anyway: a non-``full``-fidelity
+        cell the surrogate tier vouches for.  Returns ``None`` (and
+        records nothing, quota included) for everything else —
+        full-fidelity cells, and cells that must escalate — which the
+        caller then awaits through :meth:`submit` as usual.
+
+        This is the all-analytic sweep throughput path: callers
+        holding a burst of analytic cells skip the per-request asyncio
+        machinery entirely (see :func:`repro.serve.submit`).
+        """
+        return self._admit(scenario, 0, None, client_id, nowait=True)
+
+    def _admit(
+        self,
+        scenario: Scenario,
+        priority: int,
+        trace_dir: str | None,
+        client_id: str | None,
+        nowait: bool = False,
+    ) -> "ServeResult | asyncio.Future | None":
+        """The one admission step: closed check, quota, counting, then
+        an inline result or the future of a queued (or coalesced)
+        cell's result.
+
+        Each request is counted once and spends at most one quota
+        token; with ``nowait`` a cell that cannot resolve inline gives
+        ``None`` and leaves no trace.
+        """
         if self._closed:
             raise ConfigurationError("service is closed")
         t_in = time.monotonic()
-        now = self._now()
-        counters = self.counters
-        counters.add("serve.requests", 1, now)
-        self._check_quota(client_id, now)
-        # The *effective* scenario (runner fault overlay merged in) is
-        # the coalescing key only; the queue carries the raw scenario,
-        # because Runner.run applies the overlay itself — enqueuing
-        # the merged form would apply it twice and shift the cache key
-        # away from direct Runner.run.
+        # The *effective* scenario (runner fault overlay merged in)
+        # picks the tier and keys coalescing; the queue carries the raw
+        # scenario, because Runner.run applies the overlay itself —
+        # enqueuing the merged form would apply it twice and shift the
+        # cache key away from direct Runner.run.
         effective = self.runner.effective_scenario(scenario)
         fid = effective.fidelity
-        counters.add(f"serve.requests.{fid}", 1, now)
-        if fid != "full" and trace_dir is None:
-            # Inline fast path: the surrogate answers right here on
-            # the event loop — no queue slot, no batch, no thread
-            # hop.  ``None`` means the cell must escalate: it falls
-            # through to the queue below and runs the full path.
-            result = self._inline_result(effective, fid, t_in)
-            if result is not None:
-                return result
-            counters.add("serve.escalated", 1, now)
-        # The scenario content hash covers fidelity (non-default tiers
-        # join the key), so an analytic submit can never coalesce with
-        # a full-DES submit for the same cell; ``fid`` rides along
-        # explicitly so that invariant is visible here, not an action
-        # at a distance.
-        key = (effective.key(), trace_dir, fid)
-        future = asyncio.get_running_loop().create_future()
+        inline = fid != "full" and trace_dir is None
+        if nowait and not inline:
+            return None
+        counts = self.counts
+        if self._quota is not None:
+            # Quota gates the inline path too: it protects the
+            # service's CPU, not just the queue.
+            try:
+                self._quota.charge(client_id, self._queued)
+            except ServeRejected:
+                counts["serve.requests"] += 1
+                counts["serve.rejected"] += 1
+                counts["serve.quota_rejected"] += 1
+                raise
+        # Inline fast path: the surrogate answers right here on the
+        # event loop — no queue slot, no batch, no thread hop.  ``None``
+        # means the cell must escalate and run the full path.
+        record = self.runner.run_fast_cell(effective) if inline else None
+        if record is None and nowait:
+            if self._quota is not None:
+                self._quota.refund(client_id)
+            return None
+        counts["serve.requests"] += 1
+        counts[f"serve.requests.{fid}"] += 1
+        if record is not None:
+            counts["serve.inline"] += 1
+            counts["serve.completed" if record.ok else "serve.errors"] += 1
+            return self._result(record, fid, t_in, coalesced=False)
+        if inline:
+            counts["serve.escalated"] += 1
 
+        key = coalescing_key(effective, trace_dir)
+        future = asyncio.get_running_loop().create_future()
         entry = self._index.get(key)
-        coalesced = entry is not None
-        if coalesced:
-            entry.futures.append(future)
-            counters.add("serve.coalesced", 1, now)
+        if entry is not None:
+            entry.waiters.append((future, t_in, True))
+            counts["serve.coalesced"] += 1
             if priority < entry.priority and not entry.dispatched:
                 # Promote: push a better-ranked heap tuple; the stale
                 # one is skipped at pop time via the dispatched flag
                 # (the entry dispatches at most once either way).
                 entry.priority = priority
                 heapq.heappush(self._heap, (priority, entry.seq, entry))
-        else:
-            if self._queued >= self.max_queue:
-                counters.add("serve.rejected", 1, now)
-                raise ServeRejected(self.retry_after(), self._queued)
-            entry = _Entry(
-                key=key, scenario=scenario, trace_dir=trace_dir,
-                priority=priority, seq=next(self._seq), futures=[future],
-            )
-            self._index[key] = entry
-            heapq.heappush(self._heap, (priority, entry.seq, entry))
-            self._queued += 1
-            counters.set("serve.queue_depth", self._queued, now)
-            self._work.set()
+            return future
+        if self._queued >= self.max_queue:
+            counts["serve.rejected"] += 1
+            raise ServeRejected(self.retry_after(), self._queued)
+        entry = _Entry(
+            key=key, scenario=scenario, trace_dir=trace_dir,
+            priority=priority, seq=next(self._seq),
+            waiters=[(future, t_in, False)],
+        )
+        self._index[key] = entry
+        heapq.heappush(self._heap, (priority, entry.seq, entry))
+        self._queued += 1
+        self._work.set()
+        return future
 
-        record: RunRecord = await future
+    def _result(
+        self, record: RunRecord, fid: str, t_in: float, coalesced: bool
+    ) -> ServeResult:
+        """One request's answer from its cell's record; notes the
+        submit-to-resolve latency."""
         latency = time.monotonic() - t_in
         self._note_latency(fid, latency)
         return ServeResult(
@@ -390,94 +490,6 @@ class ScenarioService:
             latency_s=latency,
             escalated=record.escalated,
         )
-
-    def _inline_result(
-        self, effective: Scenario, fid: str, t_in: float
-    ) -> ServeResult | None:
-        """Resolve one non-``full`` request on the calling thread.
-
-        ``run_fast_cell`` takes the already-effective scenario (the
-        overlay must merge exactly once) and is thread-safe against a
-        batch finishing concurrently.  ``None`` means the cell must
-        escalate through the queue instead.
-        """
-        record = self.runner.run_fast_cell(effective, assume_effective=True)
-        if record is None:
-            return None
-        counts = self._fast_counts
-        counts["serve.inline"] = counts.get("serve.inline", 0) + 1
-        done = "serve.completed" if record.ok else "serve.errors"
-        counts[done] = counts.get(done, 0) + 1
-        latency = time.monotonic() - t_in
-        self._note_latency(fid, latency)
-        return ServeResult(
-            scenario=record.scenario,
-            rows=record.rows,
-            error=record.error,
-            cached=record.cached,
-            duration_s=record.duration_s,
-            latency_s=latency,
-            escalated=record.escalated,
-        )
-
-    def _check_quota(self, client_id: str | None, now: float) -> None:
-        """Raise :class:`ServeRejected` if ``client_id``'s bucket is
-        dry.  Quota gates *every* submission path — inline fast cells
-        included — because it protects the service's CPU, not just the
-        queue."""
-        limiter = self._quota
-        if limiter is None:
-            return
-        wait = limiter.admit(client_id, time.monotonic())
-        if wait > 0.0:
-            counters = self.counters
-            counters.add("serve.rejected", 1, now)
-            counters.add("serve.quota_rejected", 1, now)
-            raise ServeRejected(wait, self._queued, reason="quota")
-
-    def submit_nowait(
-        self, scenario: Scenario, client_id: str | None = None
-    ) -> ServeResult | None:
-        """Synchronous submission for cells the inline path can own.
-
-        Resolves the request on the calling thread — no coroutine, no
-        task, no event loop hop — when (and only when) it would have
-        taken the inline fast path anyway: a non-``full``-fidelity
-        cell the surrogate tier vouches for.  Returns ``None`` (and
-        records nothing) for everything else — full-fidelity cells,
-        and cells that must escalate — which the caller then awaits
-        through :meth:`submit` as usual.  Counter and latency
-        accounting of a served request is identical to
-        :meth:`submit`'s.
-
-        This is the all-analytic sweep throughput path: callers
-        holding a burst of analytic cells skip the per-request asyncio
-        machinery entirely (see :func:`repro.serve.submit`).
-        """
-        if self._closed:
-            raise ConfigurationError("service is closed")
-        effective = self.runner.effective_scenario(scenario)
-        fid = effective.fidelity
-        if fid == "full":
-            return None
-        self._check_quota(client_id, self._now())
-        result = self._inline_result(effective, fid, time.monotonic())
-        if result is not None:
-            counts = self._fast_counts
-            counts["serve.requests"] = counts.get("serve.requests", 0) + 1
-            name = f"serve.requests.{fid}"
-            counts[name] = counts.get(name, 0) + 1
-        return result
-
-    def _flush_fast_counts(self) -> None:
-        """Fold the fast path's plain-int counter totals into the
-        :class:`CounterSet` — called before any read of the counters
-        so totals are indistinguishable from per-request ``add``s."""
-        if self._fast_counts:
-            now = self._now()
-            for name, n in self._fast_counts.items():
-                self.counters.add(name, n, now)
-            self._fast_counts.clear()
 
     def _note_latency(self, fidelity: str, latency: float) -> None:
         samples = self._latencies.setdefault(fidelity, [])
@@ -503,8 +515,7 @@ class ScenarioService:
         has served at least one request; per-tier request counts are
         the ``serve.requests.<fidelity>`` counters.
         """
-        self._flush_fast_counts()
-        out = dict(self.counters.totals())
+        out = {name: float(n) for name, n in sorted(self.counts.items())}
 
         def pct(samples: list[float], p: float) -> float:
             if not samples:
@@ -539,9 +550,6 @@ class ScenarioService:
             out["cache.evicted_bytes"] = float(cstats.evicted_bytes)
         return out
 
-    def _now(self) -> float:
-        return time.monotonic() - self._t0
-
     # -- dispatch -------------------------------------------------------------
 
     def _form_batch(self) -> list[_Entry]:
@@ -569,10 +577,10 @@ class ScenarioService:
             heapq.heappush(self._heap, item)
         if not self._heap:
             self._work.clear()
-        self.counters.set("serve.queue_depth", self._queued, self._now())
         return batch
 
     async def _dispatch_loop(self) -> None:
+        counts = self.counts
         while True:
             await self._work.wait()
             if self.batch_wait > 0.0 and not self._closed:
@@ -584,12 +592,9 @@ class ScenarioService:
                     break
                 continue
             self._inflight += len(batch)
-            now = self._now()
-            self.counters.add("serve.batches", 1, now)
-            self.counters.add("serve.batch_cells", len(batch), now)
-            self.counters.set(
-                "serve.batch_occupancy", len(batch) / self.max_batch, now
-            )
+            counts["serve.batches"] += 1
+            counts["serve.batch_cells"] += len(batch)
+            counts["serve.batch_occupancy"] = len(batch) / self.max_batch
             t_batch = time.monotonic()
             try:
                 records = await asyncio.to_thread(
@@ -625,24 +630,27 @@ class ScenarioService:
         answered here) or misses the index and queues a fresh cell —
         never both, never neither.
         """
-        now = self._now()
+        counts = self.counts
         for i, entry in enumerate(batch):
             del self._index[entry.key]
             self._inflight -= 1
             record = records[i] if records is not None else None
             if record is not None and record.ok:
-                self.counters.add("serve.completed", 1, now)
+                counts["serve.completed"] += 1
             else:
-                self.counters.add("serve.errors", 1, now)
+                counts["serve.errors"] += 1
             if record is not None and record.escalated:
                 # counted once per *cell*; serve.escalated (submit
                 # side) counts per request that fell through inline.
-                self.counters.add("serve.escalated_cells", 1, now)
-            for future in entry.futures:
+                counts["serve.escalated_cells"] += 1
+            fid = entry.key[2]
+            for future, t_in, coalesced in entry.waiters:
                 if future.cancelled():
                     continue
                 if record is not None:
-                    future.set_result(record)
+                    future.set_result(
+                        self._result(record, fid, t_in, coalesced)
+                    )
                 else:
                     future.set_exception(
                         exc if exc is not None

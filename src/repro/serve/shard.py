@@ -4,8 +4,8 @@ The paper's machine is a *cluster of clusters* — many hosts behind one
 front door, with placement deciding throughput — and this module gives
 the serve tier the same shape.  :class:`ShardedServer` runs N worker
 processes, each a full single-worker stack
-(:class:`~repro.serve.service.ScenarioService` +
-:class:`~repro.serve.server.ScenarioServer` on a private port), behind
+(a :class:`~repro.serve.server.BackgroundServer` on a private
+port), behind
 one router speaking the *same* JSON-lines protocol, so every existing
 client — :class:`~repro.serve.client.ServeClient`, ``netcat``, the
 smoke harnesses — talks to a fleet without changing a byte.
@@ -13,12 +13,13 @@ smoke harnesses — talks to a fleet without changing a byte.
 Three design decisions carry the tier:
 
 **Routing is consistent hashing on the effective-scenario content
-key.**  The router interprets each submit message exactly as a worker
-would (:func:`repro.serve.server.request_scenario` + the same
-fault-overlay/fidelity merge, via a template
-:class:`~repro.run.runner.Runner`) and hashes the *effective*
-scenario's content key onto a ring of virtual nodes.  Identical cells
-therefore always land on the same worker, which keeps request
+key.**  The router reads each submit message with the workers' own
+:func:`~repro.serve.protocol.parse_submit`, merges the fleet-wide
+fault/fidelity overlay through the very
+:class:`~repro.run.runner.Runner` every worker forks from, and hashes
+the service's own :func:`~repro.serve.service.coalescing_key` onto a
+ring of virtual nodes.  Identical cells therefore always land on the
+same worker, which keeps request
 coalescing **global**: N duplicate submits anywhere in the fleet
 collapse to one queue slot and one execution on one worker, same as
 against a single server.  A hash ring (vs. round-robin or modulo)
@@ -26,9 +27,10 @@ means a worker's death remaps only *its* keys; every other cell keeps
 its home, its in-flight coalesces and its warm memory mirror.
 
 **The result cache is shared through the filesystem, not a daemon.**
-Every worker opens the same :class:`~repro.run.run.cache.ResultCache`
-directory (resolved absolute before spawn — workers must agree on the
-store no matter where they start).  Content-addressed keys plus
+Every worker serves from a forked copy of one
+:class:`~repro.run.cache.ResultCache` over one directory (resolved
+absolute before the fork — workers must agree on the store no matter
+where they start).  Content-addressed keys plus
 atomic publish (tmp + rename) make concurrent cross-process put/get
 safe without locks, and the bounded per-worker memory mirror keeps
 long-lived workers from leaking.  This shared store is also the
@@ -48,6 +50,11 @@ Per-client token buckets (:class:`~repro.serve.service.QuotaPolicy`)
 sit on the router's front door — admission control belongs at the
 fleet boundary, where one greedy client would otherwise crowd every
 worker at once.
+
+The router is a :class:`~repro.serve.server.LineServer`: the same
+connection loop as the single server, with only its ``submit``
+(forward) and ``stats`` (fleet merge by
+:func:`~repro.serve.service.merge_stats`) handlers of its own.
 """
 
 from __future__ import annotations
@@ -60,8 +67,6 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
-from dataclasses import dataclass
 
 from repro.errors import CommunicationError, ConfigurationError, ReproError
 from repro.faults.spec import FaultSpec
@@ -70,17 +75,23 @@ from repro.run.runner import Runner
 from repro.run.scenario import Scenario
 from repro.serve.protocol import (
     DEFAULT_PORT,
-    PROTOCOL_VERSION,
+    LINE_LIMIT,
     decode_line,
     encode_line,
+    parse_submit,
 )
-from repro.serve.server import ScenarioServer, request_scenario
-from repro.serve.service import ClientQuota, QuotaPolicy, ScenarioService
+from repro.serve.server import BackgroundServer, LineServer, LoopThread
+from repro.serve.service import (
+    ClientQuota,
+    QuotaPolicy,
+    ServeRejected,
+    coalescing_key,
+    merge_stats,
+)
 
 __all__ = [
     "HashRing",
     "ShardedServer",
-    "WorkerConfig",
     "serve_sharded",
 ]
 
@@ -88,9 +99,6 @@ __all__ = [
 #: key-share imbalance under ~20% for small fleets while the ring
 #: stays tiny (N*64 sha256 points, built once per membership change).
 RING_REPLICAS = 64
-
-#: Generous per-line cap, matching the single server.
-_LINE_LIMIT = 1 << 20
 
 #: Seconds to wait for a spawned worker to report its bound port.
 _SPAWN_TIMEOUT_S = 30.0
@@ -106,10 +114,7 @@ class HashRing:
     sharded tier's failover leans on.
     """
 
-    def __init__(self, members=(), replicas: int = RING_REPLICAS) -> None:
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1: {replicas}")
-        self.replicas = replicas
+    def __init__(self, members=()) -> None:
         self._points: list[int] = []
         self._owners: dict[int, int] = {}
         self._members: set[int] = set()
@@ -126,7 +131,7 @@ class HashRing:
         if member in self._members:
             return
         self._members.add(member)
-        for replica in range(self.replicas):
+        for replica in range(RING_REPLICAS):
             point = self._hash(f"{member}:{replica}")
             # sha256 collisions across members are not a practical
             # concern; first owner keeps the point deterministically.
@@ -161,111 +166,54 @@ class HashRing:
         return member in self._members
 
 
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything one worker process needs, in picklable form.
-
-    ``cache_dir`` is the **resolved absolute** shared cache directory
-    (the spawn path threads it through :func:`resolve_cache_dir` so a
-    worker can never re-anchor it against its own cwd); ``faults`` is
-    the fleet-wide overlay as its canonical JSON payload.
-    """
-
-    index: int
-    cache_dir: str | None
-    jobs: int = 1
-    faults: str | None = None
-    fidelity: str | None = None
-    surrogate_policy: str = "escalate"
-    max_queue: int = 1024
-    max_batch: int = 32
-    batch_wait: float = 0.0
-    max_memory_entries: int | None = None
-
-    def build_runner(self) -> Runner:
-        cache = (
-            ResultCache(memory_only=True)
-            if self.cache_dir is None
-            else ResultCache(
-                self.cache_dir, max_memory_entries=self.max_memory_entries
-            )
-        )
-        return Runner(
-            jobs=self.jobs,
-            cache=cache,
-            faults=(
-                None if self.faults is None
-                else FaultSpec.from_payload(self.faults)
-            ),
-            fidelity=self.fidelity,
-            surrogate_policy=self.surrogate_policy,
-        )
-
-
-def _worker_main(config: WorkerConfig, conn) -> None:
+def _worker_main(runner: Runner, service_args: dict, conn) -> None:
     """One worker process: a full serve stack on an ephemeral port.
 
     Reports ``{"port": N}`` (or ``{"error": ...}``) through ``conn``
     once bound, then serves until SIGTERM.  Runs under the ``fork``
-    start method, so registered workloads and test fixtures are
-    inherited — a worker sees exactly the parent's registry.
+    start method, so ``runner`` and the registered workloads and test
+    fixtures are inherited — a worker sees exactly the parent's
+    registry.
     """
     def _sigterm(*_args):
         raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _sigterm)
-
-    async def _main() -> None:
-        runner = config.build_runner()
-        try:
-            service = ScenarioService(
-                runner,
-                max_queue=config.max_queue,
-                max_batch=config.max_batch,
-                batch_wait=config.batch_wait,
-            )
-            server = ScenarioServer(service, host="127.0.0.1", port=0)
-            await server.start()
-        except BaseException as exc:
-            conn.send({"error": f"{type(exc).__name__}: {exc}"})
-            raise
-        conn.send({"port": server.port})
-        conn.close()
-        try:
-            await asyncio.Event().wait()  # until SIGTERM
-        finally:
-            await server.close()
-            runner.close()
-
     try:
-        asyncio.run(_main())
+        with BackgroundServer(runner, **service_args) as server:
+            conn.send({"port": server.port})
+            conn.close()
+            threading.Event().wait()  # until SIGTERM
     except (SystemExit, KeyboardInterrupt):
         pass
+    except BaseException as exc:
+        if not conn.closed:  # failed before the handshake
+            conn.send({"error": f"{type(exc).__name__}: {exc}"})
+        raise
+    finally:
+        runner.close()
 
 
 class _Forward:
     """One client request currently pending on a worker."""
 
-    __slots__ = ("client_id_field", "message", "reply", "routing_key")
+    __slots__ = ("message", "routing_key", "future")
 
-    def __init__(self, client_id_field, message, reply, routing_key):
-        #: the id the *client* used (restored on the way back).
-        self.client_id_field = client_id_field
+    def __init__(self, message, routing_key, future):
         #: the full client message (re-dispatch needs it verbatim).
         self.message = message
-        #: coroutine function writing one reply to the client.
-        self.reply = reply
-        #: ring key (worker re-election on death needs it).
+        #: coalescing key (worker re-election on death needs it).
         self.routing_key = routing_key
+        #: resolves to the worker's response.
+        self.future = future
 
 
 class _WorkerLink:
     """The router's live connection to one worker."""
 
-    def __init__(self, index: int, port: int, pid: int) -> None:
+    def __init__(self, index: int, port: int) -> None:
         self.index = index
         self.port = port
-        self.pid = pid
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.alive = False
@@ -278,7 +226,7 @@ class _WorkerLink:
 
     async def connect(self) -> None:
         self.reader, self.writer = await asyncio.open_connection(
-            "127.0.0.1", self.port, limit=_LINE_LIMIT
+            "127.0.0.1", self.port, limit=LINE_LIMIT
         )
         self.alive = True
 
@@ -297,7 +245,7 @@ class _WorkerLink:
             self.writer.close()
 
 
-class ShardRouter:
+class ShardRouter(LineServer):
     """The front door: one protocol endpoint fanning out to N workers.
 
     Async core of :class:`ShardedServer`; everything here runs on one
@@ -309,26 +257,24 @@ class ShardRouter:
     def __init__(
         self,
         links: list[_WorkerLink],
-        template_runner: Runner,
+        runner: Runner,
         host: str = "127.0.0.1",
         port: int = 0,
         quota: QuotaPolicy | None = None,
     ) -> None:
+        super().__init__(host, port)
         self.links = links
-        #: interprets submit messages exactly as a worker will — the
-        #: routing key must be the worker's coalescing key.
-        self.template = template_runner
-        self.host = host
-        self.port = port
+        #: the runner every worker forked from: it merges overlays
+        #: exactly as theirs do, so routing keys are their coalescing
+        #: keys.
+        self.runner = runner
         self.ring = HashRing(link.index for link in links)
         self.quota: ClientQuota | None = (
             quota.limiter() if quota is not None else None
         )
         self._by_index = {link.index: link for link in links}
-        self._server: asyncio.AbstractServer | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._t0 = time.monotonic()
-        #: shard.* counter totals for the merged stats view.
+        self._readers: set[asyncio.Task] = set()
+        #: the router's own counter totals, laid over the fleet merge.
         self.counts: dict[str, int] = {
             "shard.routed": 0,
             "shard.redispatched": 0,
@@ -344,131 +290,50 @@ class ShardRouter:
             task = asyncio.get_running_loop().create_task(
                 self._read_worker(link), name=f"shard-worker-{link.index}"
             )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=_LINE_LIMIT
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+            self._readers.add(task)
+            task.add_done_callback(self._readers.discard)
+        await super().start()
         return self
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().close()
         for link in self.links:
             link.close()
-        for task in list(self._tasks):
+        for task in list(self._readers):
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-
-    # -- routing --------------------------------------------------------------
-
-    def routing_key(self, message: dict) -> str:
-        """The coalescing identity of one submit message.
-
-        Built from the *effective* scenario — request overrides plus
-        the fleet-wide fault/fidelity overlay, merged exactly as the
-        owning worker's runner will merge them — so the ring sends
-        every duplicate to the same worker and coalescing stays
-        global.
-        """
-        sc = request_scenario(message)
-        effective = self.template.effective_scenario(sc)
-        trace = message.get("trace")
-        return f"{effective.key()}|{effective.fidelity}|{trace or ''}"
-
-    def scenario_routing_key(self, sc: Scenario) -> str:
-        effective = self.template.effective_scenario(sc)
-        return f"{effective.key()}|{effective.fidelity}|"
-
-    def worker_for_key(self, key: str) -> _WorkerLink:
-        return self._by_index[self.ring.lookup(key)]
+        if self._readers:
+            await asyncio.gather(*self._readers, return_exceptions=True)
 
     # -- the client side ------------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._tasks.add(asyncio.current_task())
-        write_lock = asyncio.Lock()
+    def worker_for_key(self, key: tuple) -> _WorkerLink:
+        """The live worker owning one :func:`coalescing_key`."""
+        return self._by_index[self.ring.lookup("|".join(map(str, key)))]
 
-        async def reply(message: dict) -> None:
-            async with write_lock:
-                writer.write(encode_line(message))
-                await writer.drain()
+    def _pong(self) -> dict:
+        return {**super()._pong(), "workers": len(self.ring)}
 
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError,
-                        ValueError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_line(line)
-                except ReproError as exc:
-                    await reply(
-                        {"id": None, "status": "error", "error": str(exc)}
-                    )
-                    continue
-                rid = message.get("id")
-                op = message.get("op")
-                if op == "submit":
-                    await self._route_submit(rid, message, reply)
-                elif op == "stats":
-                    await reply(
-                        {"id": rid, "status": "stats",
-                         "stats": await self.merged_stats()}
-                    )
-                elif op == "ping":
-                    await reply(
-                        {"id": rid, "status": "pong",
-                         "protocol": PROTOCOL_VERSION,
-                         "workers": len(self.ring)}
-                    )
-                else:
-                    await reply(
-                        {"id": rid, "status": "error",
-                         "error": f"unknown op {op!r}"}
-                    )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._tasks.discard(asyncio.current_task())
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _route_submit(self, rid, message: dict, reply) -> None:
+    async def _submit(self, message: dict) -> dict:
+        """Route one submit to the worker owning its coalescing key —
+        built from the *effective* scenario, merged exactly as that
+        worker's runner will merge it, so every duplicate lands on the
+        same worker and coalescing stays global."""
+        request = parse_submit(message)
         if self.quota is not None:
-            client_id = message.get("client_id")
-            wait = self.quota.admit(
-                None if client_id is None else str(client_id),
-                time.monotonic(),
-            )
-            if wait > 0.0:
+            try:
+                self.quota.charge(request.client_id)
+            except ServeRejected:
                 self.counts["shard.rejected"] += 1
-                await reply(
-                    {"id": rid, "status": "rejected", "retry_after": wait,
-                     "depth": 0, "reason": "quota"}
-                )
-                return
-        try:
-            key = self.routing_key(message)
-            link = self.worker_for_key(key)
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
-            await reply({"id": rid, "status": "error", "error": str(exc)})
-            return
-        await self._forward(link, _Forward(rid, message, reply, key))
+                raise
+        key = coalescing_key(
+            self.runner.effective_scenario(request.scenario),
+            request.trace_dir,
+        )
+        forward = _Forward(
+            message, key, asyncio.get_running_loop().create_future()
+        )
+        await self._forward(self.worker_for_key(key), forward)
+        return await forward.future
 
     async def _forward(self, link: _WorkerLink, forward: _Forward) -> None:
         wid = link.next_id()
@@ -489,7 +354,7 @@ class ShardRouter:
     # -- the worker side ------------------------------------------------------
 
     async def _read_worker(self, link: _WorkerLink) -> None:
-        """Pump one worker's responses back to their clients; on EOF,
+        """Pump one worker's responses back to their requests; on EOF,
         declare the worker dead and heal."""
         try:
             while True:
@@ -508,20 +373,13 @@ class ShardRouter:
                     continue  # junk from a dying worker
                 wid = message.get("id")
                 future = link.internal.pop(wid, None)
-                if future is not None:
-                    if not future.done():
-                        future.set_result(message)
-                    continue
-                forward = link.pending.pop(wid, None)
-                if forward is None:
-                    continue  # stale reply for a re-dispatched request
-                message["id"] = forward.client_id_field
-                try:
-                    await forward.reply(message)
-                except (OSError, RuntimeError):
-                    pass  # client went away; nothing to heal
-        except asyncio.CancelledError:
-            raise
+                if future is None:
+                    forward = link.pending.pop(wid, None)
+                    if forward is None:
+                        continue  # stale reply for a re-dispatched request
+                    future = forward.future
+                if not future.done():  # done: its client went away
+                    future.set_result(message)
         finally:
             await self._on_worker_death(link)
 
@@ -551,32 +409,23 @@ class ShardRouter:
         the victim had *completed* comes back as a byte-identical
         cache hit; only truly unfinished cells re-execute.
         """
+        if forward.future.done():
+            return  # its client went away
         try:
             link = self.worker_for_key(forward.routing_key)
         except CommunicationError as exc:  # no survivors at all
-            try:
-                await forward.reply(
-                    {"id": forward.client_id_field, "status": "error",
-                     "error": str(exc)}
-                )
-            except (OSError, RuntimeError):
-                pass
+            forward.future.set_result({"status": "error", "error": str(exc)})
             return
         self.counts["shard.redispatched"] += 1
         await self._forward(link, forward)
 
     # -- stats ----------------------------------------------------------------
 
-    async def merged_stats(self) -> dict[str, float]:
-        """One fleet-wide stats dict.
-
-        Counters and gauges sum across workers (``runner.executed``
-        summed is the global execution count — the number the
-        exactly-once assertions read); latency percentiles merge by
-        max (a conservative fleet-wide bound); ``shard.*`` adds the
-        router's own view: live workers, routed/re-dispatched
-        requests, deaths, quota rejections.
-        """
+    async def _stats(self) -> dict[str, float]:
+        """One fleet-wide stats dict: the workers' snapshots folded by
+        :func:`~repro.serve.service.merge_stats`, plus the router's own
+        ``shard.*`` view (live workers, routed/re-dispatched requests,
+        deaths, quota rejections)."""
         futures = []
         for link in self.links:
             if not link.alive:
@@ -591,20 +440,15 @@ class ShardRouter:
                 await self._on_worker_death(link)
                 continue
             futures.append(future)
-        merged: dict[str, float] = {}
+        snapshots = []
         for future in futures:
             try:
                 message = await asyncio.wait_for(future, timeout=10.0)
             except asyncio.TimeoutError:
                 continue
-            if not message or message.get("status") != "stats":
-                continue
-            for name, value in (message.get("stats") or {}).items():
-                value = float(value)
-                if name.endswith(("_p50_s", "_p99_s")):
-                    merged[name] = max(merged.get(name, 0.0), value)
-                else:
-                    merged[name] = merged.get(name, 0.0) + value
+            if message and message.get("status") == "stats":
+                snapshots.append(message.get("stats") or {})
+        merged = merge_stats(snapshots)
         for name, value in self.counts.items():
             merged[name] = float(value)
         merged["shard.workers"] = float(len(self.ring))
@@ -658,28 +502,24 @@ class ShardedServer:
         self.host = host
         self.port = port
         self.quota = quota
-        self._config = dict(
+        #: every worker serves with a forked copy of this runner, and
+        #: the router merges overlays through it — routing keys are
+        #: the workers' coalescing keys by construction.
+        self._runner = Runner(
             jobs=jobs,
-            faults=None if faults is None else faults.payload(),
+            cache=ResultCache(
+                self.cache_dir, max_memory_entries=max_memory_entries
+            ),
+            faults=faults,
             fidelity=fidelity,
             surrogate_policy=surrogate_policy,
-            max_queue=max_queue,
-            max_batch=max_batch,
-            batch_wait=batch_wait,
-            max_memory_entries=max_memory_entries,
         )
-        #: routing must merge overlays exactly as worker runners do.
-        self._template = Runner(
-            jobs=1, cache=None, faults=faults, fidelity=fidelity,
-            surrogate_policy=surrogate_policy,
+        self._service_args = dict(
+            max_queue=max_queue, max_batch=max_batch, batch_wait=batch_wait
         )
         self._processes: list[multiprocessing.Process] = []
         self.router: ShardRouter | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
+        self._loop_thread: LoopThread | None = None
         self._atexit = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -687,46 +527,27 @@ class ShardedServer:
     def __enter__(self) -> "ShardedServer":
         links = self._spawn_workers()
         self.router = ShardRouter(
-            links, self._template,
+            links, self._runner,
             host=self.host, port=self.port, quota=self.quota,
         )
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-shard-router", daemon=True,
+        self._loop_thread = LoopThread(
+            self.router.start, name="repro-shard-router"
         )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
+        try:
+            self._loop_thread.start()
+        except BaseException:
             self._terminate_workers()
-            raise self._startup_error
+            raise
+        self.host, self.port = self.router.host, self.router.port
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join()
+        if self._loop_thread is not None:
+            self._loop_thread.stop()
         self._terminate_workers()
         if self._atexit is not None:
             atexit.unregister(self._atexit)
             self._atexit = None
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.router.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.host, self.port = self.router.host, self.router.port
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.router.close()
 
     def _spawn_workers(self) -> list[_WorkerLink]:
         # fork, not spawn: workers must inherit registered workloads
@@ -735,9 +556,6 @@ class ShardedServer:
         handshakes = []
         for index in range(self.workers):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            config = WorkerConfig(
-                index=index, cache_dir=self.cache_dir, **self._config
-            )
             # Non-daemon on purpose: a daemonic worker could not own
             # a process pool at jobs > 1.  Orphan protection comes
             # from the atexit terminate below instead — registered
@@ -745,7 +563,8 @@ class ShardedServer:
             # runs first and the interpreter never joins on a worker
             # that was never asked to exit.
             process = ctx.Process(
-                target=_worker_main, args=(config, child_conn),
+                target=_worker_main,
+                args=(self._runner, self._service_args, child_conn),
                 name=f"repro-shard-worker-{index}", daemon=False,
             )
             process.start()
@@ -769,11 +588,7 @@ class ShardedServer:
                 raise CommunicationError(
                     f"shard worker {index} failed to start: {hello['error']}"
                 )
-            links.append(
-                _WorkerLink(
-                    index, int(hello["port"]), self._processes[index].pid
-                )
-            )
+            links.append(_WorkerLink(index, int(hello["port"])))
         return links
 
     def _terminate_workers(self) -> None:
@@ -791,9 +606,8 @@ class ShardedServer:
 
     def worker_for(self, sc: Scenario) -> int:
         """Index of the worker ``sc`` currently routes to."""
-        return self.router.ring.lookup(
-            self.router.scenario_routing_key(sc)
-        )
+        key = coalescing_key(self._runner.effective_scenario(sc), None)
+        return self.router.worker_for_key(key).index
 
     def kill_worker(self, index: int) -> None:
         """SIGKILL one worker — no cleanup, no goodbye; the router

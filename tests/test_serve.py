@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.run import ResultCache, Runner, execute_scenario, scenario, workload
 from repro.serve import (
     BackgroundServer,
+    QuotaPolicy,
     ScenarioService,
     ServeClient,
     ServeRejected,
@@ -411,3 +412,87 @@ class TestTcpServe:
                 reply = client.submit(scenario("serve_test.no_such", x=1))
         assert reply.status == "error"
         assert reply.error
+
+
+class TestBadRequestFields:
+    def test_bad_priority_gets_one_error_and_connection_survives(self):
+        # 1e999 decodes to inf, and int(inf) raises OverflowError: the
+        # request used to go unanswered.
+        import socket
+
+        from repro.serve.protocol import decode_line, encode_line
+
+        wire = json.dumps(scenario_to_wire(scenario("serve_test.cell", x=1)))
+        with BackgroundServer(_runner()) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                reader = sock.makefile("rb")
+                for rid, priority in enumerate(
+                    [b"1e999", b"-1e999", b"NaN", b'"high"', b"[1]", b'{"a":1}']
+                ):
+                    sock.sendall(
+                        b'{"op":"submit","id":%d,"priority":%s,"scenario":%s}\n'
+                        % (rid, priority, wire.encode())
+                    )
+                    reply = decode_line(reader.readline())
+                    assert reply["id"] == rid
+                    assert reply["status"] == "error"
+                    assert "priority" in reply["error"]
+                sock.sendall(encode_line({"op": "ping", "id": "p"}))
+                assert decode_line(reader.readline()) == {
+                    "id": "p", "status": "pong", "protocol": 1,
+                }
+
+
+class TestStatsKeys:
+    def test_mixed_session_key_set(self):
+        """Full, coalesced, inline analytic, escalated and
+        quota-rejected requests: the stats snapshot names every key a
+        client or the e2e benchmark reads."""
+        full = scenario("serve_test.cell", x=900)
+
+        async def drive():
+            service = ScenarioService(
+                _runner(cache=ResultCache(memory_only=True)),
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            async with service:
+                twins = await asyncio.gather(
+                    service.submit(full, client_id="a"),
+                    service.submit(full, client_id="b"),
+                )
+                assert twins[1].coalesced
+                inline = await service.submit(
+                    scenario("fig9.cell", processes=4, threads=1,
+                             fidelity="analytic"),
+                    client_id="c",
+                )
+                assert inline.ok and not inline.escalated
+                escalated = await service.submit(
+                    scenario("serve_test.cell", x=901, fidelity="analytic"),
+                    client_id="d",
+                )
+                assert escalated.ok and escalated.escalated
+                with pytest.raises(ServeRejected):
+                    await service.submit(full, client_id="a")
+            return service.stats()
+
+        stats = asyncio.run(drive())
+        assert sorted(stats) == [
+            "cache.evicted_bytes", "cache.evictions", "cache.hits",
+            "cache.misses", "cache.writes",
+            "runner.cached", "runner.errors", "runner.executed",
+            "serve.analytic.latency_p50_s", "serve.analytic.latency_p99_s",
+            "serve.batch_cells", "serve.batch_occupancy", "serve.batches",
+            "serve.coalesced", "serve.completed", "serve.escalated",
+            "serve.escalated_cells", "serve.full.latency_p50_s",
+            "serve.full.latency_p99_s", "serve.inflight", "serve.inline",
+            "serve.latency_p50_s", "serve.latency_p99_s",
+            "serve.queue_depth", "serve.quota_rejected", "serve.rejected",
+            "serve.requests", "serve.requests.analytic",
+            "serve.requests.full",
+        ]
+        assert stats["serve.requests"] == 5
+        assert stats["serve.inline"] == 1
+        assert stats["serve.quota_rejected"] == 1

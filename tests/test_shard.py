@@ -201,6 +201,61 @@ class TestShardedServer:
                              client_id="patient") as client:
                 assert client.submit(sc, retry=False).ok
 
+    def test_half_closed_client_still_gets_its_reply(self, tmp_path):
+        # The router shares the single server's connection loop: a
+        # client that stops sending is still answered before close.
+        import socket
+
+        from repro.serve import scenario_to_wire
+        from repro.serve.protocol import decode_line, encode_line
+
+        sc = scenario("shard_test.cell", x=7, delay_ms=200)
+        with ShardedServer(workers=1, cache_dir=tmp_path) as fleet:
+            with socket.create_connection(
+                (fleet.host, fleet.port), timeout=10
+            ) as sock:
+                sock.sendall(encode_line(
+                    {"op": "submit", "id": 1,
+                     "scenario": scenario_to_wire(sc)}
+                ))
+                sock.shutdown(socket.SHUT_WR)
+                reply = decode_line(sock.makefile("rb").readline())
+        assert reply["id"] == 1 and reply["status"] == "ok"
+        assert reply["rows"] == [[7, 49, "cell-7"]]
+
+    def test_batch_occupancy_is_a_fleet_max_not_a_sum(self, tmp_path):
+        with ShardedServer(workers=3, cache_dir=tmp_path,
+                           max_batch=1) as fleet:
+            with ServeClient(fleet.host, fleet.port) as client:
+                assert all(r.ok for r in client.submit_many(_cells(40)))
+                stats = client.stats()
+        assert stats["serve.batches"] == 40
+        assert 0 < stats["serve.batch_occupancy"] <= 1
+
+    def test_fleet_stats_key_set(self, tmp_path):
+        cells = _cells(4) + [
+            scenario("fig9.cell", processes=4, threads=1, fidelity="analytic")
+        ]
+        with ShardedServer(workers=2, cache_dir=tmp_path) as fleet:
+            with ServeClient(fleet.host, fleet.port) as client:
+                assert all(client.submit(sc).ok for sc in cells)
+                stats = client.stats()
+        assert sorted(stats) == [
+            "cache.evicted_bytes", "cache.evictions", "cache.hits",
+            "cache.misses", "cache.writes",
+            "runner.cached", "runner.errors", "runner.executed",
+            "serve.analytic.latency_p50_s", "serve.analytic.latency_p99_s",
+            "serve.batch_cells", "serve.batch_occupancy", "serve.batches",
+            "serve.completed", "serve.full.latency_p50_s",
+            "serve.full.latency_p99_s", "serve.inflight", "serve.inline",
+            "serve.latency_p50_s", "serve.latency_p99_s",
+            "serve.queue_depth", "serve.requests",
+            "serve.requests.analytic", "serve.requests.full",
+            "shard.redispatched", "shard.rejected", "shard.routed",
+            "shard.worker_deaths", "shard.workers",
+        ]
+        assert stats["serve.requests"] == len(cells)
+
     def test_shared_cache_dir_resolved_absolute(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -259,6 +314,60 @@ class TestQuotaSingleService:
                 assert (await service.submit(sc, client_id="named")).ok
 
         asyncio.run(drive())
+
+    def test_escalating_nowait_spends_no_token(self):
+        # submit_nowait of a cell that must escalate returns None; it
+        # used to keep the token it charged, so the follow-up submit
+        # of the same request was rejected for quota.
+        import asyncio
+
+        from repro.serve import ScenarioService, ServeRejected
+
+        sc = scenario("shard_test.cell", x=3, fidelity="analytic")
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            async with service:
+                assert service.submit_nowait(sc, client_id="c") is None
+                assert "serve.requests" not in service.stats()
+                result = await service.submit(sc, client_id="c")
+                assert result.ok and result.escalated
+                with pytest.raises(ServeRejected):
+                    await service.submit(sc, client_id="c")
+                return service.stats()
+
+        totals = asyncio.run(drive())
+        assert totals["serve.requests"] == 2
+        assert totals["serve.quota_rejected"] == 1
+
+    def test_both_entries_count_a_rejection_once(self):
+        import asyncio
+
+        from repro.serve import ScenarioService, ServeRejected
+
+        sc = scenario("fig9.cell", processes=4, threads=1,
+                      fidelity="analytic")
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            async with service:
+                assert service.submit_nowait(sc, client_id="c").ok
+                with pytest.raises(ServeRejected):
+                    service.submit_nowait(sc, client_id="c")
+                with pytest.raises(ServeRejected):
+                    await service.submit(sc, client_id="c")
+                return service.stats()
+
+        totals = asyncio.run(drive())
+        assert totals["serve.requests"] == 3
+        assert totals["serve.rejected"] == 2
+        assert totals["serve.quota_rejected"] == 2
 
     def test_quota_policy_validation(self):
         with pytest.raises(ConfigurationError):
