@@ -412,7 +412,7 @@ def bench_sharded_serve() -> dict[str, float]:
     import shutil
     import tempfile
 
-    from repro.run import scenario, workload
+    from repro.run import ResultCache, Runner, scenario, workload
     from repro.serve import ServeClient
     from repro.serve.shard import ShardedServer
 
@@ -422,7 +422,7 @@ def bench_sharded_serve() -> dict[str, float]:
     cells = [scenario("bench.serve_noop", i=i) for i in range(SERVE_CELLS)]
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-shard-")
     try:
-        with ShardedServer(workers=3, cache_dir=cache_dir) as fleet:
+        with ShardedServer(Runner(cache=ResultCache(cache_dir)), workers=3) as fleet:
             with ServeClient(fleet.host, fleet.port) as client:
                 warm = client.submit_many(cells)
                 assert all(r.ok for r in warm)

@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="worker processes; >1 runs the sharded tier (consistent-"
              "hash router + shared on-disk result cache; requires a "
-             "cache, so not with --no-cache) (default 1)",
+             "cache, so not with --no-cache or --checkpoint) (default 1)",
     )
     serve_p.add_argument(
         "--quota-rate", type=float, default=None, metavar="R",
@@ -374,9 +374,9 @@ def _render(result, fmt: str) -> str:
     if fmt == "json":
         return to_json(result)
     if fmt == "chart":
-        from repro.core.series import chart_by_hint
+        from repro.core.series import default_chart
 
-        return chart_by_hint(result)
+        return default_chart(result)
     return result.format()
 
 
@@ -671,49 +671,19 @@ def main(argv: list[str] | None = None) -> int:
                     else 10.0 * args.quota_rate
                 )
                 quota = QuotaPolicy(rate=args.quota_rate, burst=burst)
-            port = DEFAULT_PORT if args.port is None else args.port
-            if args.workers > 1:
-                if args.no_cache:
-                    print(
-                        "error: --workers needs the shared result cache; "
-                        "drop --no-cache",
-                        file=sys.stderr,
-                    )
-                    return 2
-                from repro.faults import parse_faults
-                from repro.run.cache import default_cache_dir
-                from repro.run.runner import _resolve_jobs
-
-                return serve_sharded(
-                    workers=args.workers,
-                    cache_dir=args.cache_dir or default_cache_dir(),
-                    host=args.host,
-                    port=port,
-                    jobs=_resolve_jobs(args.jobs),
-                    faults=(
-                        parse_faults(args.faults)
-                        if getattr(args, "faults", None) else None
-                    ),
-                    fidelity=getattr(args, "fidelity", None),
-                    surrogate_policy=(
-                        "refuse"
-                        if getattr(args, "refuse_escalation", False)
-                        else "escalate"
-                    ),
-                    max_queue=args.max_queue,
-                    max_batch=args.max_batch,
-                    batch_wait=args.batch_wait,
-                    quota=quota,
-                )
-            return serve_forever(
-                _build_runner(args),
+            options = dict(
                 host=args.host,
-                port=port,
+                port=DEFAULT_PORT if args.port is None else args.port,
                 max_queue=args.max_queue,
                 max_batch=args.max_batch,
                 batch_wait=args.batch_wait,
                 quota=quota,
             )
+            # The sharded tier rejects a runner without a disk cache
+            # (--no-cache) or with a --checkpoint journal (exit 2).
+            if args.workers > 1:
+                return serve_sharded(_build_runner(args), args.workers, **options)
+            return serve_forever(_build_runner(args), **options)
         elif args.command == "explore":
             return _run_explore(args)
         elif args.command == "compare":

@@ -13,16 +13,10 @@ per-node card count, and the §5 future-work SHMEM port.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
 __all__ = [
-    "run_cache_ablation",
-    "run_clock_ablation",
-    "run_grouping_ablation",
-    "run_ibcards_ablation",
-    "run_shmem_ablation",
     "cache_scenarios",
     "clock_scenarios",
     "grouping_scenarios",
@@ -59,21 +53,15 @@ def cache_scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'ablation_cache',
-    title='L3 size at fixed clock',
-    anchor='ablation',
+# L3 6 MB -> 9 MB at fixed 1.5 GHz: the pure cache effect.
+experiment(
+    "ablation_cache",
+    anchor="ablation",
+    title="L3 size at fixed clock",
+    heading="Ablation: L3 size at fixed 1.5 GHz clock (NPB MPI, class B)",
+    columns=("benchmark", "cpus", "l3_6mb", "l3_9mb", "cache_gain"),
     scenarios=cache_scenarios,
 )
-def run_cache_ablation(fast: bool = False, runner=None) -> ExperimentResult:
-    """L3 6 MB -> 9 MB at fixed 1.5 GHz: the pure cache effect."""
-    return build_result(
-        experiment_id="ablation_cache",
-        title="Ablation: L3 size at fixed 1.5 GHz clock (NPB MPI, class B)",
-        columns=("benchmark", "cpus", "l3_6mb", "l3_9mb", "cache_gain"),
-        scenarios=cache_scenarios(fast),
-        runner=runner,
-    )
 
 
 def clock_scenarios(fast: bool = False):
@@ -88,21 +76,15 @@ def clock_scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'ablation_clock',
-    title='Clock at fixed L3 size',
-    anchor='ablation',
+# 1.5 -> 1.6 GHz at fixed 6 MB L3: the pure clock effect.
+experiment(
+    "ablation_clock",
+    anchor="ablation",
+    title="Clock at fixed L3 size",
+    heading="Ablation: clock speed at fixed 6 MB L3 (NPB MPI, class B)",
+    columns=("benchmark", "cpus", "ghz_15", "ghz_16", "clock_gain"),
     scenarios=clock_scenarios,
 )
-def run_clock_ablation(fast: bool = False, runner=None) -> ExperimentResult:
-    """1.5 -> 1.6 GHz at fixed 6 MB L3: the pure clock effect."""
-    return build_result(
-        experiment_id="ablation_clock",
-        title="Ablation: clock speed at fixed 6 MB L3 (NPB MPI, class B)",
-        columns=("benchmark", "cpus", "ghz_15", "ghz_16", "clock_gain"),
-        scenarios=clock_scenarios(fast),
-        runner=runner,
-    )
 
 
 @workload("ablation.grouping")
@@ -128,23 +110,17 @@ def grouping_scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'ablation_grouping',
-    title='Grouping strategies vs imbalance',
-    anchor='ablation',
+# OVERFLOW-D grouping strategies: the paper's bin-packing with
+# connectivity test vs pure LPT vs round-robin (§3.5 / ref [5]).
+experiment(
+    "ablation_grouping",
+    anchor="ablation",
+    title="Grouping strategies vs imbalance",
+    heading="Ablation: OVERFLOW-D grouping strategy vs load imbalance",
+    columns=("groups", "binpack_conn", "binpack", "round_robin"),
     scenarios=grouping_scenarios,
+    notes="Values are max/mean group load (1.0 = perfect).",
 )
-def run_grouping_ablation(fast: bool = False, runner=None) -> ExperimentResult:
-    """OVERFLOW-D grouping strategies: the paper's bin-packing with
-    connectivity test vs pure LPT vs round-robin (§3.5 / ref [5])."""
-    return build_result(
-        experiment_id="ablation_grouping",
-        title="Ablation: OVERFLOW-D grouping strategy vs load imbalance",
-        columns=("groups", "binpack_conn", "binpack", "round_robin"),
-        scenarios=grouping_scenarios(fast),
-        runner=runner,
-        notes="Values are max/mean group load (1.0 = perfect).",
-    )
 
 
 @workload("ablation.ibcards")
@@ -160,23 +136,17 @@ def ibcards_scenarios(fast: bool = False):
     return sweep("ablation.ibcards", {"nodes": (2, 3, 4, 6, 8, 12, 20)})
 
 
-@experiment(
-    'ablation_ibcards',
-    title='IB card count vs MPI process cap',
-    anchor='ablation',
+# The §2 InfiniBand connection limit vs per-node card count.
+experiment(
+    "ablation_ibcards",
+    anchor="ablation",
+    title="IB card count vs MPI process cap",
+    heading="Ablation: InfiniBand cards per node vs pure-MPI process cap",
+    columns=("nodes", "cards_4", "cards_8", "cards_16", "full_node_ok_with_8"),
     scenarios=ibcards_scenarios,
+    notes="Cap = sqrt(cards x 64K / (nodes-1)) processes per node "
+          "(§2); 'ok' = a full 512-CPU node can run pure MPI.",
 )
-def run_ibcards_ablation(fast: bool = False, runner=None) -> ExperimentResult:
-    """The §2 InfiniBand connection limit vs per-node card count."""
-    return build_result(
-        experiment_id="ablation_ibcards",
-        title="Ablation: InfiniBand cards per node vs pure-MPI process cap",
-        columns=("nodes", "cards_4", "cards_8", "cards_16", "full_node_ok_with_8"),
-        scenarios=ibcards_scenarios(fast),
-        runner=runner,
-        notes="Cap = sqrt(cards x 64K / (nodes-1)) processes per node "
-              "(§2); 'ok' = a full 512-CPU node can run pure MPI.",
-    )
 
 
 @workload("ablation.shmem")
@@ -202,22 +172,14 @@ def shmem_scenarios(fast: bool = False):
     return sweep("ablation.shmem", {"message_bytes": sizes})
 
 
-@experiment(
-    'ablation_shmem',
-    title='§5 future work: SHMEM vs MPI',
-    anchor='§5',
+# §5 future work: port INS3D's exchanges to SHMEM. Compares MPI vs
+# SHMEM one-sided transfer time for the typical overset boundary
+# message sizes, on a BX2b node.
+experiment(
+    "ablation_shmem",
+    anchor="§5",
+    title="§5 future work: SHMEM vs MPI",
+    heading="Ablation (paper §5 future work): MPI vs SHMEM transfer times (BX2b)",
+    columns=("message_bytes", "mpi_us", "shmem_put_us", "shmem_gain"),
     scenarios=shmem_scenarios,
 )
-def run_shmem_ablation(fast: bool = False, runner=None) -> ExperimentResult:
-    """§5 future work: port INS3D's exchanges to SHMEM.
-
-    Compares MPI vs SHMEM one-sided transfer time for the typical
-    overset boundary message sizes, on a BX2b node.
-    """
-    return build_result(
-        experiment_id="ablation_shmem",
-        title="Ablation (paper §5 future work): MPI vs SHMEM transfer times (BX2b)",
-        columns=("message_bytes", "mpi_us", "shmem_put_us", "shmem_gain"),
-        scenarios=shmem_scenarios(fast),
-        runner=runner,
-    )

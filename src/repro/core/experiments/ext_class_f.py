@@ -14,12 +14,11 @@ the full 10,240-CPU machine.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
 from repro.faults import COLUMBIA_DEGRADED
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("ext_class_f.capacity")
@@ -75,27 +74,20 @@ def scenarios(fast: bool = False):
     return cells
 
 
-@experiment(
-    'ext_class_f',
-    title='Extension: Class F on the full Columbia',
-    anchor='extension',
+experiment(
+    "ext_class_f",
+    anchor="extension",
+    title="Extension: Class F on the full Columbia",
+    heading="Extension: NPB-MZ Class F — capacity ledger and the full Columbia",
+    columns=(
+        "row_kind", "benchmark", "detail", "cpus", "layout",
+        "gflops_per_cpu", "total_gflops",
+    ),
     scenarios=scenarios,
-    faults=COLUMBIA_DEGRADED,
+    notes="Capacity rows: memory footprint per class and the "
+          "minimum 1 TB nodes it needs — Class F exceeds the "
+          "whole 4-node NUMAlink4 subsystem, which is why the "
+          "paper could not have measured it there.  Run rows: "
+          "Class F across all 20 nodes over InfiniBand (hybrid "
+          "layouts per the §2 connection limit).",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="ext_class_f",
-        title="Extension: NPB-MZ Class F — capacity ledger and the full Columbia",
-        columns=(
-            "row_kind", "benchmark", "detail", "cpus", "layout",
-            "gflops_per_cpu", "total_gflops",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="Capacity rows: memory footprint per class and the "
-              "minimum 1 TB nodes it needs — Class F exceeds the "
-              "whole 4-node NUMAlink4 subsystem, which is why the "
-              "paper could not have measured it there.  Run rows: "
-              "Class F across all 20 nodes over InfiniBand (hybrid "
-              "layouts per the §2 connection limit).",
-    )

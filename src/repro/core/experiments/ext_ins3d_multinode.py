@@ -8,11 +8,10 @@ fabric matters.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("ext_ins3d.single")
@@ -67,26 +66,20 @@ def scenarios(fast: bool = False):
     return cells
 
 
-@experiment(
-    'ext_ins3d_multinode',
-    title='§5 future work: multinode INS3D',
-    anchor='§5',
+experiment(
+    "ext_ins3d_multinode",
+    anchor="§5",
+    title="§5 future work: multinode INS3D",
+    heading="Extension (§5): multinode INS3D across BX2b nodes",
+    columns=(
+        "nodes", "fabric", "groups_per_node", "threads",
+        "total_cpus", "step_time_s",
+    ),
     scenarios=scenarios,
+    notes="One-node rows use the calibrated Table 2 model.  The "
+          "turbopump's 267 zones saturate around ~128 groups (the "
+          "largest zone bounds the balance), so two nodes buy "
+          "~1.8x and four buy little more — and the fabric barely "
+          "matters, echoing the paper's OVERFLOW-D multinode "
+          "finding.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="ext_ins3d_multinode",
-        title="Extension (§5): multinode INS3D across BX2b nodes",
-        columns=(
-            "nodes", "fabric", "groups_per_node", "threads",
-            "total_cpus", "step_time_s",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="One-node rows use the calibrated Table 2 model.  The "
-              "turbopump's 267 zones saturate around ~128 groups (the "
-              "largest zone bounds the balance), so two nodes buy "
-              "~1.8x and four buy little more — and the fabric barely "
-              "matters, echoing the paper's OVERFLOW-D multinode "
-              "finding.",
-    )

@@ -10,11 +10,10 @@ counts, quiet vs noisy, averaged over seeds.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 RANK_COUNTS = (8, 32, 128, 512)
 FAST_RANK_COUNTS = (8, 64)
@@ -57,22 +56,16 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'ext_noise',
-    title='Extension: OS-noise amplification at scale',
-    anchor='extension',
+experiment(
+    "ext_noise",
+    anchor="extension",
+    title="Extension: OS-noise amplification at scale",
+    heading="Extension: OS-noise amplification of a synchronized step",
+    columns=("ranks", "quiet_ms", "noisy_ms", "slowdown"),
     scenarios=scenarios,
+    notes=f"Noise: compute segments stretched by 1 + Exp({NOISE}); "
+          f"averaged over {SEEDS} seeds.  The relative cost of the "
+          "same per-rank interference grows with the job width — "
+          "the general mechanism behind the §4.6.2 boot-cpuset "
+          "observation.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="ext_noise",
-        title="Extension: OS-noise amplification of a synchronized step",
-        columns=("ranks", "quiet_ms", "noisy_ms", "slowdown"),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes=f"Noise: compute segments stretched by 1 + Exp({NOISE}); "
-              f"averaged over {SEEDS} seeds.  The relative cost of the "
-              "same per-rank interference grows with the job width — "
-              "the general mechanism behind the §4.6.2 boot-cpuset "
-              "observation.",
-    )

@@ -6,11 +6,10 @@ Latency and bandwidth for ping-pong / natural ring / random ring at
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import MachineSpec, PlacementSpec, build_result, sweep, workload
+from repro.run import MachineSpec, PlacementSpec, sweep, workload
 
-__all__ = ["run", "scenarios", "CONFIGS"]
+__all__ = ["scenarios", "CONFIGS"]
 
 #: (label, n_nodes, fabric) — one node has no inter-node fabric.
 CONFIGS = (
@@ -82,19 +81,14 @@ def scenarios(fast: bool = False):
     return tuple(cells)
 
 
-@experiment(
-    'fig10',
-    title='Multinode b_eff: NUMAlink4 vs InfiniBand',
-    anchor='Fig. 10',
+experiment(
+    "fig10",
+    anchor="Fig. 10",
+    title="Multinode b_eff: NUMAlink4 vs InfiniBand",
+    heading="Fig. 10: multinode b_eff, NUMAlink4 vs InfiniBand (BX2b nodes)",
+    columns=(
+        "config", "cpus", "pattern", "latency_us", "bandwidth_gb_s",
+    ),
     scenarios=scenarios,
+    chart=("cpus", "latency_us", "config", (("pattern", "pingpong"),)),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig10",
-        title="Fig. 10: multinode b_eff, NUMAlink4 vs InfiniBand (BX2b nodes)",
-        columns=(
-            "config", "cpus", "pattern", "latency_us", "bandwidth_gb_s",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

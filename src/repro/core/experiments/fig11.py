@@ -9,12 +9,11 @@ SP-MZ.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
 from repro.faults import COLUMBIA_DEGRADED
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "CPU_COUNTS"]
+__all__ = ["scenarios", "CPU_COUNTS"]
 
 CPU_COUNTS = (256, 512, 768, 1024, 1536, 2048)
 FAST_CPU_COUNTS = (256, 1024)
@@ -91,23 +90,17 @@ def scenarios(fast: bool = False):
     return tuple(cells)
 
 
-@experiment(
-    'fig11',
-    title='NPB-MZ Class E under three networks',
-    anchor='Fig. 11',
+experiment(
+    "fig11",
+    anchor="Fig. 11",
+    title="NPB-MZ Class E under three networks",
+    heading="Fig. 11: NPB-MZ Class E per-CPU Gflop/s under three networks",
+    columns=(
+        "benchmark", "network", "cpus", "threads",
+        "gflops_per_cpu", "total_gflops",
+    ),
     scenarios=scenarios,
-    faults=COLUMBIA_DEGRADED,
+    notes="'in-node' rows exist only up to 512 CPUs; 512-CPU "
+          "in-node runs include the boot-cpuset penalty (§4.6.2).",
+    chart=("cpus", "gflops_per_cpu", "network", (("benchmark", "sp-mz"), ("threads", 1))),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig11",
-        title="Fig. 11: NPB-MZ Class E per-CPU Gflop/s under three networks",
-        columns=(
-            "benchmark", "network", "cpus", "threads",
-            "gflops_per_cpu", "total_gflops",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="'in-node' rows exist only up to 512 CPUs; 512-CPU "
-              "in-node runs include the boot-cpuset penalty (§4.6.2).",
-    )

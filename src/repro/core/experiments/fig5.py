@@ -7,11 +7,10 @@ interconnect comparison.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import MachineSpec, PlacementSpec, build_result, sweep, workload
+from repro.run import MachineSpec, PlacementSpec, sweep, workload
 
-__all__ = ["run", "scenarios", "CPU_COUNTS"]
+__all__ = ["scenarios", "CPU_COUNTS"]
 
 CPU_COUNTS = (4, 8, 16, 32, 64, 128, 256, 512)
 FAST_CPU_COUNTS = (4, 16, 64)
@@ -52,19 +51,14 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'fig5',
-    title='b_eff latency/bandwidth per node type',
-    anchor='Fig. 5',
+experiment(
+    "fig5",
+    anchor="Fig. 5",
+    title="b_eff latency/bandwidth per node type",
+    heading="Fig. 5: b_eff latency (us) and bandwidth (GB/s) per node type",
+    columns=(
+        "node_type", "cpus", "pattern", "latency_us", "bandwidth_gb_s",
+    ),
     scenarios=scenarios,
+    chart=("cpus", "bandwidth_gb_s", "node_type", (("pattern", "random_ring"),)),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig5",
-        title="Fig. 5: b_eff latency (us) and bandwidth (GB/s) per node type",
-        columns=(
-            "node_type", "cpus", "pattern", "latency_us", "bandwidth_gb_s",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "BENCHMARK_CLASSES"]
+__all__ = ["scenarios", "BENCHMARK_CLASSES"]
 
 #: The paper runs class B/C problems for these comparisons; class B
 #: is the size every CPU count in Fig. 6 can hold.
@@ -52,17 +51,12 @@ def scenarios(fast: bool = False):
     return tuple(cells)
 
 
-@experiment(
-    'fig6',
-    title='NPB per-CPU rates, MPI and OpenMP',
-    anchor='Fig. 6',
+experiment(
+    "fig6",
+    anchor="Fig. 6",
+    title="NPB per-CPU rates, MPI and OpenMP",
+    heading="Fig. 6: NPB per-CPU Gflop/s (MPI and OpenMP) per node type",
+    columns=("benchmark", "paradigm", "node_type", "cpus", "gflops_per_cpu"),
     scenarios=scenarios,
+    chart=("cpus", "gflops_per_cpu", "node_type", (("benchmark", "ft"), ("paradigm", "mpi"))),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig6",
-        title="Fig. 6: NPB per-CPU Gflop/s (MPI and OpenMP) per node type",
-        columns=("benchmark", "paradigm", "node_type", "cpus", "gflops_per_cpu"),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

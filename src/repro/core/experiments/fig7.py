@@ -8,11 +8,10 @@ threads; pure process mode (Px1) is least affected.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "TOTAL_CPUS", "THREAD_COUNTS"]
+__all__ = ["scenarios", "TOTAL_CPUS", "THREAD_COUNTS"]
 
 TOTAL_CPUS = (64, 128, 256)
 THREAD_COUNTS = (1, 2, 4, 8, 16, 32, 64)
@@ -63,22 +62,16 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'fig7',
-    title='SP-MZ pinning vs no pinning',
-    anchor='Fig. 7',
+experiment(
+    "fig7",
+    anchor="Fig. 7",
+    title="SP-MZ pinning vs no pinning",
+    heading="Fig. 7: SP-MZ Class C execution time (s), pinning vs no pinning (BX2b)",
+    columns=("total_cpus", "threads_per_proc", "pinned_s", "unpinned_s"),
     scenarios=scenarios,
+    # MZ_CLASSES["C"].steps, spelled out so declaring the experiment
+    # does not import the NPB models.
+    notes="Execution time for the full run (200 steps); MPI "
+          "processes = total_cpus / threads.",
+    chart=("threads_per_proc", "unpinned_s", "total_cpus", ()),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    from repro.npb.multizone import MZ_CLASSES
-
-    return build_result(
-        experiment_id="fig7",
-        title="Fig. 7: SP-MZ Class C execution time (s), pinning vs no pinning (BX2b)",
-        columns=("total_cpus", "threads_per_proc", "pinned_s", "unpinned_s"),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="Execution time for the full run "
-              f"({MZ_CLASSES['C'].steps} steps); MPI processes = "
-              "total_cpus / threads.",
-    )

@@ -3,11 +3,10 @@ NPBs (BX2b, -O3 -openmp)."""
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "THREAD_COUNTS"]
+__all__ = ["scenarios", "THREAD_COUNTS"]
 
 THREAD_COUNTS = (4, 8, 16, 32, 64, 128, 256)
 FAST_THREAD_COUNTS = (4, 16, 64)
@@ -42,17 +41,12 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'fig8',
-    title='Four compiler versions on OpenMP NPB',
-    anchor='Fig. 8',
+experiment(
+    "fig8",
+    anchor="Fig. 8",
+    title="Four compiler versions on OpenMP NPB",
+    heading="Fig. 8: OpenMP NPB per-CPU Gflop/s under compilers 7.1/8.0/8.1/9.0b (BX2b)",
+    columns=("benchmark", "threads", "v7_1", "v8_0", "v8_1", "v9_0b"),
     scenarios=scenarios,
+    chart=("threads", "v7_1", "benchmark", ()),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig8",
-        title="Fig. 8: OpenMP NPB per-CPU Gflop/s under compilers 7.1/8.0/8.1/9.0b (BX2b)",
-        columns=("benchmark", "threads", "v7_1", "v8_0", "v8_1", "v9_0b"),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

@@ -8,12 +8,11 @@ until load imbalance).  Right panel: fixed processes, sweep threads
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
 from repro.faults import COLUMBIA_DEGRADED
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 PROCESS_COUNTS = (1, 4, 16, 64, 256)
 THREAD_COUNTS = (1, 2, 4, 8, 16)
@@ -57,18 +56,12 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'fig9',
-    title='BT-MZ process x thread combinations',
-    anchor='Fig. 9',
+experiment(
+    "fig9",
+    anchor="Fig. 9",
+    title="BT-MZ process x thread combinations",
+    heading="Fig. 9: BT-MZ Class C total Gflop/s for process x thread combinations (BX2b)",
+    columns=("processes", "threads", "total_cpus", "total_gflops", "imbalance"),
     scenarios=scenarios,
-    faults=COLUMBIA_DEGRADED,
+    chart=("total_cpus", "total_gflops", "processes", ()),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="fig9",
-        title="Fig. 9: BT-MZ Class C total Gflop/s for process x thread combinations (BX2b)",
-        columns=("processes", "threads", "total_cpus", "total_gflops", "imbalance"),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

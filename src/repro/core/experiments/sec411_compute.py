@@ -8,11 +8,10 @@ a role in DGEMM and none in STREAM.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, scenario, sweep, workload
+from repro.run import scenario, sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("sec411.cell")
@@ -42,23 +41,17 @@ def scenarios(fast: bool = False):
     ) + (scenario("sec411.cell", node_type="BX2b", setting="internode"),)
 
 
-@experiment(
-    'sec411_compute',
-    title='§4.1.1 DGEMM + STREAM per node type',
-    anchor='§4.1.1',
+experiment(
+    "sec411_compute",
+    anchor="§4.1.1",
+    title="§4.1.1 DGEMM + STREAM per node type",
+    heading="§4.1.1: DGEMM and STREAM per CPU on 3700 / BX2a / BX2b",
+    columns=(
+        "node_type", "setting", "dgemm_gflops",
+        "stream_copy", "stream_scale", "stream_add", "stream_triad",
+    ),
     scenarios=scenarios,
+    notes="STREAM columns in GB/s per CPU; 'dense' = both CPUs of "
+          "each FSB active, 'internode' = across NUMAlink4-coupled "
+          "nodes (§4.6.1).",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="sec411_compute",
-        title="§4.1.1: DGEMM and STREAM per CPU on 3700 / BX2a / BX2b",
-        columns=(
-            "node_type", "setting", "dgemm_gflops",
-            "stream_copy", "stream_scale", "stream_add", "stream_triad",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="STREAM columns in GB/s per CPU; 'dense' = both CPUs of "
-              "each FSB active, 'internode' = across NUMAlink4-coupled "
-              "nodes (§4.6.1).",
-    )

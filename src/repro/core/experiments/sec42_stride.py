@@ -8,11 +8,10 @@ inconclusive (small latency improvement, none for bandwidth).
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import MachineSpec, PlacementSpec, build_result, sweep, workload
+from repro.run import MachineSpec, PlacementSpec, sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("sec42.cell")
@@ -59,22 +58,16 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'sec42_stride',
-    title='§4.2 CPU stride effects on HPCC',
-    anchor='§4.2',
+experiment(
+    "sec42_stride",
+    anchor="§4.2",
+    title="§4.2 CPU stride effects on HPCC",
+    heading="§4.2: HPCC at CPU stride 1 / 2 / 4 (BX2b)",
+    columns=(
+        "stride", "dgemm_gflops", "triad_gb_s",
+        "pingpong_lat_us", "pingpong_bw_gb_s",
+        "natring_lat_us", "natring_bw_gb_s",
+        "rndring_lat_us", "rndring_bw_gb_s",
+    ),
     scenarios=scenarios,
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="sec42_stride",
-        title="§4.2: HPCC at CPU stride 1 / 2 / 4 (BX2b)",
-        columns=(
-            "stride", "dgemm_gflops", "triad_gb_s",
-            "pingpong_lat_us", "pingpong_bw_gb_s",
-            "natring_lat_us", "natring_bw_gb_s",
-            "rndring_lat_us", "rndring_bw_gb_s",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

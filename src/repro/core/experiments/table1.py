@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, scenario, workload
+from repro.run import scenario, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("table1.rows")
@@ -27,21 +26,15 @@ def scenarios(fast: bool = False):
     return (scenario("table1.rows"),)
 
 
-@experiment(
-    'table1',
-    title='Node characteristics (3700/BX2a/BX2b)',
-    anchor='Table 1',
+experiment(
+    "table1",
+    anchor="Table 1",
+    title="Node characteristics (3700/BX2a/BX2b)",
+    heading="Table 1: Characteristics of the Altix nodes used in Columbia",
+    columns=(
+        "node_type", "processors", "cpus_per_rack", "clock_ghz",
+        "l3_mb", "interconnect", "bandwidth_gb_s", "peak_tflops",
+        "memory_tb",
+    ),
     scenarios=scenarios,
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table1",
-        title="Table 1: Characteristics of the Altix nodes used in Columbia",
-        columns=(
-            "node_type", "processors", "cpus_per_rack", "clock_ghz",
-            "l3_mb", "interconnect", "bandwidth_gb_s", "peak_tflops",
-            "memory_tb",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-    )

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, scenario, workload
+from repro.run import scenario, workload
 
-__all__ = ["run", "scenarios", "LAYOUTS"]
+__all__ = ["scenarios", "LAYOUTS"]
 
 #: Table 2's layouts: (groups, threads, total CPUs).
 LAYOUTS = (
@@ -42,20 +41,14 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'table2',
-    title='INS3D MLP groups x OpenMP threads',
-    anchor='Table 2',
+experiment(
+    "table2",
+    anchor="Table 2",
+    title="INS3D MLP groups x OpenMP threads",
+    heading="Table 2: INS3D runtime per iteration (s), 3700 vs BX2b",
+    columns=("cpus", "layout", "t_3700_s", "t_bx2b_s"),
     scenarios=scenarios,
+    notes="Layouts are MLP-groups x OpenMP-threads; the paper "
+          "reports the 36x12 point only on the 3700 and 36x14 only "
+          "on the BX2b.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table2",
-        title="Table 2: INS3D runtime per iteration (s), 3700 vs BX2b",
-        columns=("cpus", "layout", "t_3700_s", "t_bx2b_s"),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="Layouts are MLP-groups x OpenMP-threads; the paper "
-              "reports the 36x12 point only on the 3700 and 36x14 only "
-              "on the BX2b.",
-    )

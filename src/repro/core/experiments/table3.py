@@ -3,11 +3,10 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "CPU_COUNTS"]
+__all__ = ["scenarios", "CPU_COUNTS"]
 
 CPU_COUNTS = (32, 64, 128, 256, 508)
 
@@ -36,23 +35,17 @@ def scenarios(fast: bool = False):
     return sweep("table3.cell", {"cpus": counts})
 
 
-@experiment(
-    'table3',
-    title='OVERFLOW-D 3700 vs BX2b scaling',
-    anchor='Table 3',
+experiment(
+    "table3",
+    anchor="Table 3",
+    title="OVERFLOW-D 3700 vs BX2b scaling",
+    heading="Table 3: OVERFLOW-D per-step times (s), 3700 vs BX2b",
+    columns=(
+        "cpus",
+        "comm_3700_s", "exec_3700_s", "eff_3700",
+        "comm_bx2b_s", "exec_bx2b_s", "eff_bx2b",
+    ),
     scenarios=scenarios,
+    notes="Best process/thread combination per CPU count, as the "
+          "paper reports; a production run needs ~50,000 steps.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table3",
-        title="Table 3: OVERFLOW-D per-step times (s), 3700 vs BX2b",
-        columns=(
-            "cpus",
-            "comm_3700_s", "exec_3700_s", "eff_3700",
-            "comm_bx2b_s", "exec_bx2b_s", "eff_bx2b",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="Best process/thread combination per CPU count, as the "
-              "paper reports; a production run needs ~50,000 steps.",
-    )

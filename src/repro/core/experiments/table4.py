@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
 from repro.faults import COLUMBIA_DEGRADED
-from repro.run import build_result, scenario, sweep, workload
+from repro.run import scenario, sweep, workload
 
-__all__ = ["run", "scenarios"]
+__all__ = ["scenarios"]
 
 
 @workload("table4.ins3d")
@@ -47,20 +46,13 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'table4',
-    title='INS3D/OVERFLOW-D under Fortran 7.1 vs 8.1',
-    anchor='Table 4',
+experiment(
+    "table4",
+    anchor="Table 4",
+    title="INS3D/OVERFLOW-D under Fortran 7.1 vs 8.1",
+    heading="Table 4: INS3D and OVERFLOW-D with Fortran 7.1 vs 8.1",
+    columns=("application", "cpus", "t_71_s", "t_81_s", "ratio_81_over_71"),
     scenarios=scenarios,
-    faults=COLUMBIA_DEGRADED,
+    notes="INS3D on the BX2b (36 groups x 4 threads); OVERFLOW-D "
+          "on the 3700, as in the paper.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table4",
-        title="Table 4: INS3D and OVERFLOW-D with Fortran 7.1 vs 8.1",
-        columns=("application", "cpus", "t_71_s", "t_81_s", "ratio_81_over_71"),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="INS3D on the BX2b (36 groups x 4 threads); OVERFLOW-D "
-              "on the 3700, as in the paper.",
-    )

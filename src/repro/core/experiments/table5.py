@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, sweep, workload
+from repro.run import sweep, workload
 
-__all__ = ["run", "scenarios", "PROC_COUNTS"]
+__all__ = ["scenarios", "PROC_COUNTS"]
 
 PROC_COUNTS = (1, 8, 64, 252, 504, 1020, 2040)
 
@@ -33,22 +32,17 @@ def scenarios(fast: bool = False):
     return sweep("table5.cell", {"processors": counts}, base={"steps": 100})
 
 
-@experiment(
-    'table5',
-    title='MD weak scaling to 2040 CPUs',
-    anchor='Table 5',
+experiment(
+    "table5",
+    anchor="Table 5",
+    title="MD weak scaling to 2040 CPUs",
+    heading="Table 5: MD weak scaling (64,000 atoms per CPU, 100 steps, NUMAlink4)",
+    columns=(
+        "processors", "particles", "time_per_step_s",
+        "total_time_s", "efficiency",
+    ),
     scenarios=scenarios,
+    notes="§4.6.3: 'almost perfect scalability all the way up to "
+          "2040 processors'; 130.56 million atoms at the top end.",
+    chart=("processors", "time_per_step_s", "particles", ()),
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table5",
-        title="Table 5: MD weak scaling (64,000 atoms per CPU, 100 steps, NUMAlink4)",
-        columns=(
-            "processors", "particles", "time_per_step_s",
-            "total_time_s", "efficiency",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="§4.6.3: 'almost perfect scalability all the way up to "
-              "2040 processors'; 130.56 million atoms at the top end.",
-    )

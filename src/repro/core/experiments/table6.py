@@ -3,11 +3,10 @@ InfiniBand."""
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
-from repro.run import build_result, scenario, workload
+from repro.run import scenario, workload
 
-__all__ = ["run", "scenarios", "CONFIGS"]
+__all__ = ["scenarios", "CONFIGS"]
 
 #: (n_nodes, total CPU counts measured) — up to four BX2b nodes.
 CONFIGS = (
@@ -40,23 +39,17 @@ def scenarios(fast: bool = False):
     )
 
 
-@experiment(
-    'table6',
-    title='OVERFLOW-D multinode NL4 vs InfiniBand',
-    anchor='Table 6',
+experiment(
+    "table6",
+    anchor="Table 6",
+    title="OVERFLOW-D multinode NL4 vs InfiniBand",
+    heading="Table 6: OVERFLOW-D per-step times across BX2b nodes, NUMAlink4 vs InfiniBand",
+    columns=(
+        "nodes", "cpus",
+        "nl4_comm_s", "nl4_exec_s", "ib_comm_s", "ib_exec_s",
+    ),
     scenarios=scenarios,
+    notes="NUMAlink4 execution ~10% better; InfiniBand's *reported* "
+          "communication lower (asynchronous RDMA completes "
+          "off-CPU) — the §4.6.4 inversion.",
 )
-def run(fast: bool = False, runner=None) -> ExperimentResult:
-    return build_result(
-        experiment_id="table6",
-        title="Table 6: OVERFLOW-D per-step times across BX2b nodes, NUMAlink4 vs InfiniBand",
-        columns=(
-            "nodes", "cpus",
-            "nl4_comm_s", "nl4_exec_s", "ib_comm_s", "ib_exec_s",
-        ),
-        scenarios=scenarios(fast),
-        runner=runner,
-        notes="NUMAlink4 execution ~10% better; InfiniBand's *reported* "
-              "communication lower (asynchronous RDMA completes "
-              "off-CPU) — the §4.6.4 inversion.",
-    )

@@ -1,13 +1,13 @@
 """The experiment registry: every table/figure by id.
 
-Each experiment registers itself with the :func:`experiment`
-decorator, which wraps the module's ``run(fast=, runner=)`` entry
-point in a frozen :class:`ExperimentSpec` carrying the things every
-consumer used to fish out of module attributes: the paper anchor, the
-human title, the scenario sweep factory and the default fault
-overlay.  ``repro run``/``repro trace``, the suite report and the
-serve tests all consume the spec — the modules themselves are
-an implementation detail.
+Each experiment module declares itself with one :func:`experiment`
+call: its id, paper anchor, short title, the result table's heading,
+columns and notes, its scenario sweep factory and, for figures, the
+default ``--format chart`` projection.  The declaration is a frozen
+:class:`ExperimentSpec`, and ``spec.run(fast=, runner=)`` executes
+the sweep and assembles the table — ``repro run``/``repro all``, the
+suite report, calibration and the serve tests all consume specs; the
+modules themselves only hold workload cells and sweeps.
 
 The experiment modules are imported at the *bottom* of this module,
 in the paper's presentation order: importing the registry populates
@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.experiment import ExperimentResult
 from repro.errors import ConfigurationError
-from repro.faults.spec import FaultSpec
 
 __all__ = [
     "EXPERIMENTS",
@@ -35,74 +34,115 @@ __all__ = [
     "run_experiment",
 ]
 
+#: ``(x, y, series_by, filters)`` column names of a figure's default
+#: chart; ``filters`` is a tuple of ``(column, value)`` pairs.
+Chart = tuple[str, str, str, tuple[tuple[str, Any], ...]]
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registered experiment, fully described.
 
-    ``run(fast=, runner=)`` produces the
-    :class:`~repro.core.experiment.ExperimentResult`; ``scenarios``
-    (``fast=`` keyword) yields the raw sweep cells for callers that
-    drive the Runner or the serve layer directly.  ``faults`` is the
-    default fault overlay the sweep bakes in (informational — the
-    factory applies it itself), shown by ``repro list``.
+    ``scenarios(fast=)`` yields the raw sweep cells for callers that
+    drive the Runner or the serve layer directly; :meth:`run` executes
+    them into the :class:`~repro.core.experiment.ExperimentResult`
+    titled ``heading``.  ``title`` is the short form ``repro list``
+    prints.
     """
 
     experiment_id: str
     title: str
     #: where in the paper this reproduces ("Fig. 9", "Table 4",
-    #: "§4.1.1"), or "extension" for beyond-the-paper studies.
+    #: "§4.1.1"), or "extension"/"ablation" for beyond-the-paper
+    #: studies.
     anchor: str
-    run: Callable[..., ExperimentResult] = field(repr=False, compare=False)
-    scenarios: Callable | None = field(
-        default=None, repr=False, compare=False
-    )
-    faults: FaultSpec | None = None
+    heading: str
+    columns: tuple[str, ...]
+    scenarios: Callable = field(repr=False, compare=False)
+    notes: str = ""
+    chart: Chart | None = None
+
+    def __post_init__(self) -> None:
+        if self.chart is not None:
+            x, y, series_by, filters = self.chart
+            named = (x, y, series_by, *(name for name, _ in filters))
+            unknown = [c for c in named if c not in self.columns]
+            if unknown:
+                raise ConfigurationError(
+                    f"{self.experiment_id}: chart names unknown columns "
+                    f"{unknown}; have {self.columns}"
+                )
+
+    def run(self, fast: bool = False, runner=None) -> ExperimentResult:
+        """Run the sweep's cells and assemble the result table.
+
+        ``runner`` is an optional :class:`repro.run.Runner` controlling
+        caching and parallelism; by default a shared sequential runner
+        with an in-memory cell cache is used.  Failed cells do not
+        abort the sweep: their rows are absent and a FAILED note naming
+        each bad cell (with its error) is appended to the result, so a
+        partial table still renders and the failure is visible in
+        every output format.
+        """
+        from repro.run.runner import default_runner
+
+        runner = runner if runner is not None else default_runner()
+        records = runner.run(list(self.scenarios(fast=fast)))
+        result = ExperimentResult(
+            self.experiment_id, self.heading, self.columns, notes=self.notes
+        )
+        failures = []
+        for record in records:
+            if not record.ok:
+                failures.append(f"{record.scenario.describe()}: {record.error}")
+                continue
+            for row in record.rows:
+                result.add(*row)
+        if failures:
+            note = "FAILED cells:\n" + "\n".join(f"  {f}" for f in failures)
+            result.notes = f"{result.notes}\n\n{note}" if result.notes else note
+        return result
 
 
 #: experiment id -> spec, in registration (= paper presentation) order.
 EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
 
+def _origin(fn: Callable) -> tuple[str, str]:
+    return fn.__module__, fn.__qualname__
+
+
 def experiment(
     experiment_id: str,
+    *,
     title: str,
     anchor: str,
-    scenarios: Callable | None = None,
-    faults: FaultSpec | None = None,
-) -> Callable:
-    """Register the decorated ``run`` function as an experiment.
+    heading: str,
+    columns: tuple[str, ...],
+    scenarios: Callable,
+    notes: str = "",
+    chart: Chart | None = None,
+) -> ExperimentSpec:
+    """Declare (and register) one experiment; returns its spec.
 
-    Re-decorating the same function (module reimport) is a no-op;
-    two *different* functions claiming one id is a bug and raises.
+    Re-declaring the same experiment (module reimport) is a no-op;
+    a *different* declaration under a taken id is a bug and raises.
     """
-
-    def register(run_fn: Callable[..., ExperimentResult]) -> Callable:
-        existing = EXPERIMENTS.get(experiment_id)
-        if existing is not None:
-            # Qualname alone is useless here — nearly every experiment
-            # entry point is a module-level ``run``; the module must
-            # match too for this to be a re-import no-op.
-            if (existing.run.__module__, existing.run.__qualname__) == (
-                run_fn.__module__, run_fn.__qualname__
-            ):
-                return run_fn
-            raise ConfigurationError(
-                f"experiment id {experiment_id!r} registered twice: "
-                f"{existing.run.__module__}.{existing.run.__qualname__} "
-                f"and {run_fn.__module__}.{run_fn.__qualname__}"
-            )
-        EXPERIMENTS[experiment_id] = ExperimentSpec(
-            experiment_id=experiment_id,
-            title=title,
-            anchor=anchor,
-            run=run_fn,
-            scenarios=scenarios,
-            faults=faults,
-        )
-        return run_fn
-
-    return register
+    spec = ExperimentSpec(
+        experiment_id=experiment_id, title=title, anchor=anchor,
+        heading=heading, columns=tuple(columns), scenarios=scenarios,
+        notes=notes, chart=chart,
+    )
+    existing = EXPERIMENTS.get(experiment_id)
+    if existing is None:
+        EXPERIMENTS[experiment_id] = spec
+        return spec
+    if existing == spec and _origin(existing.scenarios) == _origin(scenarios):
+        return existing
+    raise ConfigurationError(
+        f"experiment id {experiment_id!r} registered twice, with "
+        f"different declarations: {existing!r} and {spec!r}"
+    )
 
 
 def resolve_experiment(experiment_id: str) -> ExperimentSpec:
@@ -131,12 +171,8 @@ def resolve_experiment(experiment_id: str) -> ExperimentSpec:
 def run_experiment(
     experiment_id: str, fast: bool = False, runner=None
 ) -> ExperimentResult:
-    """Run one registered experiment and return its result.
-
-    ``runner`` is an optional :class:`repro.run.Runner` controlling
-    caching and parallelism; by default a shared sequential runner
-    with an in-memory cell cache is used.
-    """
+    """Run one registered experiment and return its result (see
+    :meth:`ExperimentSpec.run`)."""
     return resolve_experiment(experiment_id).run(fast=fast, runner=runner)
 
 
@@ -151,7 +187,7 @@ def experiment_specs() -> list[ExperimentSpec]:
 
 
 # Populate the registry.  Import order IS presentation order; these
-# sit at the bottom because each module imports the decorator above.
+# sit at the bottom because each module calls :func:`experiment` above.
 from repro.core.experiments import (  # noqa: E402,F401
     table1,
     sec411_compute,

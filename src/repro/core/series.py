@@ -13,7 +13,7 @@ import math
 from repro.core.experiment import ExperimentResult
 from repro.errors import ConfigurationError
 
-__all__ = ["plot_series", "chart_experiment"]
+__all__ = ["plot_series", "chart_experiment", "default_chart"]
 
 _MARKS = "*o+x#@%&"
 
@@ -101,28 +101,19 @@ def chart_experiment(
     return plot_series(series, width=width, height=height, title=result.title)
 
 
-#: Default chart projections per figure experiment: (x, y, series_by,
-#: filters).  Used by the CLI's ``--format chart``.
-CHART_HINTS: dict[str, tuple[str, str, str, dict]] = {
-    "fig5": ("cpus", "bandwidth_gb_s", "node_type", {"pattern": "random_ring"}),
-    "fig6": ("cpus", "gflops_per_cpu", "node_type", {"benchmark": "ft", "paradigm": "mpi"}),
-    "fig7": ("threads_per_proc", "unpinned_s", "total_cpus", {}),
-    "fig8": ("threads", "v7_1", "benchmark", {}),
-    "fig9": ("total_cpus", "total_gflops", "processes", {}),
-    "fig10": ("cpus", "latency_us", "config", {"pattern": "pingpong"}),
-    "fig11": ("cpus", "gflops_per_cpu", "network", {"benchmark": "sp-mz", "threads": 1}),
-    "table5": ("processors", "time_per_step_s", "particles", {}),
-}
+def default_chart(
+    result: ExperimentResult, width: int = 64, height: int = 16
+) -> str:
+    """Chart an experiment by the ``chart=`` projection its declaration
+    names (the CLI's ``--format chart``)."""
+    from repro.core.registry import experiment_specs, resolve_experiment
 
-
-def chart_by_hint(result: ExperimentResult, width: int = 64, height: int = 16) -> str:
-    """Chart an experiment using its registered projection."""
-    hint = CHART_HINTS.get(result.experiment_id)
-    if hint is None:
+    chart = resolve_experiment(result.experiment_id).chart
+    if chart is None:
         raise ConfigurationError(
-            f"no chart projection for {result.experiment_id!r}; "
-            f"available: {sorted(CHART_HINTS)}"
+            f"no chart projection for {result.experiment_id!r}; available: "
+            f"{sorted(s.experiment_id for s in experiment_specs() if s.chart)}"
         )
-    x, y, series_by, filters = hint
+    x, y, series_by, filters = chart
     return chart_experiment(result, x=x, y=y, series_by=series_by,
-                            width=width, height=height, **filters)
+                            width=width, height=height, **dict(filters))

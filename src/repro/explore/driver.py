@@ -26,8 +26,6 @@ Budgets and resumability:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -37,6 +35,7 @@ from repro.errors import ConfigurationError
 from repro.explore.objective import Objective
 from repro.explore.optimizers import Optimizer, make_optimizer
 from repro.explore.space import SearchSpace
+from repro.run.journal import JsonlJournal
 from repro.run.runner import Runner
 
 __all__ = [
@@ -147,10 +146,10 @@ class ExploreResult:
         return "\n".join(lines)
 
 
-class TrajectoryJournal:
+class TrajectoryJournal(JsonlJournal):
     """Append-only JSONL trail of scored candidates, resumable.
 
-    Line 1 binds the journal to its exploration: package version +
+    The header binds the journal to its exploration: package version +
     calibration fingerprint (the cache's invalidation contract) plus
     the space hash and the objective/optimizer payloads — resuming
     under *any* changed ingredient starts fresh (the stale journal is
@@ -160,11 +159,11 @@ class TrajectoryJournal:
          "score": ..., "values": [...], "feasible": true,
          "error": null, "cells": 3}
 
-    Lines are flushed whole, so a killed exploration loses at most the
-    candidate in progress; a torn tail line is skipped on load (the
-    same contract as :class:`repro.run.runner.SweepCheckpoint`).
-    Deliberately wall-clock-free: two runs from one seed write
-    byte-identical journals.
+    A killed exploration loses at most the candidate in progress; the
+    torn tail is cut on resume (:class:`~repro.run.journal.
+    JsonlJournal`, shared with ``--checkpoint``).  Deliberately
+    wall-clock-free: two runs from one seed write byte-identical
+    journals.
     """
 
     def __init__(
@@ -176,80 +175,13 @@ class TrajectoryJournal:
     ) -> None:
         from repro.run.cache import _package_version, calibration_fingerprint
 
-        self.path = Path(path)
-        self._header = {
+        super().__init__(path, {
             "explore": _JOURNAL_VERSION,
             "context": f"{_package_version()}|{calibration_fingerprint()}",
             "space": space.key(),
             "objective": objective.payload(),
             "optimizer": optimizer.payload(),
-        }
-        self._records: dict[str, dict[str, Any]] = {}
-        self._fh = None
-        self._valid = False
-        #: byte length of the journal's intact prefix — everything up
-        #: to (and including) the last whole line that parsed.  A torn
-        #: tail is truncated away before the first append, so a healed
-        #: record is never glued onto a corrupt fragment.
-        self._intact = 0
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            data = self.path.read_bytes()
-        except OSError:
-            return
-        if not data:
-            return
-        lines = data.split(b"\n")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            return
-        if header != self._header:
-            return
-        self._valid = True
-        self._intact = len(lines[0]) + 1
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-                self._records[entry["key"]] = entry
-            except (ValueError, KeyError, TypeError):
-                # Torn tail from a kill: lines are flushed whole, so
-                # everything before it is intact — and nothing after
-                # it is trusted.
-                break
-            self._intact += len(line) + 1
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        return self._records.get(key)
-
-    def put(self, key: str, entry: dict[str, Any]) -> None:
-        """Journal one scored candidate (idempotent per key)."""
-        if key in self._records:
-            return
-        self._records[key] = entry
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._valid and self.path.exists():
-                os.truncate(self.path, self._intact)
-                self._fh = open(self.path, "a")
-            else:
-                self._fh = open(self.path, "w")
-                self._fh.write(
-                    json.dumps(self._header, sort_keys=True) + "\n"
-                )
-                self._valid = True
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        })
 
 
 class ExploreDriver:

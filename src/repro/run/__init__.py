@@ -10,10 +10,10 @@ This package is the execution spine of the experiment layer:
   (sequential or process-pool parallel, per-cell error capture,
   deterministic result ordering);
 * :mod:`repro.run.cache` — the content-addressed result cache keyed
-  on (scenario hash, calibration fingerprint, package version);
-* :mod:`repro.run.harness` — :func:`build_result`, rebuilding
-  :class:`~repro.core.experiment.ExperimentResult` tables from
-  :class:`RunRecord` rows.
+  on (scenario hash, calibration fingerprint, package version).
+
+``ExperimentSpec.run`` (:mod:`repro.core.registry`) rebuilds an
+experiment's table from its :class:`RunRecord` rows.
 
 Experiment modules declare *what* to run; everything about *how* —
 batching, parallelism, memoization — lives here, so later distributed
@@ -26,7 +26,6 @@ from repro.run.cache import (
     default_cache_dir,
     resolve_cache_dir,
 )
-from repro.run.harness import build_result
 from repro.run.runner import RunRecord, Runner, RunStats, default_runner, execute_scenario
 from repro.run.scenario import MachineSpec, PlacementSpec, Scenario, scenario, sweep
 from repro.run.workloads import list_workloads, resolve, workload
@@ -39,7 +38,6 @@ __all__ = [
     "RunStats",
     "Runner",
     "Scenario",
-    "build_result",
     "calibration_fingerprint",
     "default_cache_dir",
     "default_runner",

@@ -45,7 +45,6 @@ its workers.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -59,6 +58,7 @@ from repro.errors import ConfigurationError
 from repro.faults.context import use_faults
 from repro.faults.spec import FaultSpec
 from repro.run.cache import ResultCache
+from repro.run.journal import JsonlJournal
 from repro.run.scenario import Scenario, canonical_value
 from repro.run.workloads import resolve
 
@@ -275,83 +275,35 @@ def _resolve_jobs(jobs) -> int:
     return jobs
 
 
-class SweepCheckpoint:
+class SweepCheckpoint(JsonlJournal):
     """Append-only JSONL journal that lets a crashed sweep resume.
 
-    Line 1 is a header binding the journal to the calibration
-    fingerprint and package version (the result cache's invalidation
-    contract); each later line is one completed cell::
+    The header binds the journal to the calibration fingerprint and
+    package version (the result cache's invalidation contract); each
+    later line is one completed cell::
 
         {"key": "<scenario key>", "rows": [[...], ...]}
 
-    Lines are flushed as written, so a sweep killed mid-flight loses
-    at most the cell in progress.  Failures are *not* journaled — a
-    resumed sweep re-runs them.  A journal written under a different
-    calibration or version is ignored and truncated on first write.
+    Failures are *not* journaled — a resumed sweep re-runs them.  Torn
+    tails and stale headers are handled by :class:`~repro.run.journal.
+    JsonlJournal`.
     """
 
     def __init__(self, path: str | Path) -> None:
         from repro.run.cache import calibration_fingerprint, _package_version
 
-        self.path = Path(path)
-        self._context = f"{_package_version()}|{calibration_fingerprint()}"
-        self._rows: dict[str, tuple[tuple, ...]] = {}
-        self._fh = None
-        self._valid = False
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            return
-        if header.get("context") != self._context:
-            return
-        self._valid = True
-        for line in lines[1:]:
-            try:
-                cell = json.loads(line)
-                self._rows[cell["key"]] = tuple(
-                    canonical_value(r) for r in cell["rows"]
-                )
-            except (ValueError, KeyError, TypeError, ConfigurationError):
-                # Torn tail line from the crash: everything before it
-                # is intact (lines are flushed whole).
-                continue
-
-    def get(self, key: str) -> tuple[tuple, ...] | None:
-        """Journaled rows for a scenario key, or None."""
-        return self._rows.get(key)
+        super().__init__(
+            path,
+            {
+                "checkpoint": 1,
+                "context": f"{_package_version()}|{calibration_fingerprint()}",
+            },
+            decode=lambda cell: tuple(canonical_value(r) for r in cell["rows"]),
+        )
 
     def put(self, key: str, rows) -> None:
         """Journal one completed cell (idempotent per key)."""
-        if key in self._rows:
-            return
-        rows = tuple(canonical_value(r) for r in rows)
-        self._rows[key] = rows
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            mode = "a" if self._valid and self.path.exists() else "w"
-            self._fh = open(self.path, mode)
-            if mode == "w":
-                self._fh.write(
-                    json.dumps({"checkpoint": 1, "context": self._context})
-                    + "\n"
-                )
-                self._valid = True
-        self._fh.write(json.dumps({"key": key, "rows": rows}) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        super().put(key, {"key": key, "rows": [canonical_value(r) for r in rows]})
 
 
 class Runner:

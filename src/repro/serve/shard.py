@@ -69,8 +69,6 @@ import signal
 import threading
 
 from repro.errors import CommunicationError, ConfigurationError, ReproError
-from repro.faults.spec import FaultSpec
-from repro.run.cache import ResultCache, resolve_cache_dir
 from repro.run.runner import Runner
 from repro.run.scenario import Scenario
 from repro.serve.protocol import (
@@ -458,7 +456,7 @@ class ShardRouter(LineServer):
 class ShardedServer:
     """N serve workers + router, as one context manager.
 
-    ``with ShardedServer(workers=3, cache_dir=d) as fleet:`` spawns
+    ``with ShardedServer(runner, workers=3) as fleet:`` spawns
     the worker processes (``fork`` start method — they inherit the
     parent's registered workloads), waits for every port handshake,
     and binds the router; ``fleet.port`` is then a live protocol
@@ -473,47 +471,39 @@ class ShardedServer:
 
     def __init__(
         self,
+        runner: Runner,
         workers: int = 2,
-        cache_dir: str | os.PathLike | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
-        faults: FaultSpec | None = None,
-        fidelity: str | None = None,
-        surrogate_policy: str = "escalate",
         max_queue: int = 1024,
         max_batch: int = 32,
         batch_wait: float = 0.0,
         quota: QuotaPolicy | None = None,
-        max_memory_entries: int | None = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {workers}")
-        if cache_dir is None:
+        if runner.cache is None or runner.cache.cache_dir is None:
             raise ConfigurationError(
-                "a sharded server needs a shared cache_dir — without one "
-                "the workers cannot exchange results and worker death "
-                "loses completed cells"
+                "a sharded server needs a runner with an on-disk cache — "
+                "without one the workers cannot exchange results and "
+                "worker death loses completed cells"
+            )
+        if runner.checkpoint is not None:
+            raise ConfigurationError(
+                "a sharded server cannot take a checkpoint journal: its "
+                "forked workers cannot share one journal file"
             )
         self.workers = workers
-        #: resolved before spawn: every worker must open the same
-        #: store regardless of its own working directory.
-        self.cache_dir = str(resolve_cache_dir(cache_dir))
+        #: the shared store, already absolute (resolved by the cache
+        #: before the fork, whatever directory each worker runs in).
+        self.cache_dir = str(runner.cache.cache_dir)
         self.host = host
         self.port = port
         self.quota = quota
         #: every worker serves with a forked copy of this runner, and
         #: the router merges overlays through it — routing keys are
         #: the workers' coalescing keys by construction.
-        self._runner = Runner(
-            jobs=jobs,
-            cache=ResultCache(
-                self.cache_dir, max_memory_entries=max_memory_entries
-            ),
-            faults=faults,
-            fidelity=fidelity,
-            surrogate_policy=surrogate_policy,
-        )
+        self._runner = runner
         self._service_args = dict(
             max_queue=max_queue, max_batch=max_batch, batch_wait=batch_wait
         )
@@ -621,14 +611,10 @@ class ShardedServer:
 
 
 def serve_sharded(
+    runner: Runner,
     workers: int,
-    cache_dir: str | os.PathLike,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
-    jobs: int = 1,
-    faults: FaultSpec | None = None,
-    fidelity: str | None = None,
-    surrogate_policy: str = "escalate",
     max_queue: int = 1024,
     max_batch: int = 32,
     batch_wait: float = 0.0,
@@ -636,21 +622,20 @@ def serve_sharded(
 ) -> int:
     """Run the sharded tier until interrupted (``repro serve
     --workers N``)."""
-    fleet = ShardedServer(
-        workers=workers, cache_dir=cache_dir, host=host, port=port,
-        jobs=jobs, faults=faults, fidelity=fidelity,
-        surrogate_policy=surrogate_policy, max_queue=max_queue,
-        max_batch=max_batch, batch_wait=batch_wait, quota=quota,
-    )
     try:
-        with fleet:
+        with ShardedServer(
+            runner, workers, host, port, max_queue, max_batch, batch_wait,
+            quota,
+        ) as fleet:
             print(
                 f"repro serve: {workers} workers behind "
-                f"{fleet.host}:{fleet.port} (jobs={jobs}/worker, "
+                f"{fleet.host}:{fleet.port} (jobs={runner.jobs}/worker, "
                 f"shared cache {fleet.cache_dir})",
                 flush=True,
             )
             threading.Event().wait()  # until KeyboardInterrupt
     except KeyboardInterrupt:
         pass
+    finally:
+        runner.close()
     return 0

@@ -214,8 +214,6 @@ def calibrate(
 
     table = ErrorTable(context=_current_context(), bound=bound)
     for spec in experiment_specs():
-        if spec.scenarios is None:
-            continue
         for cell in spec.scenarios(fast=fast):
             surr = resolve_surrogate(cell.workload)
             if surr is None:

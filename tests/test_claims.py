@@ -15,6 +15,7 @@ class TestClaims:
         assert not failed, "\n".join(
             f"{r.claim_id}: {r.measured}" for r in failed
         )
+        assert len(results) == 21
 
     def test_claim_ids_unique(self):
         ids = [c.claim_id for c in CLAIMS]

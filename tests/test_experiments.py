@@ -24,32 +24,52 @@ class TestRegistry:
         text = r.format()
         assert "BX2b" in text and "NUMAlink4" in text
 
-    def test_duplicate_id_from_different_module_raises(self):
-        # Nearly every entry point is a module-level ``run``, so the
-        # re-import no-op check must compare the module too — a second
-        # module claiming an existing id is a bug, not a re-import.
+    def test_duplicate_id_with_different_declaration_raises(self):
+        # Re-declaring the same experiment (module re-import) is a
+        # no-op; a different declaration under a taken id is a bug.
         from repro.core.registry import EXPERIMENTS, experiment
 
-        def run_a(fast=False, runner=None):
-            raise NotImplementedError
+        def sweep_a(fast=False):
+            return []
 
-        def run_b(fast=False, runner=None):
-            raise NotImplementedError
+        def sweep_b(fast=False):
+            return []
 
-        for fn, mod in ((run_a, "mod_a"), (run_b, "mod_b")):
-            fn.__qualname__ = "run"
+        for fn, mod in ((sweep_a, "mod_a"), (sweep_b, "mod_b")):
+            fn.__qualname__ = "scenarios"
             fn.__module__ = f"repro.core.experiments.{mod}"
 
         eid = "test_dup_guard"
+        declared = dict(anchor="extension", title="first", heading="h",
+                        columns=("a",), scenarios=sweep_a)
         try:
-            experiment(eid, "first", "extension")(run_a)
-            with pytest.raises(ConfigurationError, match="registered twice"):
-                experiment(eid, "second", "extension")(run_b)
-            # Same function registering again (module re-import): no-op.
-            assert experiment(eid, "first", "extension")(run_a) is run_a
-            assert EXPERIMENTS[eid].run is run_a
+            spec = experiment(eid, **declared)
+            assert experiment(eid, **declared) is spec
+            for change in (dict(title="second"), dict(columns=("b",)),
+                           dict(scenarios=sweep_b)):
+                with pytest.raises(ConfigurationError,
+                                   match="registered twice"):
+                    experiment(eid, **{**declared, **change})
+            assert EXPERIMENTS[eid] is spec
         finally:
             EXPERIMENTS.pop(eid, None)
+
+    def test_chart_must_name_declared_columns(self):
+        from repro.core.registry import EXPERIMENTS, experiment
+
+        with pytest.raises(ConfigurationError, match="unknown columns"):
+            experiment("test_bad_chart", anchor="extension", title="t",
+                       heading="h", columns=("cpus", "rate"),
+                       scenarios=lambda fast=False: [],
+                       chart=("cpus", "rate", "kind", ()))
+        assert "test_bad_chart" not in EXPERIMENTS
+
+    def test_fig7_notes_name_the_class_c_step_count(self):
+        from repro.core.registry import resolve_experiment
+        from repro.npb.multizone import MZ_CLASSES
+
+        notes = resolve_experiment("fig7").notes
+        assert f"({MZ_CLASSES['C'].steps} steps)" in notes
 
     def test_result_accessors(self):
         r = run_experiment("table1")

@@ -18,6 +18,10 @@ Regenerate it with::
 
     (PYTHONPATH=src python -m repro run fig5 --no-cache;
      PYTHONPATH=src python -m repro run fig10 --no-cache) > tests/golden/beff_full.txt
+
+``tests/golden/repro_list.txt`` pins ``repro list`` (id, anchor and
+short title of every experiment, in paper order); regenerate it with
+``PYTHONPATH=src python -m repro list > tests/golden/repro_list.txt``.
 """
 
 import os
@@ -27,6 +31,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "repro_all_fast.txt"
 BEFF_GOLDEN = Path(__file__).parent / "golden" / "beff_full.txt"
+LIST_GOLDEN = Path(__file__).parent / "golden" / "repro_list.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs the CLI, then reports which heavy numeric packages got loaded.
@@ -75,3 +80,10 @@ def test_full_beff_sweeps_match_golden():
         assert run.returncode == 0, run.stderr
         out.append(run.stdout)
     assert "".join(out) == BEFF_GOLDEN.read_text()
+
+
+def test_repro_list_matches_golden():
+    listing = _repro("list")
+    assert listing.returncode == 0, listing.stderr
+    assert listing.stdout == LIST_GOLDEN.read_text()
+    assert "heavy modules: none" in listing.stderr

@@ -10,7 +10,6 @@ from repro.run import (
     PlacementSpec,
     ResultCache,
     Runner,
-    build_result,
     execute_scenario,
     scenario,
     sweep,
@@ -185,15 +184,24 @@ class TestRunner:
         assert "cell exploded at x=7" in records[1].error
         assert runner.stats.errors == 1
 
-    def test_build_result_notes_failures(self):
-        result = build_result(
-            "test_exp", "title", ("x", "y", "sum"),
-            [scenario("test.echo", x=1, y=1), scenario("test.boom", x=3)],
-            runner=Runner(jobs=1),
+    def test_spec_run_notes_failures(self):
+        from repro.core.registry import ExperimentSpec
+
+        spec = ExperimentSpec(
+            "test_exp", "short", "extension", "title", ("x", "y", "sum"),
+            scenarios=lambda fast=False: [
+                scenario("test.echo", x=1, y=1), scenario("test.boom", x=3),
+            ],
+            notes="declared note",
         )
+        result = spec.run(runner=Runner(jobs=1))
+        assert result.title == "title"
         assert result.rows == [(1, 1, 2)]
-        assert "FAILED cells" in result.notes
+        assert result.notes.startswith("declared note\n\nFAILED cells:\n")
         assert "test.boom" in result.notes
+        assert "cell exploded at x=3" in result.notes
+        # The declaration itself keeps only what was declared.
+        assert spec.notes == "declared note"
 
     def test_unknown_workload(self):
         runner = Runner(jobs=1)

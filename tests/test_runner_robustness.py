@@ -171,6 +171,26 @@ class TestCheckpoint:
         resumed.run([sc1, sc2])
         assert resumed.stats.cached == 2
 
+    def test_resume_after_torn_tail_keeps_the_next_cell(self, tmp_path):
+        # A kill leaves a torn line; the first cell journaled after the
+        # resume must not be glued onto it (and so lost on reopen).
+        from repro.run.runner import SweepCheckpoint
+
+        journal = tmp_path / "sweep.jsonl"
+        first = SweepCheckpoint(journal)
+        first.put("a", [(1, 2)])
+        first.close()
+        with open(journal, "a") as fh:
+            fh.write('{"key": "b", "ro')  # the crash
+        resumed = SweepCheckpoint(journal)
+        assert resumed.get("b") is None
+        resumed.put("c", [(3, 4)])
+        resumed.close()
+        reopened = SweepCheckpoint(journal)
+        assert reopened.get("a") == ((1, 2),)
+        assert reopened.get("c") == ((3, 4),)
+        assert len(journal.read_text().splitlines()) == 3
+
     def test_stale_context_invalidates_journal(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         sc = scenario("test.rr_echo", x=1)

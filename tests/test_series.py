@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import run_experiment
 from repro.core.experiment import ExperimentResult
-from repro.core.series import CHART_HINTS, chart_by_hint, chart_experiment, plot_series
+from repro.core.registry import experiment_specs
+from repro.core.series import chart_experiment, default_chart, plot_series
 from repro.errors import ConfigurationError
 
 
@@ -73,18 +74,25 @@ class TestChartHints:
         # table5 is cheap; fig6 covers the filtered path.
         for eid in ("table5", "fig6"):
             result = run_experiment(eid, fast=True)
-            text = chart_by_hint(result)
+            text = default_chart(result)
             assert result.title.split(":")[0] in text
 
     def test_unknown_hint_rejected(self):
         r = ExperimentResult("table1", "t", ("a",))
         r.add(1)
-        with pytest.raises(ConfigurationError):
-            chart_by_hint(r)
+        with pytest.raises(ConfigurationError, match="no chart projection"):
+            default_chart(r)
 
     def test_hints_reference_real_columns(self):
-        """Every hint must stay in sync with its experiment's schema."""
-        for eid, (x, y, series_by, filters) in CHART_HINTS.items():
-            result = run_experiment(eid, fast=True)
-            for col in (x, y, series_by, *filters):
-                assert col in result.columns, (eid, col)
+        """Every figure declares a chart over its own columns (checked
+        when declared), filters as a tuple of pairs."""
+        charted = [s for s in experiment_specs() if s.chart is not None]
+        assert [s.experiment_id for s in charted] == [
+            "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+            "table5",
+        ]
+        for spec in charted:
+            x, y, series_by, filters = spec.chart
+            assert isinstance(filters, tuple)
+            for col in (x, y, series_by, *(name for name, _ in filters)):
+                assert col in spec.columns, (spec.experiment_id, col)

@@ -20,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.run import Runner, scenario, workload
+from repro.run import ResultCache, Runner, scenario, workload
 from repro.serve import BackgroundServer, ShardedServer, scenario_to_wire
 from repro.serve.protocol import decode_line, encode_line
 
@@ -99,7 +99,7 @@ def single_door():
 @pytest.fixture(scope="module")
 def sharded_door(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("fuzz-cache")
-    with ShardedServer(workers=1, cache_dir=cache_dir) as fleet:
+    with ShardedServer(Runner(cache=ResultCache(cache_dir)), workers=1) as fleet:
         yield fleet.port
 
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.errors import CommunicationError, ConfigurationError
-from repro.run import Runner, scenario, workload
+from repro.run import ResultCache, Runner, scenario, workload
 from repro.serve import QuotaPolicy, ServeClient
 from repro.serve.shard import HashRing, ShardedServer
 
@@ -28,6 +28,10 @@ def _cell(x: int = 0, delay_ms: int = 0) -> list[tuple]:
 
 def _cells(n: int):
     return [scenario("shard_test.cell", x=i) for i in range(n)]
+
+
+def _disk_runner(cache_dir):
+    return Runner(jobs=1, cache=ResultCache(cache_dir))
 
 
 def _direct_rows(cells):
@@ -70,9 +74,42 @@ class TestHashRing:
 
 
 class TestShardedServer:
-    def test_requires_cache_dir(self):
-        with pytest.raises(ConfigurationError):
-            ShardedServer(workers=2, cache_dir=None)
+    def test_requires_cache_dir(self, tmp_path):
+        for cache in (None, ResultCache(memory_only=True)):
+            with pytest.raises(ConfigurationError, match="on-disk cache"):
+                ShardedServer(Runner(cache=cache), workers=2)
+        with pytest.raises(ConfigurationError, match="checkpoint"):
+            ShardedServer(
+                Runner(cache=ResultCache(tmp_path),
+                       checkpoint=tmp_path / "sweep.jsonl"),
+                workers=2,
+            )
+
+    def test_cli_rejects_no_cache_and_checkpoint_with_workers(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        base = ["serve", "--workers", "2", "--port", "0"]
+        assert main(base + ["--no-cache"]) == 2
+        assert main(base + ["--cache-dir", str(tmp_path), "--checkpoint",
+                            str(tmp_path / "sweep.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "on-disk cache" in err and "checkpoint journal" in err
+
+    def test_runner_options_reach_the_workers(self, tmp_path):
+        # The workers serve with the runner handed in: a runner-level
+        # trace dir makes each executed cell write its trace file.
+        from repro.core.registry import resolve_experiment
+
+        sc = resolve_experiment("fig5").scenarios(fast=True)[0]  # 4 CPUs
+        trace_dir = tmp_path / "traces"
+        runner = Runner(cache=ResultCache(tmp_path / "cache"),
+                        trace_dir=str(trace_dir))
+        with ShardedServer(runner, workers=1) as fleet:
+            with ServeClient(fleet.host, fleet.port) as client:
+                assert client.submit(sc).ok
+        assert len(list(trace_dir.glob("fig5.cell-*.trace.json"))) == 1
 
     def test_duplicate_burst_coalesces_globally(self, tmp_path):
         """24 submits over 6 distinct cells against 3 workers: every
@@ -81,7 +118,7 @@ class TestShardedServer:
         cells = _cells(6)
         burst = [cells[i % len(cells)] for i in range(24)]
         want = _direct_rows(cells)
-        with ShardedServer(workers=3, cache_dir=tmp_path) as fleet:
+        with ShardedServer(_disk_runner(tmp_path), workers=3) as fleet:
             with ServeClient(fleet.host, fleet.port) as client:
                 assert client.ping() == 1
                 replies = client.submit_many(burst)
@@ -103,7 +140,7 @@ class TestShardedServer:
         cells = _cells(10)
         want = _direct_rows(cells)
         slow = scenario("shard_test.cell", x=99, delay_ms=800)
-        with ShardedServer(workers=3, cache_dir=tmp_path) as fleet:
+        with ShardedServer(_disk_runner(tmp_path), workers=3) as fleet:
             victim = fleet.worker_for(slow)
             with ServeClient(fleet.host, fleet.port) as client:
                 # Phase 1 (all workers healthy): run the sweep once.
@@ -160,7 +197,7 @@ class TestShardedServer:
 
     def test_pending_requests_redispatch_on_death(self, tmp_path):
         slow = scenario("shard_test.cell", x=5, delay_ms=1000)
-        with ShardedServer(workers=2, cache_dir=tmp_path) as fleet:
+        with ShardedServer(_disk_runner(tmp_path), workers=2) as fleet:
             victim = fleet.worker_for(slow)
             import threading
 
@@ -185,7 +222,7 @@ class TestShardedServer:
     def test_quota_rejects_greedy_client_at_the_router(self, tmp_path):
         sc = _cells(1)[0]
         quota = QuotaPolicy(rate=0.5, burst=2)
-        with ShardedServer(workers=2, cache_dir=tmp_path,
+        with ShardedServer(_disk_runner(tmp_path), workers=2,
                            quota=quota) as fleet:
             with ServeClient(fleet.host, fleet.port,
                              client_id="greedy") as client:
@@ -210,7 +247,7 @@ class TestShardedServer:
         from repro.serve.protocol import decode_line, encode_line
 
         sc = scenario("shard_test.cell", x=7, delay_ms=200)
-        with ShardedServer(workers=1, cache_dir=tmp_path) as fleet:
+        with ShardedServer(_disk_runner(tmp_path), workers=1) as fleet:
             with socket.create_connection(
                 (fleet.host, fleet.port), timeout=10
             ) as sock:
@@ -224,7 +261,7 @@ class TestShardedServer:
         assert reply["rows"] == [[7, 49, "cell-7"]]
 
     def test_batch_occupancy_is_a_fleet_max_not_a_sum(self, tmp_path):
-        with ShardedServer(workers=3, cache_dir=tmp_path,
+        with ShardedServer(_disk_runner(tmp_path), workers=3,
                            max_batch=1) as fleet:
             with ServeClient(fleet.host, fleet.port) as client:
                 assert all(r.ok for r in client.submit_many(_cells(40)))
@@ -236,7 +273,7 @@ class TestShardedServer:
         cells = _cells(4) + [
             scenario("fig9.cell", processes=4, threads=1, fidelity="analytic")
         ]
-        with ShardedServer(workers=2, cache_dir=tmp_path) as fleet:
+        with ShardedServer(_disk_runner(tmp_path), workers=2) as fleet:
             with ServeClient(fleet.host, fleet.port) as client:
                 assert all(client.submit(sc).ok for sc in cells)
                 stats = client.stats()
@@ -259,7 +296,8 @@ class TestShardedServer:
     def test_shared_cache_dir_resolved_absolute(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)
-        fleet = ShardedServer(workers=1, cache_dir="relative-cache")
+        fleet = ShardedServer(Runner(cache=ResultCache("relative-cache")),
+                              workers=1)
         assert fleet.cache_dir == str(tmp_path / "relative-cache")
 
 
