@@ -19,16 +19,15 @@ these sweeps converges to the direct sparse solution.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.memo import memo
 
 __all__ = ["hyperplane_ordering", "lusgs_sweep", "lusgs_solve"]
 
 
-@lru_cache(maxsize=32)
+@memo(maxsize=32)
 def hyperplane_ordering(shape: tuple[int, int, int]) -> tuple[tuple[np.ndarray, ...], ...]:
     """Index arrays of each wavefront ``i + j + k = s``.
 

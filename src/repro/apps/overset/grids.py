@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.memo import memo
 from repro.sim.rng import make_rng
 
 __all__ = ["GridBlock", "OversetSystem", "turbopump_system", "rotor_system"]
@@ -94,6 +95,7 @@ class OversetSystem:
         return max(pts) / (sum(pts) / len(pts))
 
 
+@memo(maxsize=8)
 def _synthetic_system(
     name: str,
     n_blocks: int,
@@ -106,7 +108,9 @@ def _synthetic_system(
 
     Block point counts follow a lognormal distribution (heavy tail)
     rescaled to the exact total; blocks are placed on a jittered 3D
-    lattice sized so that spatial neighbors overlap.
+    lattice sized so that spatial neighbors overlap.  Memoized: the
+    result is frozen and a pure function of the arguments, and every
+    OVERFLOW-D/INS3D cell of a sweep asks for the same system.
     """
     if n_blocks < 1 or total_points < 8 * n_blocks:
         raise ConfigurationError("unbuildable overset system")

@@ -35,11 +35,10 @@ minimizes cost subject to ``rel_columbia >= 0.95``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.explore.driver import ExploreDriver, ExploreResult
 from repro.explore.objective import Objective
 from repro.explore.space import SearchSpace, search_space
+from repro.memo import memo
 from repro.run.workloads import workload
 from repro.surrogate.registry import register_exact
 
@@ -72,7 +71,7 @@ def part_cost(clock_ghz: float, l3_mb: float) -> float:
     return round(raw / stock, 6)
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=256)
 def _overflow_step(clock_ghz: float, l3_mb: int, cpus: int) -> float:
     """Best OVERFLOW-D per-step time on one custom BX2 variant.
 
@@ -176,7 +175,7 @@ def worst_faults_objective(repeats: int = 5, seed: int = 0) -> Objective:
 REL_COLUMBIA_BOUND = 0.95
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=256)
 def _btmz_gflops(config: str, cpus: int) -> float:
     """BT-MZ class C delivered Gflop/s on one zoo preset (memoized —
     the Columbia reference reprices per candidate otherwise)."""

@@ -9,9 +9,11 @@ runs are bit-identical between sequential and parallel sweeps.
 Hook points (all no-ops on a healthy machine, where the ambient
 injector is ``None`` and none of this code runs):
 
-* :meth:`adjust_path` — static path faults (link degradation, router
-  failover, the released-MPT latency), applied once per computed path
-  in :meth:`repro.netmodel.costs.NetworkModel.path`;
+* :func:`adjust_path` — static path faults (link degradation, router
+  failover, the released-MPT latency, the injector's
+  :attr:`~FaultInjector.path_faults`), applied once per computed path
+  by the network cost model's route table, which is keyed on those
+  faults' content;
 * :meth:`compute_seconds` — stragglers and OS jitter, applied per
   compute span in :meth:`repro.mpi.comm.MPIComm.compute`;
 * :meth:`flap_factor` / :meth:`send_plan` — time-dependent link flaps
@@ -23,7 +25,6 @@ injector is ``None`` and none of this code runs):
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
 from repro.errors import CommunicationError
@@ -39,13 +40,7 @@ from repro.faults.spec import (
     Straggler,
 )
 
-__all__ = ["FaultInjector", "build_injector"]
-
-#: Process-unique injector serials; the network cost model keys its
-#: shared route tables on ``(placement.generation, injector.serial)``
-#: so fault-adjusted paths never leak into healthy contexts (or into
-#: differently-faulted ones).
-_injector_serials = itertools.count(1)
+__all__ = ["FaultInjector", "adjust_path", "build_injector"]
 
 #: Random draws fetched per RNG refill.  Each randomness-consuming
 #: fault owns an independent substream (see ``_derive_seed``'s tag),
@@ -125,9 +120,11 @@ class FaultInjector:
     def __init__(self, spec: FaultSpec, salt: str = "") -> None:
         self.spec = spec
         self.salt = salt
-        self.serial = next(_injector_serials)
         self._rng = None  # built lazily: most faults never draw
-        self._path_faults = tuple(
+        #: the static path faults, in spec order: with the cluster, the
+        #: whole input of :func:`adjust_path` (which draws no random
+        #: numbers), so equal tuples price every path the same.
+        self.path_faults = tuple(
             f for f in spec.faults
             if isinstance(f, (LinkDegradation, RouterFailover, MptAnomaly))
         )
@@ -169,11 +166,6 @@ class FaultInjector:
     # -- classification --------------------------------------------------------
 
     @property
-    def has_path_faults(self) -> bool:
-        """Does this injector change static path costs?"""
-        return bool(self._path_faults)
-
-    @property
     def has_des_faults(self) -> bool:
         """Does this injector act on the DES per-message/compute path?"""
         return bool(
@@ -186,46 +178,6 @@ class FaultInjector:
 
             self._rng = make_rng(_derive_seed(self.spec, self.salt))
         return self._rng
-
-    # -- static path faults ----------------------------------------------------
-
-    def adjust_path(
-        self, cluster, cpu_a: int, cpu_b: int, latency: float, bandwidth: float
-    ) -> tuple[float, float]:
-        """Fault-adjusted ``(latency, bandwidth)`` of one path.
-
-        Called once per *computed* path (results are cached in the
-        injector-keyed route table), so the classification cost here
-        is off the per-message path.
-        """
-        na = cluster.node_of(cpu_a)
-        nb = cluster.node_of(cpu_b)
-        if na != nb:
-            link = "inter_node"
-        else:
-            hops = cluster.nodes[na].hops(
-                cluster.local_cpu(cpu_a), cluster.local_cpu(cpu_b)
-            )
-            link = "intra_brick" if hops == 0 else "intra_node"
-        for fault in self._path_faults:
-            if isinstance(fault, LinkDegradation):
-                if fault.link_class in ("any", link):
-                    latency = latency * fault.latency_factor + fault.extra_latency
-                    bandwidth = bandwidth * fault.bandwidth_factor
-            elif isinstance(fault, RouterFailover):
-                if fault.node in (na, nb) and (na != nb or link == "intra_node"):
-                    # The detour takes extra hops through this node's
-                    # router fabric, priced with its per-hop parameters.
-                    ic = cluster.nodes[fault.node % len(cluster.nodes)].interconnect
-                    latency += fault.extra_hops * ic.per_hop_latency
-                    bandwidth /= 1.0 + fault.extra_hops * ic.per_hop_bw_derate
-            else:  # MptAnomaly
-                if link == "inter_node" and cluster.fabric == "infiniband":
-                    from repro.machine.infiniband import MPTVersion
-
-                    if cluster.mpt is MPTVersion.MPT_1_11R:
-                        latency += fault.extra_latency
-        return latency, bandwidth
 
     # -- §4.6.2 degraded modes (analytic models) -------------------------------
 
@@ -328,6 +280,47 @@ class FaultInjector:
                 fails += 1
         self.retries += len(delays)
         return tuple(delays)
+
+
+def adjust_path(
+    faults: tuple, cluster, cpu_a: int, cpu_b: int,
+    latency: float, bandwidth: float,
+) -> tuple[float, float]:
+    """Fault-adjusted ``(latency, bandwidth)`` of one path.
+
+    ``faults`` is a :attr:`FaultInjector.path_faults` tuple.  Called
+    once per *computed* path (results are kept in the route table
+    keyed on ``faults``), so the classification cost here is off the
+    per-message path.
+    """
+    na = cluster.node_of(cpu_a)
+    nb = cluster.node_of(cpu_b)
+    if na != nb:
+        link = "inter_node"
+    else:
+        hops = cluster.nodes[na].hops(
+            cluster.local_cpu(cpu_a), cluster.local_cpu(cpu_b)
+        )
+        link = "intra_brick" if hops == 0 else "intra_node"
+    for fault in faults:
+        if isinstance(fault, LinkDegradation):
+            if fault.link_class in ("any", link):
+                latency = latency * fault.latency_factor + fault.extra_latency
+                bandwidth = bandwidth * fault.bandwidth_factor
+        elif isinstance(fault, RouterFailover):
+            if fault.node in (na, nb) and (na != nb or link == "intra_node"):
+                # The detour takes extra hops through this node's
+                # router fabric, priced with its per-hop parameters.
+                ic = cluster.nodes[fault.node % len(cluster.nodes)].interconnect
+                latency += fault.extra_hops * ic.per_hop_latency
+                bandwidth /= 1.0 + fault.extra_hops * ic.per_hop_bw_derate
+        else:  # MptAnomaly
+            if link == "inter_node" and cluster.fabric == "infiniband":
+                from repro.machine.infiniband import MPTVersion
+
+                if cluster.mpt is MPTVersion.MPT_1_11R:
+                    latency += fault.extra_latency
+    return latency, bandwidth
 
 
 def build_injector(spec: FaultSpec, salt: str = "") -> FaultInjector:

@@ -22,16 +22,19 @@ No DES work whose result is thrown away is simulated:
 
 * a ping-pong world runs only its two ranks (``run_mpi(ranks=...)``);
   the idle ranks get no process, mailbox or handle;
-* each ring pattern call runs the dissemination barrier that opens
-  every ring iteration *once*, recording each rank's exit time and
-  injection-free time; every ring world then starts each rank from
-  that snapshot (restore the injection slot, sleep to the exit time)
-  instead of re-running the barrier.  On a healthy machine, and under
-  static path faults, the barrier is the same in every ring world, so
-  the results are exactly those of a per-world barrier.  Under DES
-  faults (drop, jitter, flap, straggler) all rings of one pattern
-  call share one barrier realization — deterministic per fault seed,
-  but not the realization a per-world barrier would draw.
+* the dissemination barrier that opens every ring iteration is run
+  once, recording each rank's exit time and injection-free time; every
+  ring world then starts each rank from that snapshot (restore the
+  injection slot, sleep to the exit time) instead of re-running the
+  barrier.  On a healthy machine, and under static path faults, the
+  barrier is a pure function of the network :func:`route key
+  <repro.netmodel.costs.route_key>`, so the snapshot is memoized on it
+  and shared by ``natural_ring``, ``random_ring`` and every later call
+  with equal content: the results are exactly those of a per-world
+  barrier.  Under DES faults (drop, jitter, flap, straggler), or while
+  a tracer records, each pattern call runs its own barrier, shared by
+  that call's rings only — deterministic per fault seed, but not the
+  realization a per-world barrier would draw.
 """
 
 from __future__ import annotations
@@ -42,13 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.faults.context import current_injector
 from repro.machine.placement import Placement
+from repro.memo import memo
 from repro.mpi import MPIComm, run_mpi
 from repro.mpi.collectives import barrier
 from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
+from repro.netmodel.costs import route_key
+from repro.obs.spans import current_tracer
 from repro.sim.process import Timeout
 from repro.sim.rng import make_rng
 
@@ -137,13 +144,36 @@ def pingpong(
 
 
 def _barrier_exits(placement: Placement) -> tuple[tuple[float, float], ...]:
-    """Run the ring's opening barrier once.
+    """Each rank's ``(exit time, injection-free time)`` out of the
+    ring's opening barrier: all the state a rank carries out of the
+    barrier into its ring exchange.  Every barrier message is received
+    before its receiver exits, so nothing else outlives it.
 
-    Returns each rank's ``(exit time, injection-free time)``: all the
-    state a rank carries out of the barrier into its ring exchange.
-    Every barrier message is received before its receiver exits, so
-    nothing else outlives it.
+    Memoized on the route key unless DES faults act (their draws make
+    each run a new realization) or a tracer records (a cell's trace
+    must show its own barrier).
     """
+    injector = current_injector()
+    tracer = current_tracer()
+    if (injector is None or not injector.has_des_faults) and (
+        tracer is None or not tracer.enabled
+    ):
+        return _shared_barrier_exits(route_key(placement))
+    return _run_barrier(placement)
+
+
+@memo(maxsize=128)
+def _shared_barrier_exits(key: tuple) -> tuple[tuple[float, float], ...]:
+    # Runs under the caller's fault context, whose path faults are
+    # the key's; the placement is rebuilt from the key's content.
+    content, _ = key
+    return _run_barrier(Placement(
+        content.cluster, n_ranks=len(content.cpus), cpu_list=content.cpus
+    ))
+
+
+def _run_barrier(placement: Placement) -> tuple[tuple[float, float], ...]:
+    """Run the ring's opening barrier once on the DES."""
 
     def prog(comm: MPIComm):
         yield from barrier(comm)

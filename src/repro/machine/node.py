@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.errors import ConfigurationError
 from repro.machine.brick import CBrick
@@ -24,6 +23,7 @@ from repro.machine.processor import (
     ProcessorSpec,
 )
 from repro.machine.router import hop_count
+from repro.memo import memo
 from repro.units import GIB, TERA
 
 __all__ = [
@@ -180,9 +180,9 @@ class AltixNode:
         bandwidth)`` for an ``h``-hop intra-node path.  Built lazily on
         first path query and memoized on the instance (a frozen
         dataclass, hence ``object.__setattr__`` — the same idiom as
-        ``Placement.generation``): node objects are themselves cached
-        by :func:`build_node`, so each variant tabulates once per
-        process.
+        ``Placement.content_key``): node objects are themselves
+        memoized by :func:`build_node`, so each variant tabulates once
+        per memo entry.
         """
         try:
             return self.__dict__["_ptables"]
@@ -265,7 +265,7 @@ class AltixNode:
         return f"Altix {self.type_label} ({self.n_cpus} CPUs)"
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=64)
 def build_node(node_type: NodeType, n_cpus: int = NODE_CPUS) -> AltixNode:
     """Construct one of the three Columbia node variants.
 

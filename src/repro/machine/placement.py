@@ -17,20 +17,51 @@ global CPU ids on a :class:`~repro.machine.cluster.Cluster`.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.faults.context import current_injector
 from repro.machine.cluster import Cluster
 
-__all__ = ["PinningMode", "Placement", "unpinned_penalty"]
+__all__ = ["ContentKey", "PinningMode", "Placement", "unpinned_penalty"]
 
-#: Source of per-instance :attr:`Placement.generation` ids.  Never
-#: recycled, so a generation uniquely identifies one placement for the
-#: lifetime of the process (no id()-reuse aliasing).
-_placement_generations = itertools.count(1)
+
+class ContentKey:
+    """What a placement's network costs depend on: the cluster value
+    and the home (thread-0) CPU of every rank, in rank order.
+
+    Paths, path statistics and the b_eff barrier read nothing else, so
+    two placements with equal keys share one route table and one set
+    of statistics however they were built (stride, ``cpu_list``,
+    spreading, threads per rank).  The hash is computed once: the key
+    is probed on every network-model build.
+    """
+
+    __slots__ = ("cluster", "cpus", "_hash")
+
+    def __init__(self, cluster: Cluster, cpus: tuple[int, ...]) -> None:
+        self.cluster = cluster
+        self.cpus = cpus
+        self._hash = hash((cluster, cpus))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ContentKey):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.cpus == other.cpus
+            and self.cluster == other.cluster
+        )
+
+    def __reduce__(self):
+        # String hashes differ between processes: rehash on unpickle.
+        return ContentKey, (self.cluster, self.cpus)
 
 
 class PinningMode(enum.Enum):
@@ -97,25 +128,26 @@ class Placement:
                 f"cluster has {self.cluster.total_cpus}"
             )
 
-    # -- identity -------------------------------------------------------------
+    # -- content ----------------------------------------------------------------
 
     @property
-    def generation(self) -> int:
-        """Process-unique id of this placement instance.
+    def content_key(self) -> ContentKey:
+        """The :class:`ContentKey` the cost-model memos share on.
 
-        Cost-model caches (route tables, path statistics) key on this:
-        a :class:`Placement` is frozen, so "the placement changed"
-        always means a *new instance*, which gets a fresh generation —
-        cached state keyed on the old generation can never be observed
-        through the new placement.  Lazily assigned so construction
-        stays cheap; excluded from equality/hash (it is identity, not
-        value).
+        Built once per instance and memoized on it (a frozen
+        dataclass, hence ``object.__setattr__`` — the same idiom as
+        ``Cluster._geometry``).
         """
         try:
-            return self.__dict__["_generation"]
+            return self.__dict__["_content_key"]
         except KeyError:
-            object.__setattr__(self, "_generation", next(_placement_generations))
-            return self.__dict__["_generation"]
+            key = ContentKey(self.cluster, self._home_cpus())
+            object.__setattr__(self, "_content_key", key)
+            return key
+
+    def _home_cpus(self) -> tuple[int, ...]:
+        """``cpu_of(rank)`` for every rank, in rank order."""
+        return tuple(self.cpu_of(r) for r in range(self.n_ranks))
 
     # -- geometry -------------------------------------------------------------
 

@@ -14,11 +14,10 @@ per-message shortest-path queries would dominate DES runtime.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import networkx as nx
 
 from repro.errors import ConfigurationError
+from repro.memo import memo
 
 __all__ = [
     "hop_count",
@@ -52,7 +51,7 @@ def hop_count(brick_a: int, brick_b: int) -> int:
     return 2 * lca_level
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=32)
 def hop_table(n_bricks: int) -> tuple[tuple[int, ...], ...]:
     """Flat all-pairs hop table: ``hop_table(n)[a][b] == hop_count(a, b)``.
 

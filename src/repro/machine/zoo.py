@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as dc_fields, is_dataclass, replace
-from functools import lru_cache
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
@@ -44,6 +43,7 @@ from repro.machine.interconnect import InterconnectSpec
 from repro.machine.memory import MemoryBusSpec
 from repro.machine.node import AcceleratorSpec, AltixNode, NodeType
 from repro.machine.processor import ProcessorSpec
+from repro.memo import memo
 from repro.units import GIB, KIB, MIB, TERA, gb_per_s, usec
 
 __all__ = [
@@ -486,7 +486,7 @@ def _to_toml(data: Mapping[str, Any], prefix: str = "", lines: list[str] | None 
 # -- building ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=64)
 def _build_cluster(config: MachineConfig) -> Cluster:
     nodes: list[AltixNode] = []
     for group in config.nodes:

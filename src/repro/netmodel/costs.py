@@ -10,68 +10,33 @@ pinned to.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.context import current_injector
+from repro.faults.injector import adjust_path
 from repro.machine.placement import Placement
+from repro.memo import memo
 from repro.sim.rng import make_rng
 
-__all__ = ["PathSpec", "NetworkModel", "PathStats"]
+__all__ = ["PathSpec", "NetworkModel", "PathStats", "route_key"]
 
 
-class _RouteTable:
-    """Shared per-placement cost-model state (paths + statistics).
+def route_key(placement: Placement) -> tuple:
+    """``(placement.content_key, path faults or None)`` under the
+    ambient fault context: everything a path between two ranks of
+    ``placement`` depends on.
 
-    Every :class:`NetworkModel` built for the same placement *instance*
-    shares one route table, so path computations and the expensive
-    :meth:`NetworkModel.stats` sampling are paid once per placement
-    rather than once per model build (the sweep-loop shape: one
-    placement, many :class:`~repro.netmodel.collectives.CollectiveModel`
-    constructions).
+    Static path faults (degraded links, router failover, the
+    released-MPT overhead) are part of the key, so fault-adjusted
+    paths are never seen by a healthy or differently faulted model.
+    DES faults act per message, not per path, and are not.
     """
-
-    __slots__ = ("placement", "paths", "flat", "stats")
-
-    def __init__(self, placement: Placement) -> None:
-        self.placement = placement
-        #: (lo_rank, hi_rank) -> PathSpec; self-paths under (r, r)
-        self.paths: dict[tuple[int, int], PathSpec] = {}
-        #: (lo_rank, hi_rank) -> (latency, bandwidth) plain tuple —
-        #: the :meth:`NetworkModel.message_time` fast table, kept in
-        #: lockstep with ``paths`` so the per-lookup path is one dict
-        #: probe plus the LogGP arithmetic, no PathSpec indirection.
-        self.flat: dict[tuple[int, int], tuple[float, float]] = {}
-        #: (max_samples, seed) -> PathStats
-        self.stats: dict[tuple[int, int], "PathStats"] = {}
-
-
-#: LRU registry of route tables, keyed by ``(Placement.generation,
-#: FaultInjector.serial)`` (serial 0 = healthy machine).  Generations
-#: and injector serials are process-unique and never recycled, so a
-#: stale entry can only waste memory, never alias a different
-#: placement — and fault-adjusted paths can never be observed through
-#: a healthy (or differently-faulted) context; the bound caps that
-#: waste for workloads that churn through placements.
-_route_tables: OrderedDict[tuple[int, int], _RouteTable] = OrderedDict()
-_MAX_ROUTE_TABLES = 32
-
-
-def _route_table(placement: Placement, injector_serial: int) -> _RouteTable:
-    key = (placement.generation, injector_serial)
-    table = _route_tables.get(key)
-    if table is not None:
-        _route_tables.move_to_end(key)
-        return table
-    table = _RouteTable(placement)
-    _route_tables[key] = table
-    if len(_route_tables) > _MAX_ROUTE_TABLES:
-        _route_tables.popitem(last=False)
-    return table
+    injector = current_injector()
+    faults = injector.path_faults if injector is not None else ()
+    return (placement.content_key, faults or None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,31 +73,79 @@ class PathStats:
     cross_node_fraction: float
 
 
+class _RouteTable:
+    """The paths of one :func:`route_key`, computed on first use.
+
+    Every :class:`NetworkModel` whose placement has equal content,
+    built under equal static path faults, shares one table — however
+    and whenever its placement was built — so a path is computed once
+    per content rather than once per model or placement instance.
+    """
+
+    __slots__ = ("cluster", "cpus", "faults", "paths", "flat")
+
+    def __init__(self, key: tuple) -> None:
+        content, self.faults = key
+        self.cluster = content.cluster
+        #: home (thread-0) CPU of each rank
+        self.cpus = content.cpus
+        #: (lo_rank, hi_rank) -> PathSpec; self-paths under (r, r)
+        self.paths: dict[tuple[int, int], PathSpec] = {}
+        #: (lo_rank, hi_rank) -> (latency, bandwidth) plain tuple —
+        #: the :meth:`NetworkModel.message_time` fast table.  Written
+        #: before ``paths``, so a key found in ``paths`` is here too.
+        self.flat: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def path(self, rank_a: int, rank_b: int) -> PathSpec:
+        """Compute, store and return the path between two ranks."""
+        cpus = self.cpus
+        for rank in (rank_a, rank_b):
+            if not 0 <= rank < len(cpus):
+                raise ConfigurationError(
+                    f"rank {rank} outside 0..{len(cpus) - 1}"
+                )
+        cluster = self.cluster
+        if rank_a == rank_b:
+            # Self-messages move through shared memory: model as the
+            # best same-brick path (link faults describe the fabric,
+            # so they leave the in-memory copy alone).
+            node = cluster.nodes[cluster.node_of(cpus[rank_a])]
+            lat, bw = node.interconnect.point_to_point(0)
+            lat, bw = lat * 0.5, bw * 2.0
+        else:
+            cpu_a, cpu_b = cpus[rank_a], cpus[rank_b]
+            lat, bw = cluster.point_to_point(cpu_a, cpu_b)
+            if self.faults is not None:
+                lat, bw = adjust_path(
+                    self.faults, cluster, cpu_a, cpu_b, lat, bw
+                )
+        spec = PathSpec(lat, bw)
+        key = (rank_a, rank_b) if rank_a < rank_b else (rank_b, rank_a)
+        self.flat[key] = (lat, bw)
+        self.paths[key] = spec
+        return spec
+
+
+@memo(maxsize=32)
+def _route_table(key: tuple) -> _RouteTable:
+    return _RouteTable(key)
+
+
 class NetworkModel:
     """Message costs between the ranks of a :class:`Placement`."""
 
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
         self.cluster = placement.cluster
-        # Static path faults (degraded links, router failover, the
-        # released-MPT overhead) are priced here — both the analytic
-        # collective models and the DES MPI layer buy their paths from
-        # this model, so one hook covers both.  Captured at build time
-        # from the ambient fault context; None on a healthy machine.
-        injector = current_injector()
-        self._faults = (
-            injector
-            if injector is not None and injector.has_path_faults
-            else None
-        )
-        table = _route_table(
-            placement, 0 if self._faults is None else self._faults.serial
-        )
-        #: shared with every other NetworkModel for this placement
-        #: (built under the same fault context)
-        self._path_cache: dict[tuple[int, int], PathSpec] = table.paths
-        self._flat_cache: dict[tuple[int, int], tuple[float, float]] = table.flat
-        self._stats_cache: dict[tuple[int, int], PathStats] = table.stats
+        # Static path faults are priced in the route table: both the
+        # analytic collective models and the DES MPI layer buy their
+        # paths from this model, so one hook covers both.  Captured
+        # at build time from the ambient fault context.
+        self._key = route_key(placement)
+        #: shared with every other NetworkModel of equal route key
+        self._table = _route_table(self._key)
+        self._path_cache = self._table.paths
+        self._flat_cache = self._table.flat
 
     def path(self, rank_a: int, rank_b: int) -> PathSpec:
         """Path between the home CPUs of two ranks (thread 0)."""
@@ -140,27 +153,7 @@ class NetworkModel:
         spec = self._path_cache.get(key)
         if spec is not None:
             return spec
-        if rank_a == rank_b:
-            # Self-messages move through shared memory: model as the
-            # best same-brick path (link faults describe the fabric,
-            # so they leave the in-memory copy alone).  Cached under
-            # (r, r) like any other pair.
-            cpu = self.placement.cpu_of(rank_a)
-            node = self.cluster.nodes[self.cluster.node_of(cpu)]
-            lat, bw = node.interconnect.point_to_point(0)
-            lat, bw = lat * 0.5, bw * 2.0
-        else:
-            cpu_a = self.placement.cpu_of(rank_a)
-            cpu_b = self.placement.cpu_of(rank_b)
-            lat, bw = self.cluster.point_to_point(cpu_a, cpu_b)
-            if self._faults is not None:
-                lat, bw = self._faults.adjust_path(
-                    self.cluster, cpu_a, cpu_b, lat, bw
-                )
-        spec = PathSpec(lat, bw)
-        self._path_cache[key] = spec
-        self._flat_cache[key] = (lat, bw)
-        return spec
+        return self._table.path(rank_a, rank_b)
 
     def message_time(self, rank_a: int, rank_b: int, nbytes: float) -> float:
         """LogGP time for one message of ``nbytes``.
@@ -173,8 +166,8 @@ class NetworkModel:
         key = (rank_a, rank_b) if rank_a < rank_b else (rank_b, rank_a)
         flat = self._flat_cache.get(key)
         if flat is None:
-            self.path(rank_a, rank_b)
-            flat = self._flat_cache[key]
+            spec = self._table.path(rank_a, rank_b)
+            return spec.latency + nbytes / spec.bandwidth
         latency, bandwidth = flat
         return latency + nbytes / bandwidth
 
@@ -210,60 +203,52 @@ class NetworkModel:
 
         Exact for small rank counts; deterministic sampling beyond
         ``max_samples`` pairs (all-pairs at 2048 ranks would be ~2M
-        path computations per call).  Memoized in the placement's
-        route table: the first call per ``(max_samples, seed)`` pays
-        the sampling cost, every later call — including through a
-        different NetworkModel for the same placement — returns the
-        same :class:`PathStats` object.
+        path computations per call).  Memoized on ``(route key,
+        max_samples, seed)``: every later call for equal content —
+        through this model or any other — returns the same
+        :class:`PathStats` object.
         """
-        memo_key = (max_samples, seed)
-        cached = self._stats_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        result = self._compute_stats(max_samples, seed)
-        self._stats_cache[memo_key] = result
-        return result
-
-    def _compute_stats(self, max_samples: int, seed: int) -> PathStats:
-        n = self.placement.n_ranks
-        if n == 1:
-            p = self.path(0, 0)
-            return PathStats(p.latency, p.latency, p.bandwidth, p.bandwidth, 0.0)
-        total_pairs = n * (n - 1) // 2
-        if total_pairs <= max_samples:
-            ii, jj = np.triu_indices(n, k=1)
-        else:
-            rng = make_rng(seed)
-            ii = rng.integers(0, n, size=max_samples)
-            jj = rng.integers(0, n - 1, size=max_samples)
-            jj = np.where(jj >= ii, jj + 1, jj)
-        ii = ii.tolist()
-        jj = jj.tolist()
-        # Per-rank home CPUs once (n calls), not once per sampled pair
-        # (2 * samples calls) — ``cpu_of`` validates its arguments, so
-        # hoisting it out of the pair loop is a large share of the
-        # cold-build cost.
-        cpu_of = self.placement.cpu_of
-        cpus = np.fromiter(
-            (cpu_of(r) for r in range(n)), dtype=np.intp, count=n
-        )
-        lats = np.empty(len(ii), dtype=float)
-        bws = np.empty(len(ii), dtype=float)
-        path = self.path
-        for k, (i, j) in enumerate(zip(ii, jj)):
-            p = path(i, j)
-            lats[k] = p.latency
-            bws[k] = p.bandwidth
-        nodes = cpus // self.cluster.cpus_per_node
-        cross = int(np.count_nonzero(nodes[ii] != nodes[jj]))
-        return PathStats(
-            mean_latency=float(lats.mean()),
-            max_latency=float(lats.max()),
-            mean_bandwidth=float(bws.mean()),
-            min_bandwidth=float(bws.min()),
-            cross_node_fraction=cross / len(ii),
-        )
+        return _path_stats(self._key, max_samples, seed)
 
     def neighbor_path(self, rank: int) -> PathSpec:
         """Path to the next rank in MPI_COMM_WORLD order (ring step)."""
         return self.path(rank, (rank + 1) % self.placement.n_ranks)
+
+
+@memo(maxsize=256)
+def _path_stats(key: tuple, max_samples: int, seed: int) -> PathStats:
+    return _compute_stats(_route_table(key), max_samples, seed)
+
+
+def _compute_stats(table: _RouteTable, max_samples: int, seed: int) -> PathStats:
+    n = len(table.cpus)
+    paths, compute = table.paths, table.path
+    if n == 1:
+        p = paths.get((0, 0)) or compute(0, 0)
+        return PathStats(p.latency, p.latency, p.bandwidth, p.bandwidth, 0.0)
+    total_pairs = n * (n - 1) // 2
+    if total_pairs <= max_samples:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        rng = make_rng(seed)
+        ii = rng.integers(0, n, size=max_samples)
+        jj = rng.integers(0, n - 1, size=max_samples)
+        jj = np.where(jj >= ii, jj + 1, jj)
+    ii = ii.tolist()
+    jj = jj.tolist()
+    lats = np.empty(len(ii), dtype=float)
+    bws = np.empty(len(ii), dtype=float)
+    for k, (i, j) in enumerate(zip(ii, jj)):
+        p = paths.get((i, j) if i < j else (j, i)) or compute(i, j)
+        lats[k] = p.latency
+        bws[k] = p.bandwidth
+    cpus = np.asarray(table.cpus, dtype=np.intp)
+    nodes = cpus // table.cluster.cpus_per_node
+    cross = int(np.count_nonzero(nodes[ii] != nodes[jj]))
+    return PathStats(
+        mean_latency=float(lats.mean()),
+        max_latency=float(lats.max()),
+        mean_bandwidth=float(bws.mean()),
+        min_bandwidth=float(bws.min()),
+        cross_node_fraction=cross / len(ii),
+    )

@@ -34,6 +34,7 @@ from repro.faults.context import current_injector
 from repro.machine.compilers import Compiler, compiler_factor
 from repro.machine.infiniband import MPTVersion
 from repro.machine.placement import Placement
+from repro.memo import memo
 from repro.netmodel.collectives import CollectiveModel
 from repro.npb.loadbalance import Assignment, bin_pack
 from repro.npb.multizone import MZProblem, mz_problem
@@ -61,6 +62,14 @@ def thread_efficiency(threads: int) -> float:
     if threads == 1:
         return 1.0
     return 1.0 / (1.0 + 0.11 * (threads - 1) ** 1.25)
+
+
+@memo(maxsize=128)
+def _lpt_assignment(benchmark: str, cls: str, n_ranks: int) -> Assignment:
+    """The LPT zone-to-process assignment of one problem (memoized:
+    every placement of a sweep with this rank count shares it)."""
+    weights = [float(z.points) for z in mz_problem(benchmark, cls).zones]
+    return bin_pack(weights, n_ranks)
 
 
 @dataclass
@@ -94,8 +103,9 @@ class MZTimingModel:
                 f"{nodes_used} participating node(s) hold "
                 f"{available / 1e12:.1f} TB; spread over more nodes"
             )
-        weights = [float(z.points) for z in self.problem.zones]
-        self.assignment: Assignment = bin_pack(weights, self.placement.n_ranks)
+        self.assignment: Assignment = _lpt_assignment(
+            self.benchmark, self.cls, self.placement.n_ranks
+        )
         self._collectives = CollectiveModel(self.placement)
 
     # -- components -----------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.memo import memo
 
 __all__ = ["Zone", "MZProblem", "MZ_CLASSES", "mz_problem", "zone_sizes_1d"]
 
@@ -154,8 +155,13 @@ class MZProblem:
         return 8.0 * 60 * self.total_points
 
 
+@memo(maxsize=32)
 def mz_problem(benchmark: str, cls: str) -> MZProblem:
-    """Instantiate ``bt-mz`` or ``sp-mz`` at problem class ``cls``."""
+    """Instantiate ``bt-mz`` or ``sp-mz`` at problem class ``cls``.
+
+    Memoized: the problem is frozen, and every cell of a multi-zone
+    sweep instantiates the same few.
+    """
     if benchmark not in ("bt-mz", "sp-mz"):
         raise ConfigurationError(
             f"unknown multi-zone benchmark {benchmark!r}"

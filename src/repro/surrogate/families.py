@@ -22,8 +22,7 @@ escalates (or refuses) non-``full`` requests for it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from repro.memo import memo
 from repro.surrogate.models import (
     noise_amplification,
     noisy_max_factor,
@@ -65,13 +64,12 @@ for _wid in EXACT_WORKLOADS:
     register_exact(_wid)
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=64)
 def _noise_placement(ranks: int):
-    """One placement instance per rank count: placements are
-    immutable for modeling purposes, and reusing the instance keeps
-    its generation stable so the network model's route-table cache
-    (keyed on generation × fault-injector serial) actually hits —
-    the difference between a microsecond and a millisecond eval."""
+    """One placement instance per rank count.  The network model's
+    memos key on placement content, so a fresh instance would hit them
+    too; reusing one also skips rebuilding the cluster value and the
+    placement's content key on every inline evaluation."""
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType
     from repro.machine.placement import Placement

@@ -217,8 +217,8 @@ class TestPathFaults:
 
     def test_route_tables_keyed_by_injector(self):
         # A faulted model must never leak adjusted paths into a
-        # healthy model of the same placement (the LRU is keyed on
-        # (generation, injector serial)).
+        # healthy model of the same placement: the route table is
+        # keyed on (placement content, static path-fault tuple).
         cluster = multinode(2, fabric="numalink4", n_cpus=64)
         pl = Placement(cluster, n_ranks=128, spread_nodes=True)
         from repro.netmodel.costs import NetworkModel
@@ -228,6 +228,40 @@ class TestPathFaults:
             faulted_lat = NetworkModel(pl).path(0, 1).latency
         healthy_lat = NetworkModel(pl).path(0, 1).latency
         assert faulted_lat == pytest.approx(10.0 * healthy_lat)
+
+    def test_different_degradations_do_not_share_a_route_table(self):
+        from repro.netmodel.costs import NetworkModel
+
+        cluster = multinode(2, fabric="numalink4", n_cpus=64)
+        models = []
+        for factor in (2.0, 3.0):
+            spec = FaultSpec((LinkDegradation(link_class="inter_node",
+                                              latency_factor=factor),))
+            with use_faults(spec):
+                # a separately built, equal placement each time
+                pl = Placement(cluster, n_ranks=128, spread_nodes=True)
+                models.append(NetworkModel(pl))
+        twice, thrice = models
+        assert twice._table is not thrice._table
+        assert twice.stats() != thrice.stats()
+        assert thrice.path(0, 1).latency > twice.path(0, 1).latency
+
+    def test_equal_degradations_share_a_route_table(self):
+        # Path faults are keyed by content, not by injector: two cells
+        # (two injectors, different salts) with the same static faults
+        # price the same paths once.
+        from repro.netmodel.costs import NetworkModel
+
+        cluster = multinode(2, fabric="numalink4", n_cpus=64)
+        spec = FaultSpec((LinkDegradation(link_class="inter_node",
+                                          latency_factor=5.0),))
+        models = []
+        for salt in ("cell-a", "cell-b"):
+            with use_faults(spec, salt=salt):
+                pl = Placement(cluster, n_ranks=128, spread_nodes=True)
+                models.append(NetworkModel(pl))
+        assert models[0]._table is models[1]._table
+        assert models[0].stats() is models[1].stats()
 
 
 class TestDegradedModes:
@@ -311,6 +345,50 @@ class TestDESFaults:
         assert all(r.ok for run in runs for r in run)
         assert [r.rows for r in runs[0]] == [r.rows for r in runs[1]]
         assert [r.rows for r in runs[0]] != [r.rows for r in healthy]
+
+    def test_des_faulted_ring_runs_its_own_barrier_each_call(self, monkeypatch):
+        """The shared barrier memo is for healthy and static-path-fault
+        contexts only: under DES faults every pattern call draws its
+        own barrier realization, as it did before the memo existed."""
+        import repro.hpcc.beff as beff
+        from repro.memo import clear_memos
+
+        runs = []
+        real = beff._run_barrier
+        monkeypatch.setattr(
+            beff, "_run_barrier", lambda pl: runs.append(pl) or real(pl))
+        pl = Placement(single_node(NodeType.BX2B, n_cpus=16), n_ranks=8)
+        clear_memos()
+        spec = FaultSpec((MessageDrop(probability=0.2),), seed=1)
+        with use_faults(spec, salt="ring"):
+            beff.natural_ring(pl)
+            beff.natural_ring(pl)
+            beff.random_ring(pl, trials=1)
+        assert len(runs) == 3
+        # Healthy: one barrier run for both patterns and every repeat.
+        beff.natural_ring(pl)
+        beff.random_ring(pl, trials=1)
+        beff.natural_ring(Placement(pl.cluster, n_ranks=8))
+        assert len(runs) == 4
+
+    def test_traced_ring_runs_its_own_barrier(self, monkeypatch):
+        # A cell's trace must show its own barrier, whatever ran before.
+        import repro.hpcc.beff as beff
+        from repro.obs.spans import Tracer, use_tracer
+
+        runs = []
+        real = beff._run_barrier
+        monkeypatch.setattr(
+            beff, "_run_barrier", lambda pl: runs.append(pl) or real(pl))
+        pl = Placement(single_node(NodeType.BX2B, n_cpus=16), n_ranks=8)
+        beff.natural_ring(pl)
+        before = len(runs)
+        for _ in range(2):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                beff.natural_ring(pl)
+            assert any(s.name == "barrier" for s in tracer.spans)
+        assert len(runs) == before + 2
 
     def test_retry_spans_and_counter_recorded(self):
         from repro.mpi import run_mpi

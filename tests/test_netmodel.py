@@ -82,6 +82,63 @@ class TestNetworkModel:
         assert net.stats(max_samples=100) == net.stats(max_samples=100)
 
 
+class TestRouteTableSharing:
+    """Route tables and path statistics are keyed on placement content
+    (cluster value + home CPU of every rank), never on the instance."""
+
+    def test_equal_placements_share_one_route_table(self):
+        a = NetworkModel(Placement(multinode(2, n_cpus=64), n_ranks=96))
+        b = NetworkModel(Placement(multinode(2, n_cpus=64), n_ranks=96))
+        assert a.placement is not b.placement
+        assert a._table is b._table
+        assert a.stats() is b.stats()
+
+    def test_equivalent_layouts_share_one_route_table(self):
+        # Paths read only the home CPUs: an explicit cpu_list equal to
+        # the default layout, or stride 2 vs 2 threads per rank, is
+        # the same content.
+        default = Placement(single_node(NodeType.BX2B), n_ranks=16)
+        listed = Placement(default.cluster, n_ranks=16,
+                           cpu_list=tuple(range(16)))
+        assert NetworkModel(default)._table is NetworkModel(listed)._table
+        strided = Placement(default.cluster, n_ranks=16, stride=2)
+        threaded = Placement(default.cluster, n_ranks=16, threads_per_rank=2)
+        assert NetworkModel(strided)._table is NetworkModel(threaded)._table
+
+    def test_different_stride_or_cpu_list_do_not_share(self):
+        cluster = single_node(NodeType.BX2B)
+        base = NetworkModel(Placement(cluster, n_ranks=64))
+        strided = NetworkModel(Placement(cluster, n_ranks=64, stride=4))
+        listed = NetworkModel(Placement(
+            cluster, n_ranks=64, cpu_list=tuple(range(511, 447, -1))))
+        tables = {id(m._table) for m in (base, strided, listed)}
+        assert len(tables) == 3
+        assert base.stats() != strided.stats()
+        assert base.path(0, 63) != strided.path(0, 63)
+
+    def test_different_clusters_do_not_share(self):
+        ib = Placement(multinode(2, fabric="infiniband", n_cpus=64), n_ranks=128)
+        nl = Placement(multinode(2, fabric="numalink4", n_cpus=64), n_ranks=128)
+        assert ib.content_key != nl.content_key
+        assert NetworkModel(ib)._table is not NetworkModel(nl)._table
+        assert NetworkModel(ib).stats() != NetworkModel(nl).stats()
+
+    def test_out_of_range_rank_rejected(self):
+        net = NetworkModel(placement(8))
+        with pytest.raises(ConfigurationError):
+            net.path(0, 8)
+        with pytest.raises(ConfigurationError):
+            net.message_time(-1, 0, 8)
+
+    def test_content_key_survives_pickling(self):
+        import pickle
+
+        pl = Placement(multinode(2, n_cpus=64), n_ranks=128, spread_nodes=True)
+        key = pl.content_key
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key and hash(clone) == hash(key)
+
+
 class TestContention:
     def test_concurrent_flow_factor_floor_is_one(self):
         assert concurrent_flow_factor(1, 8) == 1.0
