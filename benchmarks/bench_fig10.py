@@ -1,6 +1,6 @@
 """Benchmark: Fig. 10: multinode b_eff (fast sweep).
 
-The full sweep (21 cells, up to 2,048 ranks) runs in about 8 s on a
+The full sweep (21 cells, up to 2,048 ranks) runs in about 2 s on a
 2-core x86_64 VM; its output is pinned by ``tests/golden/beff_full.txt``.
 
 Regenerates the experiment and prints the rows/series the paper

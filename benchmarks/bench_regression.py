@@ -321,19 +321,20 @@ def bench_cost_model() -> dict[str, float]:
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType
     from repro.machine.placement import Placement
+    from repro.memo import clear_memos
     from repro.netmodel.collectives import CollectiveModel
     from repro.netmodel.costs import NetworkModel
 
     cluster = single_node(NodeType.BX2B)
 
-    # Cold: a fresh Placement each build (no shared route tables).
-    cold_ms = (
-        _best_time(
-            lambda: CollectiveModel(Placement(cluster, n_ranks=COLLECTIVE_RANKS)),
-            repeats=3,
-        )
-        * 1e3
-    )
+    # Cold: memo-cold process, fresh Placement.  The route table and
+    # path statistics are keyed on placement content, so without the
+    # clear every build after the first would reuse them.
+    def cold():
+        clear_memos()
+        CollectiveModel(Placement(cluster, n_ranks=COLLECTIVE_RANKS))
+
+    cold_ms = _best_time(cold, repeats=3) * 1e3
 
     # Warm: rebuild the model for one placement (sweep-loop shape).
     placement = Placement(cluster, n_ranks=COLLECTIVE_RANKS)

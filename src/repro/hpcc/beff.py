@@ -11,30 +11,36 @@ Three patterns, as the paper uses:
   *remote* communication; reported as a geometric mean over several
   orderings (as the HPCC benchmark reports).
 
-All three are *executed* message-by-message on the DES against the
-simulated machine.  Ring bandwidths are additionally derated by the
-analytic cross-node contention factor (the DES prices paths unloaded;
-a ring loads every path at once — on InfiniBand that saturates the
-per-node card capacity, which is the §4.6.1 "severe problems with
-scalability of InfiniBand" mechanism).
+Ping-pong is *executed* message-by-message on the DES against the
+simulated machine; so are the rings under DES faults or tracing.  Ring
+bandwidths are additionally derated by the analytic cross-node
+contention factor (the DES prices paths unloaded; a ring loads every
+path at once — on InfiniBand that saturates the per-node card
+capacity, which is the §4.6.1 "severe problems with scalability of
+InfiniBand" mechanism).
 
-No DES work whose result is thrown away is simulated:
+No DES work whose result is thrown away, or that a recurrence gives
+exactly, is simulated:
 
 * a ping-pong world runs only its two ranks (``run_mpi(ranks=...)``);
   the idle ranks get no process, mailbox or handle;
-* the dissemination barrier that opens every ring iteration is run
-  once, recording each rank's exit time and injection-free time; every
-  ring world then starts each rank from that snapshot (restore the
-  injection slot, sleep to the exit time) instead of re-running the
-  barrier.  On a healthy machine, and under static path faults, the
-  barrier is a pure function of the network :func:`route key
-  <repro.netmodel.costs.route_key>`, so the snapshot is memoized on it
-  and shared by ``natural_ring``, ``random_ring`` and every later call
-  with equal content: the results are exactly those of a per-world
-  barrier.  Under DES faults (drop, jitter, flap, straggler), or while
-  a tracer records, each pattern call runs its own barrier, shared by
-  that call's rings only — deterministic per fault seed, but not the
-  realization a per-world barrier would draw.
+* every ring iteration opens with a dissemination barrier, computed
+  once per pattern call as each rank's exit time and injection-free
+  time; every ring starts each rank from that snapshot instead of
+  re-running the barrier;
+* on a healthy machine, and under static path faults, the barrier and
+  the rings are pure functions of the network :func:`route key
+  <repro.netmodel.costs.route_key>`: each rank's time depends only on
+  its own injection slot and its neighbors' arrival times.  They run
+  as numpy recurrences over all ranks at once, in the DES's float
+  operation order, so the results are ``==`` to per-world DES runs
+  (``tests/test_hpcc.py`` keeps that reference).  The barrier snapshot
+  is memoized on the route key and shared by ``natural_ring``,
+  ``random_ring`` and every later call with equal content;
+* under DES faults (drop, jitter, flap, straggler), or while a tracer
+  records, the barrier and the rings run on the DES, one barrier per
+  pattern call shared by that call's rings — deterministic per fault
+  seed, but not the realization a per-world barrier would draw.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
-from repro.netmodel.costs import route_key
+from repro.netmodel.costs import NetworkModel, route_key
 from repro.obs.spans import current_tracer
 from repro.sim.process import Timeout
 from repro.sim.rng import make_rng
@@ -64,6 +70,11 @@ __all__ = ["PingPongResult", "RingResult", "pingpong", "natural_ring", "random_r
 #: HPCC message sizes: 8 bytes for latency, 2,000,000 for bandwidth.
 LATENCY_BYTES = 8
 BANDWIDTH_BYTES = 2_000_000
+#: the two ring iterations of every ring pattern call.
+RING_BYTES = (LATENCY_BYTES, BANDWIDTH_BYTES)
+
+#: each rank's ``(exit times, injection-free times)`` out of a barrier.
+_Snapshot = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -143,52 +154,133 @@ def pingpong(
     )
 
 
-def _barrier_exits(placement: Placement) -> tuple[tuple[float, float], ...]:
-    """Each rank's ``(exit time, injection-free time)`` out of the
-    ring's opening barrier: all the state a rank carries out of the
-    barrier into its ring exchange.  Every barrier message is received
-    before its receiver exits, so nothing else outlives it.
+def _healthy() -> bool:
+    """True when no DES fault acts and no tracer records.
 
-    Memoized on the route key unless DES faults act (their draws make
-    each run a new realization) or a tracer records (a cell's trace
-    must show its own barrier).
+    The ring patterns are then pure functions of the network
+    :func:`route key <repro.netmodel.costs.route_key>` and run as the
+    exact recurrences below; otherwise they run on the DES (fault draws
+    make each run a new realization, and a cell's trace must show its
+    own barrier and ring messages).
     """
     injector = current_injector()
     tracer = current_tracer()
-    if (injector is None or not injector.has_des_faults) and (
+    return (injector is None or not injector.has_des_faults) and (
         tracer is None or not tracer.enabled
-    ):
+    )
+
+
+def _barrier_exits(placement: Placement, healthy: bool) -> _Snapshot:
+    """Each rank's exit time and injection-free time out of the ring's
+    opening barrier: all the state a rank carries out of the barrier
+    into its ring exchange.  Every barrier message is received before
+    its receiver exits, so nothing else outlives it.
+
+    Memoized on the route key when ``healthy`` (see :func:`_healthy`).
+    """
+    if healthy:
         return _shared_barrier_exits(route_key(placement))
     return _run_barrier(placement)
 
 
 @memo(maxsize=128)
-def _shared_barrier_exits(key: tuple) -> tuple[tuple[float, float], ...]:
+def _shared_barrier_exits(key: tuple) -> _Snapshot:
     # Runs under the caller's fault context, whose path faults are
     # the key's; the placement is rebuilt from the key's content.
     content, _ = key
-    return _run_barrier(Placement(
+    return _barrier_recurrence(NetworkModel(Placement(
         content.cluster, n_ranks=len(content.cpus), cpu_list=content.cpus
-    ))
+    )))
 
 
-def _run_barrier(placement: Placement) -> tuple[tuple[float, float], ...]:
+def _run_barrier(placement: Placement) -> _Snapshot:
     """Run the ring's opening barrier once on the DES."""
 
     def prog(comm: MPIComm):
         yield from barrier(comm)
         return comm.now, comm.inject_free_at
 
-    return run_mpi(placement, prog).values
+    exit_times, inject_free = np.array(run_mpi(placement, prog).values).T
+    return exit_times, inject_free
 
 
-def _ring_times(
-    placement: Placement,
-    order: list[int],
-    nbytes: int,
-    exits: tuple[tuple[float, float], ...],
-) -> np.ndarray:
-    """Per-rank exchange times for one ring iteration under the DES.
+# The recurrences mirror the DES float for float: a send at ``now``
+# takes the injection slot at ``start = max(slot, now)``, frees it at
+# ``finish = start + nbytes / bandwidth`` and lands at ``now + (finish
+# - now) + latency`` (``MPIComm.isend``'s operation order, kept as is so
+# that equality with the DES needs no rounding argument); a receive
+# posted at ``now`` returns at ``max(now, arrival)``.
+
+
+def _path_arrays(net: NetworkModel, sources, dests) -> tuple[np.ndarray, np.ndarray]:
+    """Latency and bandwidth of each path ``sources[k] -> dests[k]``,
+    read through :meth:`NetworkModel.path` as the DES reads them, so
+    the shared route table fills with the same pairs."""
+    path = net.path
+    specs = [path(a, b) for a, b in zip(sources, dests)]
+    n = len(specs)
+    return (np.fromiter((s.latency for s in specs), float, n),
+            np.fromiter((s.bandwidth for s in specs), float, n))
+
+
+def _barrier_recurrence(net: NetworkModel) -> _Snapshot:
+    """The dissemination barrier of :func:`repro.mpi.collectives.barrier`
+    over all ranks at once: in the round of distance ``d`` every rank
+    sends 1 byte to ``(i + d) % p`` and waits for ``(i - d) % p``."""
+    p = net.placement.n_ranks
+    ranks = np.arange(p)
+    now = np.zeros(p)
+    slot = np.zeros(p)
+    distance = 1
+    while distance < p:
+        lat, bw = _path_arrays(net, ranks.tolist(), ((ranks + distance) % p).tolist())
+        slot = np.maximum(slot, now) + 1 / bw
+        arrival = now + (slot - now) + lat
+        now = np.maximum(now, np.roll(arrival, distance))
+        distance *= 2
+    now.flags.writeable = slot.flags.writeable = False
+    return now, slot
+
+
+def _ring_exchange(
+    placement: Placement, order: list[int], exits: _Snapshot
+) -> list[np.ndarray]:
+    """:func:`_ring_world`'s per-rank times, computed without a DES.
+
+    Arrays run over ring positions: position ``k`` is rank
+    ``order[k]``, which sends to its right neighbor (tag 1), then to
+    its left (tag 2), from the barrier snapshot, and waits for the
+    left neighbor's tag-1 and the right neighbor's tag-2 message.
+    """
+    p = len(order)
+    order = np.asarray(order)
+    lat_r, bw_r = _path_arrays(
+        NetworkModel(placement), order.tolist(), np.roll(order, -1).tolist())
+    # A path is its reverse (one route-table entry per rank pair), so
+    # position k's left path is position k-1's right path.
+    lat_l, bw_l = np.roll(lat_r, 1), np.roll(bw_r, 1)
+    exit_times, inject_free = exits
+    t0 = exit_times[order]
+    slot = inject_free[order]
+    times = []
+    for nbytes in RING_BYTES:
+        first = np.maximum(slot, t0) + nbytes / bw_r
+        # The second send finds the slot busy until ``first`` >= t0.
+        second = first + nbytes / bw_l
+        to_right = t0 + (first - t0) + lat_r
+        to_left = t0 + (second - t0) + lat_l
+        done = np.maximum(np.maximum(t0, np.roll(to_right, 1)), np.roll(to_left, -1))
+        by_rank = np.empty(p)
+        by_rank[order] = done - t0
+        times.append(by_rank)
+    return times
+
+
+def _ring_world(
+    placement: Placement, order: list[int], exits: _Snapshot
+) -> list[np.ndarray]:
+    """Per-rank exchange times for one ring iteration under the DES,
+    one world per size of :data:`RING_BYTES`.
 
     ``order`` is the ring permutation: rank ``order[k]`` exchanges with
     ``order[k-1]`` and ``order[(k+1) % p]`` simultaneously.  Each
@@ -202,24 +294,37 @@ def _ring_times(
     """
     p = placement.n_ranks
     pos = {rank: k for k, rank in enumerate(order)}
+    exit_times, inject_free = (column.tolist() for column in exits)
 
-    def prog(comm: MPIComm):
-        k = pos[comm.rank]
-        right = order[(k + 1) % p]
-        left = order[(k - 1) % p]
-        exit_time, inject_free = exits[comm.rank]
-        comm.inject_free_at = inject_free
-        yield Timeout(comm.sim, exit_time)
-        t0 = comm.now
-        # Bidirectional exchange with both neighbors, as b_eff does.
-        comm.isend(right, nbytes, tag=1)
-        comm.isend(left, nbytes, tag=2)
-        yield comm.irecv(left, tag=1)
-        yield comm.irecv(right, tag=2)
-        return comm.now - t0
+    def prog_for(nbytes: int):
+        def prog(comm: MPIComm):
+            k = pos[comm.rank]
+            right = order[(k + 1) % p]
+            left = order[(k - 1) % p]
+            comm.inject_free_at = inject_free[comm.rank]
+            yield Timeout(comm.sim, exit_times[comm.rank])
+            t0 = comm.now
+            # Bidirectional exchange with both neighbors, as b_eff does.
+            comm.isend(right, nbytes, tag=1)
+            comm.isend(left, nbytes, tag=2)
+            yield comm.irecv(left, tag=1)
+            yield comm.irecv(right, tag=2)
+            return comm.now - t0
 
-    result = run_mpi(placement, prog)
-    return np.asarray(result.values, dtype=float)
+        return prog
+
+    return [np.asarray(run_mpi(placement, prog_for(nbytes)).values, dtype=float)
+            for nbytes in RING_BYTES]
+
+
+def _ring_iteration(placement: Placement):
+    """``run(order)`` -> per-rank times of one ring iteration at each
+    size of :data:`RING_BYTES`.  The opening barrier is computed here,
+    once per pattern call, and shared by all of that call's rings."""
+    healthy = _healthy()
+    exits = _barrier_exits(placement, healthy)
+    ring = _ring_exchange if healthy else _ring_world
+    return lambda order: ring(placement, order, exits)
 
 
 def natural_ring(placement: Placement) -> RingResult:
@@ -231,10 +336,8 @@ def natural_ring(placement: Placement) -> RingResult:
     per-process sustained rate.
     """
     p = placement.n_ranks
-    order = list(range(p))
-    exits = _barrier_exits(placement)
-    lat = float(np.max(_ring_times(placement, order, LATENCY_BYTES, exits)))
-    bw_times = _ring_times(placement, order, BANDWIDTH_BYTES, exits)
+    lat_times, bw_times = _ring_iteration(placement)(list(range(p)))
+    lat = float(np.max(lat_times))
     # Few neighbor pairs cross nodes in natural order.
     cross = cross_node_flow_factor(placement, concurrent_fraction=2.0 / max(2, p))
     per_cpu = float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross
@@ -256,12 +359,10 @@ def random_ring(placement: Placement, trials: int = 3, seed: int = 1) -> RingRes
     lats, bws = [], []
     cross = cross_node_flow_factor(placement, concurrent_fraction=1.0)
     cross *= random_permutation_factor(p / placement.n_nodes_used())
-    exits = _barrier_exits(placement)
+    ring = _ring_iteration(placement)
     for _ in range(max(1, trials)):
-        order = [int(r) for r in rng.permutation(p)]
-        lats.append(float(np.mean(
-            _ring_times(placement, order, LATENCY_BYTES, exits))))
-        bw_times = _ring_times(placement, order, BANDWIDTH_BYTES, exits)
+        lat_times, bw_times = ring([int(r) for r in rng.permutation(p)])
+        lats.append(float(np.mean(lat_times)))
         bws.append(float(np.mean(2.0 * BANDWIDTH_BYTES / bw_times)) / cross)
     geo = lambda xs: float(math.exp(np.mean(np.log(xs))))
     return RingResult(placement.total_cpus, geo(lats), geo(bws))

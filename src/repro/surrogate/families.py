@@ -9,9 +9,10 @@ for ``fidelity="analytic"``?" per workload:
   is why they are exact, not that they are closed form: most are
   (MZ timing model, bandwidth/latency arithmetic, capacity planning),
   but ``fig5.cell``, ``fig10.cell`` and ``sec42.cell`` run the b_eff
-  patterns on the DES, and an analytic request for them runs that
-  DES inline.  The calibration job *verifies* the exactness (rel.
-  error must be 0.0) rather than trusting this comment.
+  ping-pong on the DES (and the rings too under DES faults or
+  tracing), and an analytic request for them runs that DES inline.
+  The calibration job *verifies* the exactness (rel. error must be
+  0.0) rather than trusting this comment.
 * ``ext_noise.cell`` is the only workload with a real modeled
   surrogate (below) whose error the calibration job measures and
   bounds.

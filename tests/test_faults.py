@@ -353,10 +353,17 @@ class TestDESFaults:
         import repro.hpcc.beff as beff
         from repro.memo import clear_memos
 
-        runs = []
+        runs, built, worlds = [], [], []
         real = beff._run_barrier
         monkeypatch.setattr(
             beff, "_run_barrier", lambda pl: runs.append(pl) or real(pl))
+        recurrence = beff._barrier_recurrence
+        monkeypatch.setattr(
+            beff, "_barrier_recurrence",
+            lambda net: built.append(net) or recurrence(net))
+        run_mpi = beff.run_mpi
+        monkeypatch.setattr(
+            beff, "run_mpi", lambda *a, **kw: worlds.append(a) or run_mpi(*a, **kw))
         pl = Placement(single_node(NodeType.BX2B, n_cpus=16), n_ranks=8)
         clear_memos()
         spec = FaultSpec((MessageDrop(probability=0.2),), seed=1)
@@ -365,11 +372,16 @@ class TestDESFaults:
             beff.natural_ring(pl)
             beff.random_ring(pl, trials=1)
         assert len(runs) == 3
-        # Healthy: one barrier run for both patterns and every repeat.
+        assert not built
+        # Healthy: one barrier recurrence for both patterns and every
+        # repeat, and no DES world for the barrier or the rings.
+        worlds.clear()
         beff.natural_ring(pl)
         beff.random_ring(pl, trials=1)
         beff.natural_ring(Placement(pl.cluster, n_ranks=8))
-        assert len(runs) == 4
+        assert len(runs) == 3
+        assert len(built) == 1
+        assert worlds == []
 
     def test_traced_ring_runs_its_own_barrier(self, monkeypatch):
         # A cell's trace must show its own barrier, whatever ran before.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import parse_faults, use_faults
@@ -22,7 +22,9 @@ from repro.hpcc.beff import (
     LATENCY_BYTES,
     PingPongResult,
     RingResult,
+    _barrier_recurrence,
     _pair_sample,
+    _ring_exchange,
 )
 from repro.hpcc.dgemm import dgemm_problem_size
 from repro.machine.cluster import multinode, single_node
@@ -34,6 +36,7 @@ from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
+from repro.netmodel.costs import NetworkModel
 from repro.sim.rng import make_rng
 from repro.units import GIB, to_gb_per_s
 
@@ -244,3 +247,58 @@ class TestBeffMatchesReference:
             want = (_ref_pingpong(pl, max_pairs=6), _ref_natural_ring(pl),
                     _ref_random_ring(pl, trials=2, seed=4))
         assert got == want
+
+
+def _ref_barrier(placement):
+    def prog(comm):
+        yield from barrier(comm)
+        return comm.now, comm.inject_free_at
+
+    return run_mpi(placement, prog).values
+
+
+class TestRecurrencesMatchDES:
+    """The healthy ring patterns run no DES world: the barrier and ring
+    recurrences must be bit-for-bit the one-world DES reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["single", "numalink4", "infiniband"]),
+        p=st.integers(1, 96),
+        seed=st.integers(0, 2**16),
+        faults=st.sampled_from([None, _DEGRADE]),
+    )
+    @example(kind="single", p=1, seed=0, faults=None)
+    @example(kind="numalink4", p=2, seed=0, faults=_DEGRADE)
+    @example(kind="infiniband", p=3, seed=5, faults=None)
+    @example(kind="infiniband", p=96, seed=7, faults=_DEGRADE)
+    def test_barrier_and_ring_times_equal_one_world_des(self, kind, p, seed, faults):
+        pl = _beff_placement(kind, p)
+        order = [int(r) for r in make_rng(seed).permutation(p)]
+        with use_faults(parse_faults(faults) if faults else None):
+            exits = _barrier_recurrence(NetworkModel(pl))
+            got = _ring_exchange(pl, order, exits)
+            want_exits = _ref_barrier(pl)
+            want = [_ref_ring_times(pl, order, nbytes)
+                    for nbytes in (LATENCY_BYTES, BANDWIDTH_BYTES)]
+        assert tuple(zip(exits[0].tolist(), exits[1].tolist())) == want_exits
+        for times, ref in zip(got, want):
+            assert times.tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("experiment,max_cpus", [("fig5", 64), ("fig10", 64)])
+    def test_traced_rows_equal_untraced_rows(self, experiment, max_cpus):
+        """Tracing runs the rings on the DES; the rows must not change."""
+        import repro.core  # noqa: F401  (registers the experiments)
+        from repro.core.registry import resolve_experiment
+        from repro.obs.spans import Tracer, use_tracer
+        from repro.run.runner import execute_scenario
+
+        cells = [c for c in resolve_experiment(experiment).scenarios(fast=True)
+                 if dict(c.params)["cpus"] <= max_cpus]
+        assert cells
+        for cell in cells:
+            tracer = Tracer()
+            with use_tracer(tracer):
+                traced = execute_scenario(cell)
+            assert any(s.name == "barrier" for s in tracer.spans), cell
+            assert traced == execute_scenario(cell), cell

@@ -76,11 +76,14 @@ def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
 
 #: Runs ``repro run fig5`` then ``repro run fig10`` in one process
 #: (then the full fig6, fig7, fig9 and fig11 sweeps) and reports, on
-#: stderr's last line, how often the memoized pure work
-#: actually ran against how many distinct contents asked for it.  The
-#: distinct contents are derived here from ``cpu_of``, independently
-#: of the memo keys, so a key that regained per-instance identity
-#: would show more runs than contents.
+#: stderr's last line, how often the memoized pure work (path
+#: statistics, the b_eff barrier recurrence) actually ran against how
+#: many distinct contents asked for it.  The distinct contents are
+#: derived here from ``cpu_of``, independently of the memo keys, so a
+#: key that regained per-instance identity would show more runs than
+#: contents.  It also reports the DES worlds the two b_eff sweeps
+#: started against the ping-pong worlds they need (two per sampled
+#: pair): a healthy ring or barrier runs as a recurrence, not a world.
 _COUNTING_SCRIPT = """
 import contextlib, io, json, sys
 from repro.cli import main
@@ -105,21 +108,34 @@ def counted(name, fn):
     return run
 
 costs._compute_stats = counted("stats", costs._compute_stats)
-beff._run_barrier = counted("barrier", beff._run_barrier)
+beff._barrier_recurrence = counted("barrier", beff._barrier_recurrence)
+worlds = {"run_mpi": 0, "pingpong": 0}
+run_mpi = beff.run_mpi
+def counted_run_mpi(*args, **kwargs):
+    worlds["run_mpi"] += 1
+    return run_mpi(*args, **kwargs)
+beff.run_mpi = counted_run_mpi
+pair_sample = beff._pair_sample
+def counted_pairs(*args):
+    pairs = pair_sample(*args)
+    worlds["pingpong"] += 2 * len(pairs)
+    return pairs
+beff._pair_sample = counted_pairs
 stats = costs.NetworkModel.stats
 def asked_stats(self, max_samples=2048, seed=0):
     asked["stats"].add((content(self.placement), self._key[1], max_samples, seed))
     return stats(self, max_samples, seed)
 costs.NetworkModel.stats = asked_stats
 exits = beff._barrier_exits
-def asked_exits(placement):
+def asked_exits(placement, healthy):
     asked["barrier"].add((content(placement), costs.route_key(placement)[1]))
-    return exits(placement)
+    return exits(placement, healthy)
 beff._barrier_exits = asked_exits
 
 for name in ("fig5", "fig10"):
     if main(["run", name, "--no-cache"]):
         sys.exit(1)
+beff_worlds = [worlds["run_mpi"], worlds["pingpong"]]
 # The b_eff sweeps build no path statistics; these full sweeps do
 # (fig11 under COLUMBIA_DEGRADED's path fault).  Counted only: their
 # output is not compared here.
@@ -127,20 +143,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     for name in ("fig6", "fig7", "fig9", "fig11"):
         if main(["run", name, "--no-cache"]):
             sys.exit(1)
-print(json.dumps({k: [runs[k], len(asked[k])] for k in runs}), file=sys.stderr)
+print(json.dumps({"memo": {k: [runs[k], len(asked[k])] for k in runs},
+                  "beff_worlds": beff_worlds}), file=sys.stderr)
 """
 
 
 def test_full_beff_sweeps_match_golden():
-    """Both full b_eff sweeps print the golden, and each path-statistics
-    build and each shared b_eff barrier runs once per distinct content
-    (no sweep here carries DES faults, so every barrier is shareable)."""
+    """Both full b_eff sweeps print the golden; each path-statistics
+    build and each shared b_eff barrier recurrence runs once per
+    distinct content (no sweep here carries DES faults or a tracer, so
+    every barrier is shareable); and the b_eff sweeps start no DES world
+    but the ping-pong ones."""
     run = _repro(script=_COUNTING_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout == BEFF_GOLDEN.read_text()
     counts = json.loads(run.stderr.strip().splitlines()[-1])
-    for name, (ran, distinct) in counts.items():
+    for name, (ran, distinct) in counts["memo"].items():
         assert 0 < ran == distinct, (name, counts)
+    started, pingpong = counts["beff_worlds"]
+    assert 0 < started == pingpong, counts
 
 
 def test_repro_list_matches_golden():
