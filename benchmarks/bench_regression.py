@@ -329,7 +329,10 @@ def bench_cost_model() -> dict[str, float]:
 
     # Cold: memo-cold process, fresh Placement.  The route table and
     # path statistics are keyed on placement content, so without the
-    # clear every build after the first would reuse them.
+    # clear every build after the first would reuse them.  This is the
+    # kernel behind ``paper_full_cold``'s ``netmodel.path_stats_s``
+    # (ROADMAP item 3): one bulk path-pricing call over the sampled
+    # pairs of a 256-rank placement.
     def cold():
         clear_memos()
         CollectiveModel(Placement(cluster, n_ranks=COLLECTIVE_RANKS))

@@ -20,6 +20,7 @@ connectivity machinery has real geometry to chew on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,11 @@ class GridBlock:
 
 @dataclass(frozen=True)
 class OversetSystem:
-    """A complete multi-block overset grid system."""
+    """A complete multi-block overset grid system.
+
+    Its aggregate sums are cached on first use: systems are memoized
+    and every timing-model call reads them.
+    """
 
     name: str
     blocks: tuple[GridBlock, ...]
@@ -76,11 +81,11 @@ class OversetSystem:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return sum(b.points for b in self.blocks)
 
-    @property
+    @cached_property
     def total_surface_points(self) -> int:
         return sum(b.surface_points for b in self.blocks)
 

@@ -9,10 +9,10 @@ runs are bit-identical between sequential and parallel sweeps.
 Hook points (all no-ops on a healthy machine, where the ambient
 injector is ``None`` and none of this code runs):
 
-* :func:`adjust_path` — static path faults (link degradation, router
+* :func:`adjust_paths` — static path faults (link degradation, router
   failover, the released-MPT latency, the injector's
-  :attr:`~FaultInjector.path_faults`), applied once per computed path
-  by the network cost model's route table, which is keyed on those
+  :attr:`~FaultInjector.path_faults`), applied to each path array the
+  network cost model's route table prices, which is keyed on those
   faults' content;
 * :meth:`compute_seconds` — stragglers and OS jitter, applied per
   compute span in :meth:`repro.mpi.comm.MPIComm.compute`;
@@ -40,7 +40,7 @@ from repro.faults.spec import (
     Straggler,
 )
 
-__all__ = ["FaultInjector", "adjust_path", "build_injector"]
+__all__ = ["FaultInjector", "adjust_paths", "build_injector"]
 
 #: Random draws fetched per RNG refill.  Each randomness-consuming
 #: fault owns an independent substream (see ``_derive_seed``'s tag),
@@ -122,7 +122,7 @@ class FaultInjector:
         self.salt = salt
         self._rng = None  # built lazily: most faults never draw
         #: the static path faults, in spec order: with the cluster, the
-        #: whole input of :func:`adjust_path` (which draws no random
+        #: whole input of :func:`adjust_paths` (which draws no random
         #: numbers), so equal tuples price every path the same.
         self.path_faults = tuple(
             f for f in spec.faults
@@ -282,45 +282,56 @@ class FaultInjector:
         return tuple(delays)
 
 
-def adjust_path(
-    faults: tuple, cluster, cpu_a: int, cpu_b: int,
-    latency: float, bandwidth: float,
-) -> tuple[float, float]:
-    """Fault-adjusted ``(latency, bandwidth)`` of one path.
+def adjust_paths(
+    faults: tuple, cluster, node_a, local_a, node_b, local_b,
+    latency, bandwidth,
+) -> None:
+    """Apply static path faults to ``latency``/``bandwidth`` arrays
+    in place.
 
-    ``faults`` is a :attr:`FaultInjector.path_faults` tuple.  Called
-    once per *computed* path (results are kept in the route table
-    keyed on ``faults``), so the classification cost here is off the
-    per-message path.
+    Element ``k`` is the path between CPU ``(node_a[k], local_a[k])``
+    and ``(node_b[k], local_b[k])`` of ``cluster`` (the form
+    :meth:`~repro.machine.cluster.Cluster.locate` returns).
+    ``faults`` is a :attr:`FaultInjector.path_faults` tuple, applied
+    in order with the same float operations per element as a scalar
+    loop would.  Called by the pricing kernel of a route table keyed
+    on ``faults``, once per priced array, so the classification cost
+    here is off the per-message path.
     """
-    na = cluster.node_of(cpu_a)
-    nb = cluster.node_of(cpu_b)
-    if na != nb:
-        link = "inter_node"
-    else:
-        hops = cluster.nodes[na].hops(
-            cluster.local_cpu(cpu_a), cluster.local_cpu(cpu_b)
-        )
-        link = "intra_brick" if hops == 0 else "intra_node"
+    import numpy as np
+
+    inter = node_a != node_b
+    # Zero router hops exactly when both CPUs share a C-Brick.
+    per_brick = np.array([node.brick.cpus for node in cluster.nodes])
+    same_brick = ~inter & (
+        local_a // per_brick[node_a] == local_b // per_brick[node_b]
+    )
+    links = {
+        "any": np.ones_like(inter),
+        "inter_node": inter,
+        "intra_brick": same_brick,
+        "intra_node": ~inter & ~same_brick,
+    }
     for fault in faults:
         if isinstance(fault, LinkDegradation):
-            if fault.link_class in ("any", link):
-                latency = latency * fault.latency_factor + fault.extra_latency
-                bandwidth = bandwidth * fault.bandwidth_factor
+            sel = links[fault.link_class]
+            latency[sel] = latency[sel] * fault.latency_factor + fault.extra_latency
+            bandwidth[sel] = bandwidth[sel] * fault.bandwidth_factor
         elif isinstance(fault, RouterFailover):
-            if fault.node in (na, nb) and (na != nb or link == "intra_node"):
-                # The detour takes extra hops through this node's
-                # router fabric, priced with its per-hop parameters.
-                ic = cluster.nodes[fault.node % len(cluster.nodes)].interconnect
-                latency += fault.extra_hops * ic.per_hop_latency
-                bandwidth /= 1.0 + fault.extra_hops * ic.per_hop_bw_derate
+            # The detour takes extra hops through this node's router
+            # fabric, priced with its per-hop parameters.
+            sel = ((node_a == fault.node) | (node_b == fault.node)) & (
+                inter | links["intra_node"]
+            )
+            ic = cluster.nodes[fault.node % len(cluster.nodes)].interconnect
+            latency[sel] += fault.extra_hops * ic.per_hop_latency
+            bandwidth[sel] /= 1.0 + fault.extra_hops * ic.per_hop_bw_derate
         else:  # MptAnomaly
-            if link == "inter_node" and cluster.fabric == "infiniband":
+            if cluster.fabric == "infiniband":
                 from repro.machine.infiniband import MPTVersion
 
                 if cluster.mpt is MPTVersion.MPT_1_11R:
-                    latency += fault.extra_latency
-    return latency, bandwidth
+                    latency[inter] += fault.extra_latency
 
 
 def build_injector(spec: FaultSpec, salt: str = "") -> FaultInjector:

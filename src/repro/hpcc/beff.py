@@ -212,17 +212,6 @@ def _run_barrier(placement: Placement) -> _Snapshot:
 # posted at ``now`` returns at ``max(now, arrival)``.
 
 
-def _path_arrays(net: NetworkModel, sources, dests) -> tuple[np.ndarray, np.ndarray]:
-    """Latency and bandwidth of each path ``sources[k] -> dests[k]``,
-    read through :meth:`NetworkModel.path` as the DES reads them, so
-    the shared route table fills with the same pairs."""
-    path = net.path
-    specs = [path(a, b) for a, b in zip(sources, dests)]
-    n = len(specs)
-    return (np.fromiter((s.latency for s in specs), float, n),
-            np.fromiter((s.bandwidth for s in specs), float, n))
-
-
 def _barrier_recurrence(net: NetworkModel) -> _Snapshot:
     """The dissemination barrier of :func:`repro.mpi.collectives.barrier`
     over all ranks at once: in the round of distance ``d`` every rank
@@ -233,7 +222,7 @@ def _barrier_recurrence(net: NetworkModel) -> _Snapshot:
     slot = np.zeros(p)
     distance = 1
     while distance < p:
-        lat, bw = _path_arrays(net, ranks.tolist(), ((ranks + distance) % p).tolist())
+        lat, bw = net.path_arrays(ranks, (ranks + distance) % p)
         slot = np.maximum(slot, now) + 1 / bw
         arrival = now + (slot - now) + lat
         now = np.maximum(now, np.roll(arrival, distance))
@@ -254,10 +243,9 @@ def _ring_exchange(
     """
     p = len(order)
     order = np.asarray(order)
-    lat_r, bw_r = _path_arrays(
-        NetworkModel(placement), order.tolist(), np.roll(order, -1).tolist())
-    # A path is its reverse (one route-table entry per rank pair), so
-    # position k's left path is position k-1's right path.
+    lat_r, bw_r = NetworkModel(placement).path_arrays(order, np.roll(order, -1))
+    # A path is priced the same both ways, so position k's left path
+    # is position k-1's right path.
     lat_l, bw_l = np.roll(lat_r, 1), np.roll(bw_r, 1)
     exit_times, inject_free = exits
     t0 = exit_times[order]

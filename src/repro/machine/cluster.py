@@ -118,28 +118,94 @@ class Cluster:
     def node(self, index: int) -> AltixNode:
         return self.nodes[index]
 
+    def locate(self, cpus) -> tuple:
+        """``(node, local_cpu)`` integer arrays of an array of global
+        CPU ids: the vector form of :meth:`node_of`/:meth:`local_cpu`."""
+        import numpy as np
+
+        cpus = np.asarray(cpus, dtype=np.intp)
+        size, offsets = self._geometry()
+        outside = (cpus < 0) | (cpus >= offsets[-1])
+        if outside.any():
+            raise ConfigurationError(
+                f"cpu {int(cpus[outside][0])} outside cluster of {offsets[-1]}"
+            )
+        if size is not None:
+            return cpus // size, cpus % size
+        starts = np.asarray(offsets, dtype=np.intp)
+        nodes = np.searchsorted(starts, cpus, side="right") - 1
+        return nodes, cpus - starts[nodes]
+
     # -- communication cost ---------------------------------------------------
 
-    def point_to_point(self, cpu_a: int, cpu_b: int) -> tuple[float, float]:
-        """(latency_s, bandwidth_Bps) between two global CPUs.
+    def _numalink_tables(self) -> tuple:
+        """``(depth_by_node, lat_by_hops, bw_by_hops)`` of cross-node
+        NUMAlink4 paths, memoized on the instance like
+        :meth:`_geometry`: a path climbs each node's fat tree to its
+        root (``depth_by_node[i]`` hops), then crosses the inter-node
+        link, priced per total hop count."""
+        try:
+            return self.__dict__["_nl_tables"]
+        except KeyError:
+            import numpy as np
+
+            from repro.machine.router import tree_depth
+
+            depth = np.array(
+                [tree_depth(node.n_bricks) for node in self.nodes], dtype=np.intp
+            )
+            lat_by_hops, bw_by_hops = np.array(
+                [NUMALINK4.point_to_point(hops, internode=True)
+                 for hops in range(2 * int(depth.max()) + 1)],
+                dtype=float,
+            ).T
+            tables = (depth, lat_by_hops, bw_by_hops)
+            for shared in tables:
+                shared.flags.writeable = False
+            object.__setattr__(self, "_nl_tables", tables)
+            return tables
+
+    def path_arrays(self, node_a, local_a, node_b, local_b) -> tuple:
+        """``(latency_s, bandwidth_Bps)`` arrays of the paths between
+        CPU ``(node_a[k], local_a[k])`` and ``(node_b[k], local_b[k])``,
+        as :meth:`locate` returns them.
 
         Intra-node messages use the node's own NUMAlink; inter-node
         messages use the cluster fabric (NUMAlink4 between the linked
-        BX2b nodes, or the InfiniBand switch).
+        BX2b nodes, or the InfiniBand switch).  Every path is a table
+        gather: per distinct node for same-node pairs, per hop count
+        for NUMAlink4 pairs, one switch constant for InfiniBand.
         """
-        na, nb = self.node_of(cpu_a), self.node_of(cpu_b)
-        if na == nb:
-            node = self.nodes[na]
-            return node.point_to_point(self.local_cpu(cpu_a), self.local_cpu(cpu_b))
-        if self.fabric == "numalink4":
-            # Cross-node NUMAlink: climb each node's fat tree to its
-            # root, then cross the inter-node link.
-            from repro.machine.router import tree_depth
+        import numpy as np
 
-            node_a, node_b = self.nodes[na], self.nodes[nb]
-            hops = tree_depth(node_a.n_bricks) + tree_depth(node_b.n_bricks)
-            return NUMALINK4.point_to_point(hops, internode=True)
-        return self.infiniband.point_to_point(len(self.nodes))
+        if len(self.nodes) == 1:
+            return self.nodes[0].path_arrays(local_a, local_b)
+        lat = np.empty(node_a.shape)
+        bw = np.empty(node_a.shape)
+        same = node_a == node_b
+        for index in np.unique(node_a[same]).tolist():
+            sel = same & (node_a == index)
+            lat[sel], bw[sel] = self.nodes[index].path_arrays(
+                local_a[sel], local_b[sel]
+            )
+        cross = ~same
+        if cross.any():
+            if self.fabric == "numalink4":
+                depth, lat_by_hops, bw_by_hops = self._numalink_tables()
+                hops = depth[node_a[cross]] + depth[node_b[cross]]
+                lat[cross], bw[cross] = lat_by_hops[hops], bw_by_hops[hops]
+            else:
+                lat[cross], bw[cross] = self.infiniband.point_to_point(
+                    len(self.nodes)
+                )
+        return lat, bw
+
+    def point_to_point(self, cpu_a: int, cpu_b: int) -> tuple[float, float]:
+        """(latency_s, bandwidth_Bps) between two global CPUs: a
+        one-element :meth:`path_arrays`."""
+        nodes, local = self.locate((cpu_a, cpu_b))
+        lat, bw = self.path_arrays(nodes[:1], local[:1], nodes[1:], local[1:])
+        return float(lat[0]), float(bw[0])
 
     def crosses_nodes(self, cpu_a: int, cpu_b: int) -> bool:
         return self.node_of(cpu_a) != self.node_of(cpu_b)

@@ -173,20 +173,23 @@ class AltixNode:
         return hop_count(self.brick_of(cpu_a), self.brick_of(cpu_b))
 
     def _path_tables(self) -> tuple:
-        """``(brick_hops, pp_by_hops, cpus_per_brick)`` lookup tables.
+        """``(brick_hops, lat_by_hops, bw_by_hops, cpus_per_brick)``.
 
-        ``brick_hops[a][b]`` is the router hop count between bricks,
-        ``pp_by_hops[h]`` the finished clock-scaled ``(latency,
-        bandwidth)`` for an ``h``-hop intra-node path.  Built lazily on
-        first path query and memoized on the instance (a frozen
-        dataclass, hence ``object.__setattr__`` — the same idiom as
+        ``brick_hops[a, b]`` is the router hop count between bricks,
+        ``lat_by_hops[h]``/``bw_by_hops[h]`` the finished clock-scaled
+        latency and bandwidth of an ``h``-hop intra-node path, all as
+        numpy arrays.  Built lazily on first path query and memoized
+        on the instance (a frozen dataclass, hence
+        ``object.__setattr__`` — the same idiom as
         ``Placement.content_key``): node objects are themselves
         memoized by :func:`build_node`, so each variant tabulates once
-        per memo entry.
+        per memo entry, never once per path query.
         """
         try:
             return self.__dict__["_ptables"]
         except KeyError:
+            import numpy as np
+
             from repro.machine.router import hop_table, tree_depth
 
             speed = self.processor.clock_hz / 1.5e9
@@ -200,12 +203,18 @@ class AltixNode:
                 # generation; MPI software overhead runs on the CPU,
                 # so latency scales with clock too (§4.1.1).
                 pp.append((lat / speed, min(bw, memcpy_bw)))
-            tables = (hop_table(self.n_bricks), tuple(pp), self.brick.cpus)
+            lat_by_hops, bw_by_hops = np.array(pp, dtype=float).T
+            brick_hops = np.array(hop_table(self.n_bricks), dtype=np.intp)
+            for shared in (brick_hops, lat_by_hops, bw_by_hops):
+                shared.flags.writeable = False
+            tables = (brick_hops, lat_by_hops, bw_by_hops, self.brick.cpus)
             object.__setattr__(self, "_ptables", tables)
             return tables
 
-    def point_to_point(self, cpu_a: int, cpu_b: int) -> tuple[float, float]:
-        """(latency_s, bandwidth_Bps) for an intra-node MPI message.
+    def path_arrays(self, local_a, local_b) -> tuple:
+        """``(latency_s, bandwidth_Bps)`` arrays of intra-node MPI
+        paths between node-local CPU id arrays ``local_a[k]`` and
+        ``local_b[k]`` (in range: the caller checks).
 
         The MPI software overhead (message matching, copies in and out
         of MPT buffers) runs on the CPU, so both latency and the
@@ -214,23 +223,22 @@ class AltixNode:
         Ring, where local communication predominates, processor speed
         is the determining factor", with a partial effect on remote
         paths ("In the Random Ring ... both processor speed and
-        interconnect show effects").
-
-        All the arithmetic is precomputed per hop count (this runs
-        once per distinct rank pair of every placement, the cost-model
-        cold-build hot path): two table subscripts replace the
-        interconnect/clock-scaling math.
+        interconnect show effects").  All the arithmetic is
+        precomputed per hop count, so a path is three gathers.
         """
-        brick_hops, pp, cpus_per_brick = self._path_tables()
-        if cpu_a < 0 or cpu_b < 0:
-            raise ConfigurationError("cpu indices must be non-negative")
-        try:
-            hops = brick_hops[cpu_a // cpus_per_brick][cpu_b // cpus_per_brick]
-        except IndexError:
-            raise ConfigurationError(
-                f"cpu {max(cpu_a, cpu_b)} outside node of {self.n_cpus}"
-            ) from None
-        return pp[hops]
+        brick_hops, lat_by_hops, bw_by_hops, per_brick = self._path_tables()
+        hops = brick_hops[local_a // per_brick, local_b // per_brick]
+        return lat_by_hops[hops], bw_by_hops[hops]
+
+    def point_to_point(self, cpu_a: int, cpu_b: int) -> tuple[float, float]:
+        """(latency_s, bandwidth_Bps) for one intra-node MPI message:
+        a one-element :meth:`path_arrays`."""
+        import numpy as np
+
+        self._check_cpu(cpu_a)
+        self._check_cpu(cpu_b)
+        lat, bw = self.path_arrays(np.array([cpu_a]), np.array([cpu_b]))
+        return float(lat[0]), float(bw[0])
 
     @property
     def peak_flops(self) -> float:

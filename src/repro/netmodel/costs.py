@@ -5,7 +5,17 @@
 where the path parameters come from the machine model: NUMAlink hop
 counts inside a node, the NUMAlink4 inter-node link, or the InfiniBand
 switch, as appropriate for the two CPUs the communicating ranks are
-pinned to.
+pinned to, then adjusted by the static path faults in force.
+
+Paths are priced by one vectorized kernel per content-keyed route
+table (:meth:`_RouteTable.price`): rank arrays in, latency and
+bandwidth arrays out, as numpy gathers over the machine's per-hop
+tables.  Bulk consumers — the b_eff recurrences, :meth:`NetworkModel.
+stats`, :meth:`NetworkModel.message_times` — call it through
+:meth:`NetworkModel.path_arrays`.  The DES prices one message at a
+time through :meth:`NetworkModel.path`/:meth:`~NetworkModel.
+message_time`, which keep per-pair dicts and price a miss through the
+same kernel, so there is one pricing implementation.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.context import current_injector
-from repro.faults.injector import adjust_path
+from repro.faults.injector import adjust_paths
 from repro.machine.placement import Placement
 from repro.memo import memo
 from repro.sim.rng import make_rng
@@ -43,9 +53,9 @@ def route_key(placement: Placement) -> tuple:
 class PathSpec:
     """Latency/bandwidth of one rank-to-rank path.
 
-    Slotted: the cost model builds one per distinct rank pair during
-    cold sweeps, and the slot layout roughly halves both the
-    construction cost and the per-instance footprint.
+    Slotted: the cost model builds one per distinct path the DES asks
+    for, and the slot layout roughly halves both the construction
+    cost and the per-instance footprint.
     """
 
     latency: float  # seconds
@@ -74,21 +84,43 @@ class PathStats:
 
 
 class _RouteTable:
-    """The paths of one :func:`route_key`, computed on first use.
+    """The paths of one :func:`route_key`.
 
     Every :class:`NetworkModel` whose placement has equal content,
     built under equal static path faults, shares one table — however
-    and whenever its placement was built — so a path is computed once
-    per content rather than once per model or placement instance.
+    and whenever its placement was built.
+
+    :meth:`price` is the one path-pricing kernel: rank arrays in,
+    latency and bandwidth arrays out, computed from each rank's node
+    and node-local CPU (located once, when the table is built) by the
+    machine's table gathers, then the static path faults, then the
+    self-path rule.  Bulk callers (the b_eff recurrences, path
+    statistics, :meth:`NetworkModel.message_times`) use it directly
+    and store nothing.  The per-message lookups of the DES keep the
+    ``(lo_rank, hi_rank)`` dicts below; a miss prices one pair
+    through the same kernel, so the dicts hold only the pairs the DES
+    asked for.
     """
 
-    __slots__ = ("cluster", "cpus", "faults", "paths", "flat")
+    __slots__ = ("cluster", "faults", "nodes", "local",
+                 "self_lat", "self_bw", "interned", "paths", "flat")
 
     def __init__(self, key: tuple) -> None:
         content, self.faults = key
-        self.cluster = content.cluster
-        #: home (thread-0) CPU of each rank
-        self.cpus = content.cpus
+        self.cluster = cluster = content.cluster
+        #: node and node-local CPU of each rank's home (thread-0) CPU
+        self.nodes, self.local = cluster.locate(content.cpus)
+        # Self-messages move through shared memory: model as the best
+        # same-brick path of the rank's node (link faults describe
+        # the fabric, so they leave the in-memory copy alone).
+        zero_hop = [node.interconnect.point_to_point(0) for node in cluster.nodes]
+        self.self_lat = np.array([lat * 0.5 for lat, _ in zero_hop])
+        self.self_bw = np.array([bw * 2.0 for _, bw in zero_hop])
+        for array in (self.nodes, self.local, self.self_lat, self.self_bw):
+            array.flags.writeable = False
+        #: (latency, bandwidth) -> that tuple and its PathSpec, one per
+        #: distinct path value the DES asked for
+        self.interned: dict[tuple[float, float], tuple] = {}
         #: (lo_rank, hi_rank) -> PathSpec; self-paths under (r, r)
         self.paths: dict[tuple[int, int], PathSpec] = {}
         #: (lo_rank, hi_rank) -> (latency, bandwidth) plain tuple —
@@ -96,32 +128,59 @@ class _RouteTable:
         #: before ``paths``, so a key found in ``paths`` is here too.
         self.flat: dict[tuple[int, int], tuple[float, float]] = {}
 
-    def path(self, rank_a: int, rank_b: int) -> PathSpec:
-        """Compute, store and return the path between two ranks."""
-        cpus = self.cpus
-        for rank in (rank_a, rank_b):
-            if not 0 <= rank < len(cpus):
-                raise ConfigurationError(
-                    f"rank {rank} outside 0..{len(cpus) - 1}"
-                )
+    def _ranks(self, ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.intp).ravel()
+        n = len(self.nodes)
+        outside = (ranks < 0) | (ranks >= n)
+        if outside.any():
+            raise ConfigurationError(
+                f"rank {int(ranks[outside][0])} outside 0..{n - 1}"
+            )
+        return ranks
+
+    def price(self, sources, dests) -> tuple[np.ndarray, np.ndarray]:
+        """Latency and bandwidth arrays of the paths ``sources[k] ->
+        dests[k]`` (equal-length rank array-likes), checked as
+        :class:`PathSpec` checks one path."""
+        src, dst = self._ranks(sources), self._ranks(dests)
+        if src.shape != dst.shape:
+            raise ConfigurationError(
+                f"sources/dests shape mismatch: {src.shape} vs {dst.shape}"
+            )
+        node_a, node_b = self.nodes[src], self.nodes[dst]
+        local_a, local_b = self.local[src], self.local[dst]
         cluster = self.cluster
-        if rank_a == rank_b:
-            # Self-messages move through shared memory: model as the
-            # best same-brick path (link faults describe the fabric,
-            # so they leave the in-memory copy alone).
-            node = cluster.nodes[cluster.node_of(cpus[rank_a])]
-            lat, bw = node.interconnect.point_to_point(0)
-            lat, bw = lat * 0.5, bw * 2.0
-        else:
-            cpu_a, cpu_b = cpus[rank_a], cpus[rank_b]
-            lat, bw = cluster.point_to_point(cpu_a, cpu_b)
-            if self.faults is not None:
-                lat, bw = adjust_path(
-                    self.faults, cluster, cpu_a, cpu_b, lat, bw
-                )
-        spec = PathSpec(lat, bw)
+        lat, bw = cluster.path_arrays(node_a, local_a, node_b, local_b)
+        if self.faults is not None:
+            adjust_paths(
+                self.faults, cluster, node_a, local_a, node_b, local_b, lat, bw
+            )
+        loop = src == dst
+        if loop.any():
+            lat[loop] = self.self_lat[node_a[loop]]
+            bw[loop] = self.self_bw[node_a[loop]]
+        bad = (lat < 0) | (bw <= 0)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ConfigurationError(
+                f"bad path: latency={lat[k]}, bandwidth={bw[k]}"
+            )
+        return lat, bw
+
+    def path(self, rank_a: int, rank_b: int) -> PathSpec:
+        """Price, store and return the path between two ranks.
+
+        Pairs with equal paths share one stored value and its floats,
+        which keeps the DES's per-message lookups cache-friendly.
+        """
+        lat, bw = self.price((rank_a,), (rank_b,))
+        value = (float(lat[0]), float(bw[0]))
+        interned = self.interned.get(value)
+        if interned is None:
+            interned = self.interned[value] = (value, PathSpec(*value))
+        value, spec = interned
         key = (rank_a, rank_b) if rank_a < rank_b else (rank_b, rank_a)
-        self.flat[key] = (lat, bw)
+        self.flat[key] = value
         self.paths[key] = spec
         return spec
 
@@ -171,31 +230,23 @@ class NetworkModel:
         latency, bandwidth = flat
         return latency + nbytes / bandwidth
 
+    def path_arrays(self, sources, dests) -> tuple[np.ndarray, np.ndarray]:
+        """Latency and bandwidth arrays of the paths ``sources[k] ->
+        dests[k]`` (equal-length integer rank array-likes): the
+        vectorized :meth:`path`, ``==`` to it element by element.
+        Priced in bulk by the shared route table's kernel, without
+        filling the per-pair tables the DES reads."""
+        return self._table.price(sources, dests)
+
     def message_times(
         self, sources, dests, nbytes: float | np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`message_time` over arrays of rank pairs.
 
-        ``sources``/``dests`` are equal-length integer array-likes;
-        ``nbytes`` is a scalar or an array broadcastable against them.
-        Path parameters are gathered through the shared route table
-        (each distinct pair computed once), then the LogGP arithmetic
-        runs as two numpy operations instead of a Python loop — the
-        bulk-evaluation path for collective cost sweeps.
+        ``nbytes`` is a scalar or an array broadcastable against the
+        pairs; the paths come from :meth:`path_arrays`.
         """
-        src = np.asarray(sources, dtype=np.intp).ravel()
-        dst = np.asarray(dests, dtype=np.intp).ravel()
-        if src.shape != dst.shape:
-            raise ConfigurationError(
-                f"sources/dests shape mismatch: {src.shape} vs {dst.shape}"
-            )
-        lat = np.empty(src.shape, dtype=float)
-        bw = np.empty(src.shape, dtype=float)
-        path = self.path
-        for i in range(src.size):
-            spec = path(int(src[i]), int(dst[i]))
-            lat[i] = spec.latency
-            bw[i] = spec.bandwidth
+        lat, bw = self.path_arrays(sources, dests)
         return lat + np.asarray(nbytes, dtype=float) / bw
 
     def stats(self, max_samples: int = 2048, seed: int = 0) -> PathStats:
@@ -221,30 +272,18 @@ def _path_stats(key: tuple, max_samples: int, seed: int) -> PathStats:
 
 
 def _compute_stats(table: _RouteTable, max_samples: int, seed: int) -> PathStats:
-    n = len(table.cpus)
-    paths, compute = table.paths, table.path
+    n = len(table.nodes)
     if n == 1:
-        p = paths.get((0, 0)) or compute(0, 0)
-        return PathStats(p.latency, p.latency, p.bandwidth, p.bandwidth, 0.0)
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_samples:
+        ii = jj = np.zeros(1, dtype=np.intp)  # the self-path
+    elif n * (n - 1) // 2 <= max_samples:
         ii, jj = np.triu_indices(n, k=1)
     else:
         rng = make_rng(seed)
         ii = rng.integers(0, n, size=max_samples)
         jj = rng.integers(0, n - 1, size=max_samples)
         jj = np.where(jj >= ii, jj + 1, jj)
-    ii = ii.tolist()
-    jj = jj.tolist()
-    lats = np.empty(len(ii), dtype=float)
-    bws = np.empty(len(ii), dtype=float)
-    for k, (i, j) in enumerate(zip(ii, jj)):
-        p = paths.get((i, j) if i < j else (j, i)) or compute(i, j)
-        lats[k] = p.latency
-        bws[k] = p.bandwidth
-    cpus = np.asarray(table.cpus, dtype=np.intp)
-    nodes = cpus // table.cluster.cpus_per_node
-    cross = int(np.count_nonzero(nodes[ii] != nodes[jj]))
+    lats, bws = table.price(ii, jj)
+    cross = int(np.count_nonzero(table.nodes[ii] != table.nodes[jj]))
     return PathStats(
         mean_latency=float(lats.mean()),
         max_latency=float(lats.max()),

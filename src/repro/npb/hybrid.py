@@ -156,7 +156,7 @@ class MZTimingModel:
         # (neighbors increasingly in-bin).
         zones_per_rank = self.problem.spec.n_zones / p
         remote_fraction = min(1.0, 1.2 / math.sqrt(zones_per_rank))
-        boundary_points = sum(z.boundary_points for z in self.problem.zones) / p
+        boundary_points = self.problem.total_boundary_points / p
         volume = boundary_points * _BOUNDARY_BYTES_PER_POINT * remote_fraction
         coll = self._collectives
         comm = coll.halo_exchange(volume / 4.0, 4) + coll.allreduce(8)

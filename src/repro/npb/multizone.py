@@ -15,6 +15,7 @@ and Class F — 16384 zones, 12032 x 8960 x 250.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.memo import memo
@@ -124,16 +125,25 @@ def zone_sizes_1d(total: int, n_zones: int, ratio: float) -> list[int]:
 
 @dataclass(frozen=True)
 class MZProblem:
-    """A fully instantiated multi-zone problem."""
+    """A fully instantiated multi-zone problem.
+
+    Its aggregate sums are cached on first use: problems are memoized
+    (:func:`mz_problem`) and every timing-model call reads them.
+    """
 
     benchmark: str  # "bt-mz" or "sp-mz"
     cls: str
     spec: MZClassSpec
     zones: tuple[Zone, ...]
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return sum(z.points for z in self.zones)
+
+    @cached_property
+    def total_boundary_points(self) -> int:
+        """Sum of every zone's :attr:`Zone.boundary_points`."""
+        return sum(z.boundary_points for z in self.zones)
 
     @property
     def flops_per_step(self) -> float:

@@ -46,6 +46,16 @@ class TestZones:
                 spec = p.spec
                 assert p.total_points == spec.agg_x * spec.agg_y * spec.agg_z
 
+    @pytest.mark.parametrize("bm, cls", [("bt-mz", "C"), ("sp-mz", "E")])
+    def test_cached_sums_equal_direct_sums(self, bm, cls):
+        p = mz_problem(bm, cls)
+        assert p.total_points == sum(z.nx * z.ny * z.nz for z in p.zones)
+        assert p.total_boundary_points == sum(
+            2 * (z.nx + z.ny) * z.nz for z in p.zones)
+        # Cached on the problem: a second read is the same object.
+        assert p.total_points is p.total_points
+        assert p.total_boundary_points is p.total_boundary_points
+
     def test_unknown_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             mz_problem("lu-mz", "C")

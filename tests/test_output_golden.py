@@ -83,7 +83,10 @@ def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
 #: key that regained per-instance identity would show more runs than
 #: contents.  It also reports the DES worlds the two b_eff sweeps
 #: started against the ping-pong worlds they need (two per sampled
-#: pair): a healthy ring or barrier runs as a recurrence, not a world.
+#: pair): a healthy ring or barrier runs as a recurrence, not a world;
+#: and the paths the route tables priced one pair at a time (the DES's
+#: per-message misses) against the distinct pairs the ping-pong worlds
+#: send over: the recurrences price in bulk and store nothing.
 _COUNTING_SCRIPT = """
 import contextlib, io, json, sys
 from repro.cli import main
@@ -110,11 +113,21 @@ def counted(name, fn):
 costs._compute_stats = counted("stats", costs._compute_stats)
 beff._barrier_recurrence = counted("barrier", beff._barrier_recurrence)
 worlds = {"run_mpi": 0, "pingpong": 0}
+pingpong_pairs = set()
 run_mpi = beff.run_mpi
-def counted_run_mpi(*args, **kwargs):
+def counted_run_mpi(placement, *args, ranks=None, **kwargs):
     worlds["run_mpi"] += 1
-    return run_mpi(*args, **kwargs)
+    if ranks is not None:
+        pingpong_pairs.add((content(placement), costs.route_key(placement)[1],
+                            tuple(sorted(ranks))))
+    return run_mpi(placement, *args, ranks=ranks, **kwargs)
 beff.run_mpi = counted_run_mpi
+scalar_paths = [0]
+table_path = costs._RouteTable.path
+def counted_path(self, rank_a, rank_b):
+    scalar_paths[0] += 1
+    return table_path(self, rank_a, rank_b)
+costs._RouteTable.path = counted_path
 pair_sample = beff._pair_sample
 def counted_pairs(*args):
     pairs = pair_sample(*args)
@@ -136,6 +149,7 @@ for name in ("fig5", "fig10"):
     if main(["run", name, "--no-cache"]):
         sys.exit(1)
 beff_worlds = [worlds["run_mpi"], worlds["pingpong"]]
+beff_paths = [scalar_paths[0], len(pingpong_pairs)]
 # The b_eff sweeps build no path statistics; these full sweeps do
 # (fig11 under COLUMBIA_DEGRADED's path fault).  Counted only: their
 # output is not compared here.
@@ -144,7 +158,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         if main(["run", name, "--no-cache"]):
             sys.exit(1)
 print(json.dumps({"memo": {k: [runs[k], len(asked[k])] for k in runs},
-                  "beff_worlds": beff_worlds}), file=sys.stderr)
+                  "beff_worlds": beff_worlds,
+                  "beff_paths": beff_paths}), file=sys.stderr)
 """
 
 
@@ -152,8 +167,9 @@ def test_full_beff_sweeps_match_golden():
     """Both full b_eff sweeps print the golden; each path-statistics
     build and each shared b_eff barrier recurrence runs once per
     distinct content (no sweep here carries DES faults or a tracer, so
-    every barrier is shareable); and the b_eff sweeps start no DES world
-    but the ping-pong ones."""
+    every barrier is shareable); the b_eff sweeps start no DES world
+    but the ping-pong ones; and their route tables price one pair at a
+    time only for pairs those worlds send over."""
     run = _repro(script=_COUNTING_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout == BEFF_GOLDEN.read_text()
@@ -162,6 +178,8 @@ def test_full_beff_sweeps_match_golden():
         assert 0 < ran == distinct, (name, counts)
     started, pingpong = counts["beff_worlds"]
     assert 0 < started == pingpong, counts
+    priced, sent_over = counts["beff_paths"]
+    assert 0 < priced <= sent_over, counts
 
 
 def test_repro_list_matches_golden():

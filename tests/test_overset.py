@@ -65,6 +65,15 @@ class TestSystems:
         assert s.n_blocks == 267
         assert s.total_points == pytest.approx(660_000, rel=0.02)
 
+    @pytest.mark.parametrize("build", [turbopump_system, rotor_system])
+    def test_cached_sums_equal_direct_sums(self, build):
+        s = build()
+        assert s.total_points == sum(b.points for b in s.blocks)
+        assert s.total_surface_points == sum(b.surface_points for b in s.blocks)
+        # Cached on the system: a second read is the same object.
+        assert s.total_points is s.total_points
+        assert s.total_surface_points is s.total_surface_points
+
     def test_deterministic(self):
         a, b = rotor_system(), rotor_system()
         assert a.weights() == b.weights()
