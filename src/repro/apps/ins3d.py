@@ -69,7 +69,6 @@ class INS3DModel:
     def __post_init__(self) -> None:
         if self.node_type not in SERIAL_STEP_SECONDS:
             raise ConfigurationError(f"no INS3D baseline for {self.node_type}")
-        self._imbalance_cache: dict[int, float] = {}
 
     @property
     def serial_step(self) -> float:
@@ -82,11 +81,7 @@ class INS3DModel:
             raise ConfigurationError(f"groups must be >= 1: {groups}")
         if groups == 1:
             return 1.0
-        if groups not in self._imbalance_cache:
-            self._imbalance_cache[groups] = group_blocks(
-                self.system, groups, strategy="binpack"
-            ).imbalance
-        return self._imbalance_cache[groups]
+        return group_blocks(self.system, groups, strategy="binpack").imbalance
 
     def step_time(self, groups: int, threads: int) -> float:
         """Average runtime per physical time step (Table 2's body)."""

@@ -118,8 +118,6 @@ class OverflowModel:
     exact_halos: bool = False
 
     def __post_init__(self) -> None:
-        self._group_cache: dict[int, object] = {}
-        self._overlaps = None
         self._halo_cache: dict[int, float] = {}
 
     def _remote_fraction(self, ranks: int) -> float:
@@ -127,23 +125,16 @@ class OverflowModel:
             blocks_per_group = self.system.n_blocks / ranks
             return min(1.0, 1.35 / blocks_per_group)
         if ranks not in self._halo_cache:
-            from repro.apps.overset.connectivity import find_overlaps
             from repro.apps.overset.halo import halo_volumes
 
-            if self._overlaps is None:
-                self._overlaps = find_overlaps(self.system)
-            volumes = halo_volumes(self.system, self._grouping(ranks), self._overlaps)
+            volumes = halo_volumes(self.system, self._grouping(ranks))
             self._halo_cache[ranks] = volumes.remote_fraction
         return self._halo_cache[ranks]
 
     # -- pieces -----------------------------------------------------------------
 
     def _grouping(self, n_groups: int):
-        if n_groups not in self._group_cache:
-            self._group_cache[n_groups] = group_blocks(
-                self.system, n_groups, strategy="binpack"
-            )
-        return self._group_cache[n_groups]
+        return group_blocks(self.system, n_groups, strategy="binpack")
 
     def per_point_time(self, node) -> float:
         """Seconds per grid point per step on one CPU."""

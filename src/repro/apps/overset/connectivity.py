@@ -9,7 +9,9 @@ Two real pieces live here:
 
 * :func:`find_overlaps` — the pairwise overlap test over a block
   system (spatial-hash accelerated, O(B) buckets instead of O(B^2)
-  pair checks for big systems);
+  pair checks for big systems), memoized per system: the scan runs
+  once per content and every grouping of that system shares its
+  frozen result;
 * :func:`trilinear_weights` / :func:`interpolate` — actual trilinear
   donor interpolation, verified exact for trilinear fields.
 """
@@ -22,21 +24,33 @@ import numpy as np
 
 from repro.apps.overset.grids import GridBlock, OversetSystem
 from repro.errors import ConfigurationError
+from repro.memo import memo
 
 __all__ = ["find_overlaps", "trilinear_weights", "interpolate"]
 
 
-def find_overlaps(system: OversetSystem) -> set[tuple[int, int]]:
-    """All unordered block pairs whose bounding boxes intersect.
+def find_overlaps(system: OversetSystem) -> frozenset[tuple[int, int]]:
+    """All unordered block pairs ``(i, j)``, ``i < j``, whose bounding
+    boxes intersect.
 
     Uses a uniform spatial hash over block centers so large systems
     (the 1679-block rotor case) stay fast; candidate pairs from shared
-    or adjacent cells are then exactly tested.
+    or adjacent cells are then exactly tested.  The hash misses no
+    pair: the cell is the largest box side, and two boxes that
+    intersect have centers at most half the sum of their sides, so at
+    most one cell side, apart on each axis -- their cells differ by at
+    most one on each axis.  Memoized per system; the frozen result is
+    shared by every caller.
     """
+    return _overlaps(system)
+
+
+@memo(maxsize=8)
+def _overlaps(system: OversetSystem) -> frozenset[tuple[int, int]]:
     blocks = system.blocks
     if not blocks:
-        return set()
-    # Cell size ~ the largest box diagonal so neighbors share cells.
+        return frozenset()
+    # Cell size = the largest box side so neighbors share cells.
     max_extent = max(
         max(h - l for l, h in zip(b.lo, b.hi)) for b in blocks
     )
@@ -63,7 +77,7 @@ def find_overlaps(system: OversetSystem) -> set[tuple[int, int]]:
                     continue
                 if bi.overlaps(blocks[j]):
                     overlaps.add((i, j))
-    return overlaps
+    return frozenset(overlaps)
 
 
 def trilinear_weights(frac: np.ndarray) -> np.ndarray:

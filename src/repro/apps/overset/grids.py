@@ -70,12 +70,25 @@ class GridBlock:
 class OversetSystem:
     """A complete multi-block overset grid system.
 
-    Its aggregate sums are cached on first use: systems are memoized
-    and every timing-model call reads them.
+    Its aggregate sums, its weights and its hash are cached on first
+    use: systems are memoized, every timing-model call reads the sums,
+    and every partition memo probe hashes the system (1679 blocks for
+    the rotor).
     """
 
     name: str
     blocks: tuple[GridBlock, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.blocks))
+
+    def __reduce__(self):
+        # String hashes differ between processes: rehash on unpickle.
+        return OversetSystem, (self.name, self.blocks)
 
     @property
     def n_blocks(self) -> int:
@@ -89,9 +102,13 @@ class OversetSystem:
     def total_surface_points(self) -> int:
         return sum(b.surface_points for b in self.blocks)
 
-    def weights(self) -> list[float]:
+    def weights(self) -> tuple[float, ...]:
         """Block sizes, the bin-packing weights."""
-        return [float(b.points) for b in self.blocks]
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[float, ...]:
+        return tuple(float(b.points) for b in self.blocks)
 
     @property
     def size_skew(self) -> float:

@@ -11,15 +11,25 @@ placing a block into the least-loaded group already containing one of
 its overlap partners (keeping inter-grid updates intra-group), falling
 back to the globally least-loaded group.  Round-robin grouping is
 provided for the ablation benchmark.
+
+A grouping is a pure function of ``(system, n_groups, strategy)``, so
+:func:`group_blocks` is memoized on exactly those three arguments and
+every model of a sweep shares one frozen :class:`Assignment` per
+content.  The global least-loaded fallback is a lazy heap of
+``(load, group)`` entries, O(log G) per block instead of a scan of all
+G groups: an entry whose load no longer equals its group's load is
+stale and popped, and ties go to the lowest group index, as a
+``min(range(G))`` scan would.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from heapq import heappop, heappush
 
 from repro.apps.overset.connectivity import find_overlaps
 from repro.apps.overset.grids import OversetSystem
 from repro.errors import ConfigurationError
+from repro.memo import memo
 from repro.npb.loadbalance import Assignment, bin_pack, round_robin
 
 __all__ = ["group_blocks"]
@@ -29,7 +39,6 @@ def group_blocks(
     system: OversetSystem,
     n_groups: int,
     strategy: str = "binpack-connectivity",
-    overlaps: Iterable[tuple[int, int]] | None = None,
 ) -> Assignment:
     """Cluster the system's blocks into ``n_groups`` process groups.
 
@@ -40,6 +49,11 @@ def group_blocks(
     * ``binpack`` — pure LPT on block sizes (ignores connectivity);
     * ``round-robin`` — naive ablation baseline.
     """
+    return _grouping(system, n_groups, strategy)
+
+
+@memo(maxsize=128)
+def _grouping(system: OversetSystem, n_groups: int, strategy: str) -> Assignment:
     weights = system.weights()
     if strategy == "binpack":
         return bin_pack(weights, n_groups)
@@ -51,14 +65,16 @@ def group_blocks(
         raise ConfigurationError(
             f"{len(weights)} blocks cannot fill {n_groups} groups"
         )
-    pair_set = set(overlaps) if overlaps is not None else find_overlaps(system)
     neighbors: dict[int, set[int]] = {i: set() for i in range(len(weights))}
-    for a, b in pair_set:
+    for a, b in find_overlaps(system):
         neighbors[a].add(b)
         neighbors[b].add(a)
 
     mean_load = sum(weights) / n_groups
     loads = [0.0] * n_groups
+    # Lazy min-heap of (load, group): one live entry per group, the one
+    # whose load equals loads[group]; older entries are stale.
+    lightest = [(0.0, g) for g in range(n_groups)]
     bins: list[list[int]] = [[] for _ in range(n_groups)]
     group_of: dict[int, int] = {}
     order = sorted(range(len(weights)), key=lambda z: -weights[z])
@@ -72,9 +88,12 @@ def group_blocks(
         if connected:
             g = min(connected, key=lambda gi: loads[gi])
         else:
-            g = min(range(n_groups), key=lambda gi: loads[gi])
+            while lightest[0][0] != loads[lightest[0][1]]:
+                heappop(lightest)
+            g = lightest[0][1]
         bins[g].append(z)
         loads[g] += weights[z]
+        heappush(lightest, (loads[g], g))
         group_of[z] = g
     # Guarantee no empty group (swap in spare blocks from the fullest).
     for g in range(n_groups):

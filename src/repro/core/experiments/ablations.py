@@ -89,13 +89,11 @@ experiment(
 
 @workload("ablation.grouping")
 def _grouping_cell(groups: int, scale: float) -> list[tuple]:
-    from repro.apps.overset.connectivity import find_overlaps
     from repro.apps.overset.grids import rotor_system
     from repro.apps.overset.grouping import group_blocks
 
     system = rotor_system(scale=scale)
-    overlaps = find_overlaps(system)
-    conn = group_blocks(system, groups, "binpack-connectivity", overlaps=overlaps)
+    conn = group_blocks(system, groups, "binpack-connectivity")
     lpt = group_blocks(system, groups, "binpack")
     rr = group_blocks(system, groups, "round-robin")
     return [(groups, round(conn.imbalance, 2), round(lpt.imbalance, 2),

@@ -146,8 +146,28 @@ class Placement:
             return key
 
     def _home_cpus(self) -> tuple[int, ...]:
-        """``cpu_of(rank)`` for every rank, in rank order."""
-        return tuple(self.cpu_of(r) for r in range(self.n_ranks))
+        """``cpu_of(rank)`` for every rank, in rank order, in closed
+        form (one slot per rank every ``threads_per_rank * stride``
+        CPUs; spread ranks deal out over the nodes)."""
+        t = self.threads_per_rank
+        if self.cpu_list is not None:
+            return self.cpu_list[::t]
+        step = t * self.stride
+        n_nodes = len(self.cluster.nodes)
+        if not (self.spread_nodes and n_nodes > 1):
+            return tuple(range(0, self.n_ranks * step, step))
+        per_node = self.cluster.cpus_per_node
+        if (self.n_ranks - 1) // n_nodes * step >= per_node:
+            # The first rank that does not fit (it lands on node 0), as
+            # cpu_of reports it.
+            rank = -(-per_node // step) * n_nodes
+            raise ConfigurationError(
+                f"rank {rank} thread 0 does not fit on node 0"
+            )
+        return tuple(
+            (r % n_nodes) * per_node + (r // n_nodes) * step
+            for r in range(self.n_ranks)
+        )
 
     # -- geometry -------------------------------------------------------------
 

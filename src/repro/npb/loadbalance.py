@@ -5,12 +5,19 @@ reference strategy is greedy LPT bin-packing (sort zones by size,
 always give the next zone to the least-loaded process) — the same
 family as OVERFLOW-D's bin-packing grouping (paper §3.5).  Round-robin
 and contiguous-block partitions are provided for ablation.
+
+Every packer takes finite, non-negative weights and rejects anything
+else with :class:`~repro.errors.ConfigurationError` (a NaN or infinite
+zone size would otherwise come back as a NaN imbalance).  The packers
+are not memoized: a key holding the weight tuple would copy every
+weight; their callers memoize on the content the weights come from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapreplace
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -60,13 +67,14 @@ def bin_pack(weights: Sequence[float], n_bins: int) -> Assignment:
     """Greedy LPT bin-packing: heaviest zones first, each to the
     currently lightest bin.  O(Z log Z + Z log B)."""
     _validate(weights, n_bins)
-    order = sorted(range(len(weights)), key=lambda z: -weights[z])
+    # A stable descending sort: equal weights keep index order.
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     heap: list[tuple[float, int]] = [(0.0, b) for b in range(n_bins)]
     bins: list[list[int]] = [[] for _ in range(n_bins)]
     for z in order:
-        load, b = heappop(heap)
+        load, b = heap[0]
         bins[b].append(z)
-        heappush(heap, (load + weights[z], b))
+        heapreplace(heap, (load + weights[z], b))
     return _finish(bins, weights)
 
 
@@ -101,5 +109,8 @@ def _validate(weights: Sequence[float], n_bins: int) -> None:
             f"{len(weights)} zones cannot fill {n_bins} bins "
             "(every process needs at least one zone)"
         )
-    if any(w < 0 for w in weights):
+    if not all(map(math.isfinite, weights)):
+        raise ConfigurationError("zone weights must be finite")
+    # With no NaN left, min() sees every weight.
+    if min(weights) < 0:
         raise ConfigurationError("zone weights must be non-negative")

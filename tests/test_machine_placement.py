@@ -1,7 +1,9 @@
 """Tests for placement, pinning, stride, compilers and InfiniBand limits."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import CommunicationError, ConfigurationError
 from repro.machine.cluster import multinode, single_node
@@ -74,6 +76,75 @@ class TestPlacement:
         cpus = pl.cpus()
         assert len(set(cpus)) == len(cpus)
         assert all(0 <= c < 512 for c in cpus)
+
+
+def _reference_home_cpus(pl):
+    """Every rank's thread-0 CPU through the validated ``cpu_of``: the
+    oracle for the closed-form content key."""
+    return tuple(pl.cpu_of(r) for r in range(pl.n_ranks))
+
+
+def _outcome(fn, pl):
+    try:
+        return fn(pl)
+    except ConfigurationError as exc:
+        return ("error", str(exc))
+
+
+class TestClosedFormHomeCpus:
+    @given(
+        n_nodes=st.integers(1, 4),
+        node_cpus=st.sampled_from([8, 16, 64]),
+        n_ranks=st.integers(1, 80),
+        threads=st.integers(1, 4),
+        stride=st.integers(1, 4),
+        spread=st.booleans(),
+        pinned=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_packed_strided_spread_threaded(self, n_nodes, node_cpus, n_ranks,
+                                            threads, stride, spread, pinned):
+        cluster = (bx2b(node_cpus) if n_nodes == 1
+                   else multinode(n_nodes, n_cpus=node_cpus))
+        try:
+            pl = Placement(cluster, n_ranks=n_ranks, threads_per_rank=threads,
+                           stride=stride, spread_nodes=spread,
+                           pinning=PinningMode.PINNED if pinned else PinningMode.UNPINNED)
+        except ConfigurationError:
+            assume(False)
+        assert pl._home_cpus() == _reference_home_cpus(pl)
+        assert pl.content_key.cpus == _reference_home_cpus(pl)
+
+    @given(
+        n_nodes=st.integers(1, 3),
+        threads=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cpu_list(self, n_nodes, threads, data):
+        cluster = bx2b(16) if n_nodes == 1 else multinode(n_nodes, n_cpus=16)
+        n_ranks = data.draw(st.integers(1, cluster.total_cpus // threads))
+        cpus = data.draw(st.permutations(range(cluster.total_cpus)))
+        pl = Placement(cluster, n_ranks=n_ranks, threads_per_rank=threads,
+                       cpu_list=tuple(cpus[: n_ranks * threads]))
+        assert pl._home_cpus() == _reference_home_cpus(pl)
+
+    @pytest.mark.parametrize("n_ranks,threads,stride", [
+        (17, 1, 1), (9, 2, 1), (7, 1, 3), (12, 3, 2),
+    ])
+    def test_rank_that_does_not_fit_raises_as_cpu_of(self, n_ranks, threads, stride):
+        # A validated placement always fits (it needs no more slots
+        # than the cluster has), so build one past __post_init__.
+        fits = Placement(multinode(2, n_cpus=8), n_ranks=1, spread_nodes=True)
+        pl = object.__new__(Placement)
+        for f in dataclasses.fields(Placement):
+            object.__setattr__(pl, f.name, getattr(fits, f.name))
+        object.__setattr__(pl, "n_ranks", n_ranks)
+        object.__setattr__(pl, "threads_per_rank", threads)
+        object.__setattr__(pl, "stride", stride)
+        expected = _outcome(_reference_home_cpus, pl)
+        assert expected[0] == "error"
+        assert _outcome(Placement._home_cpus, pl) == expected
 
 
 class TestPinning:

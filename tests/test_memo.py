@@ -46,6 +46,7 @@ class TestDiscipline:
     def test_memos_are_bounded_and_cleared(self):
         # A memo registers when its module is imported.
         import repro.apps.overset.grids  # noqa: F401
+        import repro.apps.overset.grouping  # noqa: F401
         import repro.hpcc.beff  # noqa: F401
         import repro.npb.hybrid  # noqa: F401
 
@@ -56,6 +57,8 @@ class TestDiscipline:
             "repro.netmodel.costs._path_stats",
             "repro.hpcc.beff._shared_barrier_exits",
             "repro.apps.overset.grids._synthetic_system",
+            "repro.apps.overset.connectivity._overlaps",
+            "repro.apps.overset.grouping._grouping",
             "repro.npb.multizone.mz_problem",
             "repro.npb.hybrid._lpt_assignment",
         } <= set(info)
@@ -72,6 +75,17 @@ class TestSharedBuilders:
         assert rotor_system() is rotor_system()
         assert turbopump_system(scale=0.01) is turbopump_system(scale=0.01)
         assert rotor_system(scale=0.01) is not rotor_system()
+
+    def test_overlaps_and_groupings_are_shared(self):
+        from repro.apps.overflow import OverflowModel
+        from repro.apps.overset.connectivity import find_overlaps
+        from repro.apps.overset.grids import rotor_system
+        from repro.apps.overset.grouping import group_blocks
+
+        system = rotor_system(scale=0.01)
+        assert find_overlaps(system) is find_overlaps(rotor_system(scale=0.01))
+        a, b = OverflowModel(system=system), OverflowModel(system=system)
+        assert a._grouping(64) is b._grouping(64) is group_blocks(system, 64, "binpack")
 
     def test_mz_problem_and_assignment_are_shared(self):
         from repro.npb.hybrid import MZTimingModel
@@ -159,6 +173,9 @@ def _oracle_cells():
     fig11 = [c for c in resolve_experiment("fig11").scenarios(fast=True)
              if dict(c.params)["mpt"] == "mpt1.11r"]
     fig5 = resolve_experiment("fig5").scenarios(fast=True)
+    grouping = resolve_experiment("ablation_grouping").scenarios(fast=True)
+    fig11_numalink = [c for c in resolve_experiment("fig11").scenarios(fast=True)
+                      if dict(c.params)["network"] == "NUMAlink4"]
     des_faults = FaultSpec((
         MessageDrop(probability=0.05),
         LinkFlap(link_class="any", period=2e-6, down_time=1e-6),
@@ -168,6 +185,8 @@ def _oracle_cells():
         "fig10-healthy": min(fig10, key=lambda c: dict(c.params)["cpus"]),
         "fig11-degraded": fig11[0],
         "fig5-des-faulted": dataclasses.replace(fig5[0], faults=des_faults),
+        "ablation-grouping": max(grouping, key=lambda c: dict(c.params)["groups"]),
+        "fig11-numalink": max(fig11_numalink, key=lambda c: dict(c.params)["threads"]),
     }
 
 

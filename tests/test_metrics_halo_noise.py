@@ -98,7 +98,7 @@ class TestHaloVolumes:
         assert fracs == sorted(fracs)
 
     def test_connectivity_grouping_keeps_more_local(self, system, overlaps):
-        conn = group_blocks(system, 16, "binpack-connectivity", overlaps=overlaps)
+        conn = group_blocks(system, 16, "binpack-connectivity")
         plain = group_blocks(system, 16, "binpack")
         h_conn = halo_volumes(system, conn, overlaps)
         h_plain = halo_volumes(system, plain, overlaps)
@@ -124,7 +124,7 @@ class TestHaloVolumes:
         system = rotor_system(scale=0.02)
         overlaps = find_overlaps(system)
         for g in (64, 256, 508):
-            conn = group_blocks(system, g, "binpack-connectivity", overlaps=overlaps)
+            conn = group_blocks(system, g, "binpack-connectivity")
             measured = halo_volumes(system, conn, overlaps).remote_fraction
             closed = min(1.0, 1.35 / (system.n_blocks / g))
             assert closed < measured <= 1.0, (g, measured, closed)

@@ -1,5 +1,7 @@
 """Tests for multi-zone problems, load balancing and the hybrid model."""
 
+from heapq import heappop, heappush
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,20 @@ class TestZones:
         assert max(sizes) / min(sizes) == pytest.approx(4.47, rel=0.15)
 
 
+def reference_bin_pack(weights, n_bins):
+    """LPT with a ``-w`` sort key and ``heappop``/``heappush``, kept as
+    the oracle for :func:`bin_pack`."""
+    order = sorted(range(len(weights)), key=lambda z: -weights[z])
+    heap = [(0.0, b) for b in range(n_bins)]
+    bins = [[] for _ in range(n_bins)]
+    for z in order:
+        load, b = heappop(heap)
+        bins[b].append(z)
+        heappush(heap, (load + weights[z], b))
+    return Assignment(bins=tuple(tuple(b) for b in bins),
+                      loads=tuple(sum(weights[z] for z in b) for b in bins))
+
+
 class TestLoadBalance:
     WEIGHTS = [100, 90, 40, 40, 30, 20, 10, 5, 5, 1]
 
@@ -106,6 +122,25 @@ class TestLoadBalance:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigurationError):
             bin_pack([1.0, -2.0, 3.0], 2)
+
+    @pytest.mark.parametrize("pack", [bin_pack, round_robin, block_partition])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, pack, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            pack([bad, 1.0, 2.0], 2)
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                      st.integers(0, 5).map(float),
+                      st.floats(0.0, 1e6)),
+            min_size=1, max_size=80),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bin_pack_matches_reference_lpt(self, weights, data):
+        n_bins = data.draw(st.integers(1, len(weights)))
+        assert bin_pack(weights, n_bins) == reference_bin_pack(weights, n_bins)
 
     def test_bin_of(self):
         a = bin_pack(self.WEIGHTS, 3)

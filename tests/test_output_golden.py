@@ -19,6 +19,15 @@ Regenerate it with::
     (PYTHONPATH=src python -m repro run fig5 --no-cache;
      PYTHONPATH=src python -m repro run fig10 --no-cache) > tests/golden/beff_full.txt
 
+``tests/golden/partition_full.txt`` pins the full sweeps built on the
+grid-system partitions (OVERFLOW-D/INS3D groupings, NPB-MZ LPT
+assignments); regenerate it with::
+
+    PYTHONPATH=src python -c 'import sys; from repro.cli import main
+    [main(["run", n, "--no-cache"]) for n in sys.argv[1:]]' \
+        ablation_grouping table2 table3 table6 fig11 ext_class_f \
+        ext_ins3d_multinode > tests/golden/partition_full.txt
+
 ``tests/golden/repro_list.txt`` pins ``repro list`` (id, anchor and
 short title of every experiment, in paper order); regenerate it with
 ``PYTHONPATH=src python -m repro list > tests/golden/repro_list.txt``.
@@ -32,6 +41,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "repro_all_fast.txt"
 BEFF_GOLDEN = Path(__file__).parent / "golden" / "beff_full.txt"
+PARTITION_GOLDEN = Path(__file__).parent / "golden" / "partition_full.txt"
 LIST_GOLDEN = Path(__file__).parent / "golden" / "repro_list.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -180,6 +190,75 @@ def test_full_beff_sweeps_match_golden():
     assert 0 < started == pingpong, counts
     priced, sent_over = counts["beff_paths"]
     assert 0 < priced <= sent_over, counts
+
+
+#: Runs the full sweeps built on grid-system partitions in one process
+#: and reports, on stderr's last line, how often each partition memo
+#: actually ran against how many distinct contents asked for it (the
+#: contents are the block tuples themselves, not the memo keys), and
+#: how many ``cpu_of`` calls the placements' content keys made.
+_PARTITION_SCRIPT = """
+import json, sys
+from repro.cli import main
+import repro.apps.overset.connectivity as connectivity
+import repro.apps.overset.grouping as grouping
+from repro.machine.placement import Placement
+
+asked = {"overlaps": set(), "groupings": set()}
+scans = connectivity._overlaps
+def asked_overlaps(system):
+    asked["overlaps"].add((system.name, system.blocks))
+    return scans(system)
+connectivity._overlaps = asked_overlaps
+groupings = grouping._grouping
+def asked_grouping(system, n_groups, strategy):
+    asked["groupings"].add((system.name, system.blocks, n_groups, strategy))
+    return groupings(system, n_groups, strategy)
+grouping._grouping = asked_grouping
+
+keys = {"built": 0, "cpu_of": 0}
+building = [False]
+content_key = Placement.content_key.fget
+def counted_key(self):
+    if "_content_key" not in self.__dict__:
+        keys["built"] += 1
+    building[0] = True
+    try:
+        return content_key(self)
+    finally:
+        building[0] = False
+Placement.content_key = property(counted_key)
+cpu_of = Placement.cpu_of
+def counted_cpu_of(self, *args):
+    keys["cpu_of"] += building[0]
+    return cpu_of(self, *args)
+Placement.cpu_of = counted_cpu_of
+
+for name in ("ablation_grouping", "table2", "table3", "table6", "fig11",
+             "ext_class_f", "ext_ins3d_multinode"):
+    if main(["run", name, "--no-cache"]):
+        sys.exit(1)
+print(json.dumps({
+    "overlaps": [scans.cache_info().misses, len(asked["overlaps"])],
+    "groupings": [groupings.cache_info().misses, len(asked["groupings"])],
+    "content_keys": [keys["built"], keys["cpu_of"]],
+}), file=sys.stderr)
+"""
+
+
+def test_full_partition_sweeps_match_golden():
+    """The partition sweeps print the golden; each overlap scan and
+    each grouping runs once per distinct ``(system, n_groups,
+    strategy)`` content; placement content keys are closed-form."""
+    run = _repro(script=_PARTITION_SCRIPT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == PARTITION_GOLDEN.read_text()
+    counts = json.loads(run.stderr.strip().splitlines()[-1])
+    for name in ("overlaps", "groupings"):
+        ran, distinct = counts[name]
+        assert 0 < ran == distinct, (name, counts)
+    built, cpu_of_calls = counts["content_keys"]
+    assert built > 0 and cpu_of_calls == 0, counts
 
 
 def test_repro_list_matches_golden():

@@ -1,5 +1,11 @@
 """Tests for the overset grid substrate (paper §3.4-§3.5)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +19,65 @@ from repro.apps.overset import (
     trilinear_weights,
 )
 from repro.apps.overset.connectivity import interpolate
+from repro.apps.overset.grids import OversetSystem
 from repro.errors import ConfigurationError
+from repro.npb.loadbalance import Assignment
 from repro.sim.rng import make_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@st.composite
+def small_systems(draw, max_blocks=24):
+    """Random block systems: boxes on a small lattice (so many
+    overlap, some only touch, some are far apart) with shapes from a
+    short list (so block weights tie)."""
+    n = draw(st.integers(1, max_blocks))
+    blocks = []
+    for i in range(n):
+        lo = tuple(draw(st.integers(0, 6)) * 0.5 for _ in range(3))
+        size = tuple(draw(st.integers(1, 4)) * 0.5 for _ in range(3))
+        shape = draw(st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 3, 3), (4, 2, 3)]))
+        blocks.append(GridBlock(i, shape, lo, tuple(l + d for l, d in zip(lo, size))))
+    return OversetSystem(name="random", blocks=tuple(blocks))
+
+
+def reference_connectivity_grouping(system, n_groups):
+    """The connectivity bin-packing with the O(G) ``min(range(G))``
+    least-loaded fallback, kept as the oracle for the lazy heap."""
+    weights = system.weights()
+    neighbors = {i: set() for i in range(len(weights))}
+    for a, b in find_overlaps(system):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    mean_load = sum(weights) / n_groups
+    loads = [0.0] * n_groups
+    bins = [[] for _ in range(n_groups)]
+    group_of = {}
+    for z in sorted(range(len(weights)), key=lambda z: -weights[z]):
+        connected = {
+            group_of[nb]
+            for nb in neighbors[z]
+            if nb in group_of and loads[group_of[nb]] + weights[z] <= 1.25 * mean_load
+        }
+        if connected:
+            g = min(connected, key=lambda gi: loads[gi])
+        else:
+            g = min(range(n_groups), key=lambda gi: loads[gi])
+        bins[g].append(z)
+        loads[g] += weights[z]
+        group_of[z] = g
+    for g in range(n_groups):
+        if not bins[g]:
+            donor = max(range(n_groups), key=lambda gi: len(bins[gi]))
+            if len(bins[donor]) > 1:
+                moved = min(bins[donor], key=lambda z: weights[z])
+                bins[donor].remove(moved)
+                loads[donor] -= weights[moved]
+                bins[g].append(moved)
+                loads[g] += weights[moved]
+    return Assignment(bins=tuple(tuple(b) for b in bins),
+                      loads=tuple(sum(weights[z] for z in b) for b in bins))
 
 
 class TestGridBlock:
@@ -78,6 +141,29 @@ class TestSystems:
         a, b = rotor_system(), rotor_system()
         assert a.weights() == b.weights()
 
+    def test_weights_cached_as_tuple(self):
+        s = turbopump_system(scale=0.01)
+        assert s.weights() is s.weights()
+        assert s.weights() == tuple(float(b.points) for b in s.blocks)
+
+    def test_pickle_round_trip_rehashes(self):
+        s = rotor_system(scale=0.01)
+        hash(s)
+        loaded = pickle.loads(pickle.dumps(s))
+        assert loaded == s and hash(loaded) == hash(s)
+        # The cached hash does not travel: another process (another
+        # string-hash seed) must hash the loaded system as it would
+        # hash the system built there.
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="12345")
+        check = (
+            "import pickle, sys; "
+            "s = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(s) == hash((s.name, s.blocks)), 'stale hash'"
+        )
+        run = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(s),
+                             capture_output=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr.decode()
+
 
 class TestConnectivity:
     def test_overlaps_found_for_adjacent_blocks(self):
@@ -97,6 +183,23 @@ class TestConnectivity:
             if s.blocks[i].overlaps(s.blocks[j])
         }
         assert fast == brute
+
+    @given(system=small_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_spatial_hash_matches_brute_force_on_random_systems(self, system):
+        blocks = system.blocks
+        brute = {
+            (i, j)
+            for i in range(len(blocks))
+            for j in range(i + 1, len(blocks))
+            if blocks[i].overlaps(blocks[j])
+        }
+        assert find_overlaps(system) == brute
+
+    def test_overlaps_memoized_and_frozen(self):
+        s = turbopump_system(scale=0.01)
+        assert find_overlaps(s) is find_overlaps(system=s)
+        assert isinstance(find_overlaps(s), frozenset)
 
     def test_trilinear_weights_sum_to_one(self):
         w = trilinear_weights(np.array([0.3, 0.7, 0.1]))
@@ -178,7 +281,7 @@ class TestGrouping:
             intra = sum(1 for i, j in overlaps if owner[i] == owner[j])
             return intra / max(1, len(overlaps))
 
-        conn = group_blocks(s, 16, strategy="binpack-connectivity", overlaps=overlaps)
+        conn = group_blocks(s, 16, strategy="binpack-connectivity")
         plain = group_blocks(s, 16, strategy="binpack")
         assert intra_fraction(conn) > intra_fraction(plain)
 
@@ -200,3 +303,22 @@ class TestGrouping:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
             group_blocks(turbopump_system(scale=0.01), 4, strategy="magic")
+
+    def test_grouping_memoized_on_its_three_arguments(self):
+        s = turbopump_system(scale=0.01)
+        a = group_blocks(s, 16, "binpack")
+        assert group_blocks(s, 16, strategy="binpack") is a
+        assert group_blocks(s, 16) is group_blocks(s, 16, "binpack-connectivity")
+
+    @given(system=small_systems(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_heap_fallback_matches_linear_scan(self, system, data):
+        n_groups = data.draw(st.integers(1, system.n_blocks))
+        assert (group_blocks(system, n_groups, "binpack-connectivity")
+                == reference_connectivity_grouping(system, n_groups))
+
+    @pytest.mark.parametrize("groups", [36, 256, 508])
+    def test_heap_fallback_matches_linear_scan_on_rotor(self, groups):
+        s = rotor_system(scale=0.05)
+        assert (group_blocks(s, groups, "binpack-connectivity")
+                == reference_connectivity_grouping(s, groups))
