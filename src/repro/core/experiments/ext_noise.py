@@ -4,13 +4,23 @@
 system-software interference) is one instance of a general phenomenon:
 synchronized parallel programs wait for whichever rank the OS delayed,
 so fixed per-rank noise costs more the wider the job.  This experiment
-measures it with the DES: a compute+allreduce step at growing rank
-counts, quiet vs noisy, averaged over seeds.
+measures it with a compute+allreduce step at growing rank counts,
+quiet vs noisy, averaged over seeds.
+
+On a healthy machine (:func:`repro.mpi.job.healthy`) the step starts
+no DES world: each rank's ready time is the DES's own noise draw
+(:func:`~repro.mpi.job.compute_ready_times`) and the allreduce runs as
+its exact recurrence (:func:`~repro.mpi.collectives.allreduce_times`),
+so the rows are ``==`` to the DES's.  Under DES faults or an enabled
+tracer the step runs on the DES.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.core.registry import experiment
+from repro.errors import ConfigurationError
 from repro.run import sweep, workload
 
 __all__ = ["scenarios"]
@@ -19,6 +29,19 @@ RANK_COUNTS = (8, 32, 128, 512)
 FAST_RANK_COUNTS = (8, 64)
 NOISE = 0.25
 SEEDS = 5
+#: compute seconds per step, and the allreduce's message size.
+WORK = 1e-3
+ALLREDUCE_BYTES = 8
+
+
+def check_cell(noise: float, n_seeds: int) -> None:
+    """Reject a cell neither tier can average: no seeds, or a noise
+    amplitude that is negative or not finite."""
+    if n_seeds < 1:
+        raise ConfigurationError(f"ext_noise needs n_seeds >= 1, got {n_seeds}")
+    if not 0.0 <= noise < math.inf:
+        raise ConfigurationError(
+            f"ext_noise needs a finite noise >= 0, got {noise}")
 
 
 def _step_time(p: int, noise: float, seed: int) -> float:
@@ -26,19 +49,27 @@ def _step_time(p: int, noise: float, seed: int) -> float:
     from repro.machine.node import NodeType
     from repro.machine.placement import Placement
     from repro.mpi import run_mpi
-    from repro.mpi.collectives import allreduce
-
-    def prog(comm):
-        yield comm.compute(1e-3)
-        yield from allreduce(comm, 8, 1.0)
-        return None
+    from repro.mpi.collectives import allreduce, allreduce_times
+    from repro.mpi.job import compute_ready_times, healthy
+    from repro.netmodel.costs import NetworkModel
 
     placement = Placement(single_node(NodeType.BX2B), n_ranks=p)
+    if healthy():
+        ready = compute_ready_times(p, WORK, noise, seed)
+        net = NetworkModel(placement)
+        return float(allreduce_times(net, ready, ALLREDUCE_BYTES).max())
+
+    def prog(comm):
+        yield comm.compute(WORK)
+        yield from allreduce(comm, ALLREDUCE_BYTES, 1.0)
+        return None
+
     return run_mpi(placement, prog, os_noise=noise, noise_seed=seed).elapsed
 
 
 @workload("ext_noise.cell")
 def _cell(ranks: int, noise: float, n_seeds: int) -> list[tuple]:
+    check_cell(noise, n_seeds)
     seeds = range(n_seeds)
     quiet = sum(_step_time(ranks, 0.0, s) for s in seeds) / n_seeds
     noisy = sum(_step_time(ranks, noise, s) for s in seeds) / n_seeds

@@ -11,8 +11,9 @@ Three patterns, as the paper uses:
   *remote* communication; reported as a geometric mean over several
   orderings (as the HPCC benchmark reports).
 
-Ping-pong is *executed* message-by-message on the DES against the
-simulated machine; so are the rings under DES faults or tracing.  Ring
+Under DES faults or tracing, every pattern is *executed*
+message-by-message on the DES against the simulated machine; on a
+healthy machine each runs as its exact recurrence (below).  Ring
 bandwidths are additionally derated by the analytic cross-node
 contention factor (the DES prices paths unloaded; a ring loads every
 path at once — on InfiniBand that saturates the per-node card
@@ -22,8 +23,13 @@ InfiniBand" mechanism).
 No DES work whose result is thrown away, or that a recurrence gives
 exactly, is simulated:
 
-* a ping-pong world runs only its two ranks (``run_mpi(ranks=...)``);
-  the idle ranks get no process, mailbox or handle;
+* on a healthy machine, and under static path faults, ping-pong is
+  closed form in its pair's path: all sampled pairs are priced in one
+  bulk call and each one-way time follows ``MPIComm.isend``'s float
+  order, ``==`` to a two-rank world (``tests/test_hpcc.py`` keeps that
+  reference).  Otherwise a ping-pong world runs only its two ranks
+  (``run_mpi(ranks=...)``); the idle ranks get no process, mailbox or
+  handle;
 * every ring iteration opens with a dissemination barrier, computed
   once per pattern call as each rank's exit time and injection-free
   time; every ring starts each rank from that snapshot instead of
@@ -38,7 +44,8 @@ exactly, is simulated:
   is memoized on the route key and shared by ``natural_ring``,
   ``random_ring`` and every later call with equal content;
 * under DES faults (drop, jitter, flap, straggler), or while a tracer
-  records, the barrier and the rings run on the DES, one barrier per
+  records (see :func:`repro.mpi.job.healthy`), ping-pong runs on the
+  DES, and so do the barrier and the rings, one barrier per
   pattern call shared by that call's rings — deterministic per fault
   seed, but not the realization a per-world barrier would draw.
 """
@@ -51,17 +58,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.faults.context import current_injector
 from repro.machine.placement import Placement
 from repro.memo import memo
 from repro.mpi import MPIComm, run_mpi
 from repro.mpi.collectives import barrier
+from repro.mpi.job import healthy
 from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
 from repro.netmodel.costs import NetworkModel, route_key
-from repro.obs.spans import current_tracer
 from repro.sim.process import Timeout
 from repro.sim.rng import make_rng
 
@@ -99,6 +105,8 @@ def _pair_sample(p: int, max_pairs: int, seed: int) -> list[tuple[int, int]]:
     """Deterministic sample of distinct rank pairs."""
     if p < 2:
         raise ConfigurationError("ping-pong needs at least 2 ranks")
+    if max_pairs < 1:
+        raise ConfigurationError(f"ping-pong needs max_pairs >= 1, got {max_pairs}")
     all_count = p * (p - 1) // 2
     if all_count <= max_pairs:
         return [(i, j) for i in range(p) for j in range(i + 1, p)]
@@ -116,10 +124,44 @@ def pingpong(
 ) -> PingPongResult:
     """HPCC ping-pong: averages over sampled communicating pairs.
 
-    Each pair plays one 8-byte and one 2 MB ping-pong on the DES; the
-    "average" results the paper quotes (§3.1) are arithmetic means.
+    Each pair plays one 8-byte and one 2 MB ping-pong; the "average"
+    results the paper quotes (§3.1) are arithmetic means.  On a
+    :func:`healthy <repro.mpi.job.healthy>` machine the games are
+    :func:`_pingpong_oneway` over all pairs at once; otherwise each
+    runs in its own two-rank DES world.
     """
     pairs = _pair_sample(placement.n_ranks, max_pairs, seed)
+    if healthy():
+        lat, bw = NetworkModel(placement).path_arrays(*np.array(pairs).T)
+        latencies = _pingpong_oneway(lat, bw, LATENCY_BYTES)
+        bandwidths = BANDWIDTH_BYTES / _pingpong_oneway(lat, bw, BANDWIDTH_BYTES)
+    else:
+        latencies, bandwidths = _pingpong_worlds(placement, pairs)
+    return PingPongResult(
+        n_cpus=placement.total_cpus,
+        avg_latency=float(np.mean(latencies)),
+        avg_bandwidth=float(np.mean(bandwidths)),
+    )
+
+
+def _pingpong_oneway(lat: np.ndarray, bw: np.ndarray, nbytes: int) -> np.ndarray:
+    """One-way times of a ping-pong of ``nbytes`` over each path,
+    ``==`` to :func:`_pingpong_worlds`.  A route-table path is priced
+    the same both ways; the ops are ``MPIComm.isend``'s (see the
+    recurrence notes below), from t=0 with both injection slots free.
+    """
+    finish = 0.0 + nbytes / bw
+    there = 0.0 + (finish - 0.0) + lat
+    finish_back = np.maximum(0.0, there) + nbytes / bw
+    back = there + (finish_back - there) + lat
+    return (back - 0.0) / 2.0
+
+
+def _pingpong_worlds(
+    placement: Placement, pairs: list[tuple[int, int]]
+) -> tuple[list[float], list[float]]:
+    """Per-pair one-way latencies and bandwidths, one two-rank DES
+    world per pair and message size."""
 
     def prog_for(pair: tuple[int, int], nbytes: int):
         a, b = pair
@@ -147,27 +189,7 @@ def pingpong(
         ).values[pair[0]]
         latencies.append(lat)
         bandwidths.append(BANDWIDTH_BYTES / oneway)
-    return PingPongResult(
-        n_cpus=placement.total_cpus,
-        avg_latency=float(np.mean(latencies)),
-        avg_bandwidth=float(np.mean(bandwidths)),
-    )
-
-
-def _healthy() -> bool:
-    """True when no DES fault acts and no tracer records.
-
-    The ring patterns are then pure functions of the network
-    :func:`route key <repro.netmodel.costs.route_key>` and run as the
-    exact recurrences below; otherwise they run on the DES (fault draws
-    make each run a new realization, and a cell's trace must show its
-    own barrier and ring messages).
-    """
-    injector = current_injector()
-    tracer = current_tracer()
-    return (injector is None or not injector.has_des_faults) and (
-        tracer is None or not tracer.enabled
-    )
+    return latencies, bandwidths
 
 
 def _barrier_exits(placement: Placement, healthy: bool) -> _Snapshot:
@@ -176,7 +198,8 @@ def _barrier_exits(placement: Placement, healthy: bool) -> _Snapshot:
     into its ring exchange.  Every barrier message is received before
     its receiver exits, so nothing else outlives it.
 
-    Memoized on the route key when ``healthy`` (see :func:`_healthy`).
+    Memoized on the route key when ``healthy`` (see
+    :func:`repro.mpi.job.healthy`).
     """
     if healthy:
         return _shared_barrier_exits(route_key(placement))
@@ -309,9 +332,9 @@ def _ring_iteration(placement: Placement):
     """``run(order)`` -> per-rank times of one ring iteration at each
     size of :data:`RING_BYTES`.  The opening barrier is computed here,
     once per pattern call, and shared by all of that call's rings."""
-    healthy = _healthy()
-    exits = _barrier_exits(placement, healthy)
-    ring = _ring_exchange if healthy else _ring_world
+    is_healthy = healthy()
+    exits = _barrier_exits(placement, is_healthy)
+    ring = _ring_exchange if is_healthy else _ring_world
     return lambda order: ring(placement, order, exits)
 
 

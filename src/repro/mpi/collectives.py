@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import CommunicationError
 from repro.mpi.comm import MPIComm, Message
+from repro.netmodel.costs import NetworkModel
 from repro.sim.process import SimEvent
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "scan",
     "expected_messages",
     "expected_volume",
+    "allreduce_times",
 ]
 
 def expected_messages(op: str, p: int) -> int:
@@ -69,6 +71,50 @@ def expected_messages(op: str, p: int) -> int:
 def expected_volume(op: str, p: int, nbytes: float) -> float:
     """Total bytes ``op`` moves at ``p`` ranks (``nbytes`` per message)."""
     return expected_messages(op, p) * float(nbytes)
+
+
+def allreduce_times(
+    network: NetworkModel, ready, nbytes: float
+) -> np.ndarray:
+    """Each rank's finish time out of :func:`allreduce` entered at
+    ``ready[r]`` on a healthy world over ``network``, ``==`` to the
+    DES.
+
+    The exact recurrence twin of ``_allreduce_impl``, one numpy step
+    per tree level.  Reduce phase: at ``m = 1, 2, 4, ...`` the ranks
+    whose lowest set bit is ``m`` send to ``s - m``.  Broadcast phase:
+    at ``M`` from the largest power of two below ``p`` down to 1, each
+    rank ``r`` with ``r % 2M == 0`` and ``r + M < p`` sends to
+    ``r + M``.  A send at ``now`` takes the injection slot at ``start =
+    max(slot, now)``, frees it at ``start + nbytes / bandwidth`` and
+    lands at ``now + (finish - now) + latency`` (``MPIComm.isend``'s
+    float order); a receive posted at ``now`` returns at ``max(now,
+    arrival)``.  No rank sends or receives twice within a level, and
+    a rank's receives precede its sends level by level, as in the DES.
+    """
+    now = np.array(ready, dtype=float)
+    p = now.size
+    slot = np.zeros(p)
+    ranks = np.arange(p)
+
+    def send(src: np.ndarray, dst: np.ndarray) -> None:
+        lat, bw = network.path_arrays(src, dst)
+        t = now[src]
+        finish = np.maximum(slot[src], t) + nbytes / bw
+        slot[src] = finish
+        now[dst] = np.maximum(now[dst], t + (finish - t) + lat)
+
+    mask = 1
+    while mask < p:
+        senders = ranks[mask::2 * mask]
+        send(senders, senders - mask)
+        mask *= 2
+    mask //= 2
+    while mask >= 1:
+        senders = ranks[:p - mask:2 * mask]
+        send(senders, senders + mask)
+        mask //= 2
+    return now
 
 
 _BARRIER_TAG = 0x7FF0

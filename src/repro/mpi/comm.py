@@ -16,6 +16,7 @@ i.e. from the machine model and the placement.
 
 from __future__ import annotations
 
+import math
 from heapq import heappush
 from typing import Any, Generator, NamedTuple
 
@@ -28,7 +29,9 @@ from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.process import SimEvent, Timeout
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "MPIWorld", "MPIComm"]
+__all__ = [
+    "ANY_SOURCE", "ANY_TAG", "Message", "MPIWorld", "MPIComm", "check_os_noise",
+]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -39,6 +42,14 @@ _msg_new = tuple.__new__
 #: pre-bound allocator for the per-message completion event — skips
 #: the ``Timeout.__new__`` attribute lookup on every isend.
 _timeout_new = Timeout.__new__
+
+
+def check_os_noise(os_noise: float) -> None:
+    """Reject an OS-noise amplitude no world can run: negative, NaN or
+    infinite, with :class:`~repro.errors.CommunicationError`."""
+    if not 0.0 <= os_noise < math.inf:
+        raise CommunicationError(
+            f"os_noise must be finite and >= 0, got {os_noise}")
 
 
 class Message(NamedTuple):
@@ -87,9 +98,8 @@ class MPIWorld:
         #: machine).  Models the system-software interference behind
         #: the §4.6.2 boot-cpuset observation: at scale, collectives
         #: wait for whichever rank the OS delayed this time.
+        check_os_noise(os_noise)
         self.os_noise = os_noise
-        if os_noise < 0:
-            raise CommunicationError(f"negative os_noise: {os_noise}")
         self._noise_rng = None
         if os_noise > 0:
             from repro.sim.rng import make_rng

@@ -5,6 +5,12 @@ chosen subset), each executing the user's rank program (a generator
 taking an :class:`MPIComm`), runs the simulator to completion and
 reports per-rank finish times, return values and aggregate message
 statistics.
+
+On a :func:`healthy` machine some whole programs are closed-form
+functions of route-table prices, and their callers compute them as
+numpy recurrences in the DES's float order instead of starting a world
+(the b_eff patterns, the ext_noise step); :func:`compute_ready_times`
+is the recurrence twin of a world whose every rank computes first.
 """
 
 from __future__ import annotations
@@ -12,14 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable
 
+import numpy as np
+
 from repro.errors import CommunicationError
+from repro.faults.context import current_injector
 from repro.machine.placement import Placement
-from repro.mpi.comm import MPIComm, MPIWorld
+from repro.mpi.comm import MPIComm, MPIWorld, check_os_noise
 from repro.netmodel.costs import NetworkModel
+from repro.obs.spans import current_tracer
 from repro.sim.engine import Simulator
 from repro.sim.process import SimEvent, SimProcess
+from repro.sim.rng import make_rng
 
-__all__ = ["MPIJobResult", "run_mpi"]
+__all__ = ["MPIJobResult", "compute_ready_times", "healthy", "run_mpi"]
 
 RankProgram = Callable[[MPIComm], Generator[SimEvent, Any, Any]]
 
@@ -115,3 +126,38 @@ def run_mpi(
         messages_sent=world.messages_sent,
         bytes_sent=world.bytes_sent,
     )
+
+
+def healthy() -> bool:
+    """True when no DES fault acts and no tracer records.
+
+    A program whose timing is a pure function of the network
+    :func:`route key <repro.netmodel.costs.route_key>` may then run as
+    an exact recurrence; otherwise it must run on the DES (fault draws
+    make each run a new realization, and a cell's trace must show its
+    own messages).  Static path faults keep a machine healthy: they
+    are priced into the route table.
+    """
+    injector = current_injector()
+    tracer = current_tracer()
+    return (injector is None or not injector.has_des_faults) and (
+        tracer is None or not tracer.enabled
+    )
+
+
+def compute_ready_times(
+    n_ranks: int, seconds: float, os_noise: float = 0.0, noise_seed: int = 0
+) -> np.ndarray:
+    """Each rank's time after a ``comm.compute(seconds)`` that opens its
+    program on a healthy ``run_mpi`` world of ``os_noise``, ``==`` to
+    the DES.
+
+    Processes start in rank order at t=0, so rank ``r`` takes the
+    ``r``-th draw of the world's noise generator.  A bad ``os_noise``
+    raises what the world raises.
+    """
+    check_os_noise(os_noise)
+    if os_noise > 0 and seconds > 0:
+        draws = make_rng(noise_seed).exponential(os_noise, size=n_ranks)
+        return seconds * (1.0 + draws)
+    return np.full(n_ranks, 0.0 + seconds)

@@ -9,8 +9,9 @@ for ``fidelity="analytic"``?" per workload:
   is why they are exact, not that they are closed form: most are
   (MZ timing model, bandwidth/latency arithmetic, capacity planning),
   but ``fig5.cell``, ``fig10.cell`` and ``sec42.cell`` run the b_eff
-  ping-pong on the DES (and the rings too under DES faults or
-  tracing), and an analytic request for them runs that DES inline.
+  patterns (exact numpy recurrences on a healthy machine, the DES
+  under DES faults or tracing), and an analytic request for them runs
+  them inline.
   The calibration job *verifies* the exactness (rel. error must be
   0.0) rather than trusting this comment.
 * ``ext_noise.cell`` is the only workload with a real modeled
@@ -96,8 +97,12 @@ def _ext_noise_surrogate(
       stays analytic.
 
     Row schema matches the workload: one row of
-    ``(ranks, quiet_ms, noisy_ms, slowdown)``.
+    ``(ranks, quiet_ms, noisy_ms, slowdown)``, and so does what it
+    rejects.
     """
+    from repro.core.experiments.ext_noise import check_cell
+
+    check_cell(noise, n_seeds)
     base = 1e-3
     net = reduce_broadcast_time(_noise_placement(ranks), 8)
     quiet = base + net

@@ -52,3 +52,19 @@ def built_pools(monkeypatch):
 
     monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", RecordingPool)
     return built
+
+
+@pytest.fixture
+def worlds(monkeypatch):
+    """Counts the DES worlds started, whoever starts them."""
+    from repro.mpi.comm import MPIWorld
+
+    started = []
+    init = MPIWorld.__init__
+
+    def counted(self, *args, **kwargs):
+        started.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPIWorld, "__init__", counted)
+    return started

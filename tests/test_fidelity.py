@@ -217,6 +217,24 @@ class TestSurrogateParity:
         hybrid_err = relative_error(full, evaluate_scenario(_ext_noise("hybrid")))
         assert hybrid_err < 0.05
 
+    @pytest.mark.parametrize("noise,n_seeds", [
+        (0.25, 0), (0.25, -1), (float("nan"), 2), (float("inf"), 2), (-0.5, 2),
+    ])
+    def test_both_tiers_reject_a_cell_they_cannot_average(self, noise, n_seeds):
+        """No seeds to average, or a noise amplitude no world can run:
+        the full tier and both fast tiers raise the same error rather
+        than one of them returning a row."""
+
+        def cell(fid):
+            return scenario("ext_noise.cell", ranks=8, noise=noise,
+                            n_seeds=n_seeds, fidelity=fid)
+
+        with pytest.raises(ConfigurationError, match="ext_noise"):
+            execute_scenario(cell("full"))
+        for mode in ("analytic", "hybrid"):
+            with pytest.raises(ConfigurationError, match="ext_noise"):
+                evaluate_scenario(cell(mode))
+
     def test_exact_families_calibrate_to_zero(self):
         table = default_error_table()
         for (family, mode), entry in table.entries.items():

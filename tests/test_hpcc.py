@@ -32,11 +32,14 @@ from repro.machine.node import NodeType, build_node
 from repro.machine.placement import Placement
 from repro.mpi import run_mpi
 from repro.mpi.collectives import barrier
+from repro.mpi.comm import MPIWorld
 from repro.netmodel.contention import (
     cross_node_flow_factor,
     random_permutation_factor,
 )
 from repro.netmodel.costs import NetworkModel
+from repro.obs.spans import Tracer, use_tracer
+from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.units import GIB, to_gb_per_s
 
@@ -106,6 +109,11 @@ class TestBeff:
     def test_pingpong_needs_two_ranks(self):
         with pytest.raises(ConfigurationError):
             pingpong(placement(1))
+
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    def test_pingpong_needs_a_pair(self, max_pairs):
+        with pytest.raises(ConfigurationError, match="max_pairs"):
+            pingpong(placement(16), max_pairs=max_pairs)
 
     def test_pingpong_latency_in_microsecond_range(self):
         r = pingpong(placement(16), max_pairs=8)
@@ -302,3 +310,76 @@ class TestRecurrencesMatchDES:
                 traced = execute_scenario(cell)
             assert any(s.name == "barrier" for s in tracer.spans), cell
             assert traced == execute_scenario(cell), cell
+
+
+def _link_classes(placement, pairs):
+    world = MPIWorld(Simulator(), NetworkModel(placement))
+    return {world.link_info(a, b)[0] for a, b in pairs}
+
+
+#: DES faults: a per-message drop lottery and compute jitter.
+_DES_FAULTS = ("drop:probability=0.2,timeout=1us", "jitter:amplitude=0.05")
+
+
+class TestPingPongMatchesDES:
+    """A healthy ping-pong runs no DES world: its averages must be
+    bit-for-bit the all-ranks DES reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["single", "numalink4", "infiniband"]),
+        p=st.integers(2, 96),
+        max_pairs=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+        faults=st.sampled_from([None, _DEGRADE]),
+    )
+    @example(kind="single", p=2, max_pairs=1, seed=0, faults=None)
+    @example(kind="numalink4", p=96, max_pairs=64, seed=3, faults=_DEGRADE)
+    @example(kind="infiniband", p=17, max_pairs=64, seed=5, faults=None)
+    def test_pingpong_equals_reference(self, kind, p, max_pairs, seed, faults):
+        pl = _beff_placement(kind, p)
+        with use_faults(parse_faults(faults) if faults else None):
+            got = pingpong(pl, max_pairs=max_pairs, seed=seed)
+            want = _ref_pingpong(pl, max_pairs=max_pairs, seed=seed)
+        assert got == want
+
+    @pytest.mark.parametrize("faults", [None, _DEGRADE], ids=["healthy", "degrade"])
+    @pytest.mark.parametrize("kind,p", [("single", 12), ("numalink4", 48),
+                                        ("infiniband", 48)])
+    def test_every_link_class_equals_reference(self, kind, p, faults, worlds):
+        pl = _beff_placement(kind, p)
+        pairs = _pair_sample(p, 64, 0)
+        want_classes = {"intra_brick", "intra_node"}
+        if kind != "single":
+            want_classes.add("inter_node")
+        assert _link_classes(pl, pairs) == want_classes
+        before = len(worlds)
+        with use_faults(parse_faults(faults) if faults else None):
+            got = pingpong(pl, max_pairs=64)
+            assert len(worlds) == before
+            assert got == _ref_pingpong(pl, max_pairs=64)
+
+
+class TestDESPathsStayOnTheDES:
+    """Under DES faults or an enabled tracer, ping-pong and the rings
+    still run on the DES."""
+
+    @pytest.mark.parametrize("faults", _DES_FAULTS)
+    def test_des_faults_start_worlds(self, faults, worlds):
+        pl = _beff_placement("numalink4", 8)
+        with use_faults(parse_faults(faults), salt="beff-des"):
+            pingpong(pl, max_pairs=3)
+            assert len(worlds) == 2 * 3
+            natural_ring(pl)
+        assert len(worlds) > 2 * 3
+
+    def test_traced_pingpong_records_its_messages(self, worlds):
+        pl = _beff_placement("infiniband", 8)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = pingpong(pl, max_pairs=3)
+        assert len(worlds) == 2 * 3
+        # Each game is one message there and one back.
+        assert len(tracer.messages) == 2 * 2 * 3
+        assert traced == pingpong(pl, max_pairs=3)
+        assert len(worlds) == 2 * 3

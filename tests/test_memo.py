@@ -176,6 +176,7 @@ def _oracle_cells():
     grouping = resolve_experiment("ablation_grouping").scenarios(fast=True)
     fig11_numalink = [c for c in resolve_experiment("fig11").scenarios(fast=True)
                       if dict(c.params)["network"] == "NUMAlink4"]
+    ext_noise = resolve_experiment("ext_noise").scenarios(fast=True)
     des_faults = FaultSpec((
         MessageDrop(probability=0.05),
         LinkFlap(link_class="any", period=2e-6, down_time=1e-6),
@@ -187,6 +188,7 @@ def _oracle_cells():
         "fig5-des-faulted": dataclasses.replace(fig5[0], faults=des_faults),
         "ablation-grouping": max(grouping, key=lambda c: dict(c.params)["groups"]),
         "fig11-numalink": max(fig11_numalink, key=lambda c: dict(c.params)["threads"]),
+        "ext-noise": max(ext_noise, key=lambda c: dict(c.params)["ranks"]),
     }
 
 

@@ -1,14 +1,27 @@
 """Tests for the simulated MPI layer."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CommunicationError, DeadlockError
+from repro.faults import parse_faults, use_faults
 from repro.machine.cluster import multinode, single_node
 from repro.machine.node import NodeType
 from repro.machine.placement import Placement
 from repro.mpi import ANY_SOURCE, run_mpi
-from repro.mpi.collectives import allgather, allreduce, alltoall, barrier, broadcast
+from repro.mpi.collectives import (
+    allgather,
+    allreduce,
+    allreduce_times,
+    alltoall,
+    barrier,
+    broadcast,
+)
+from repro.mpi.job import compute_ready_times
+from repro.netmodel.costs import NetworkModel
+from repro.obs.spans import Tracer, use_tracer
 
 
 def placement(n_ranks, n_cpus=256, **kw):
@@ -275,3 +288,106 @@ class TestActiveRanks:
     def test_bad_ranks_rejected(self, ranks):
         with pytest.raises(CommunicationError):
             run_mpi(placement(8), self._pingpong(0, 1, 8), ranks=ranks)
+
+
+def _fabric_placement(kind, p):
+    if kind == "single":
+        return placement(p)
+    cluster = multinode(2, fabric=kind, n_cpus=256)
+    return Placement(cluster, n_ranks=p, spread_nodes=True)
+
+
+#: static path faults: priced into the route table, the world stays healthy.
+_DEGRADE = ("degrade:link_class=intra_node,latency_factor=2,bandwidth_factor=0.5;"
+            "degrade:link_class=inter_node,latency_factor=3,bandwidth_factor=0.25")
+
+
+def _compute_allreduce(work, nbytes):
+    def prog(comm):
+        yield comm.compute(work)
+        yield from allreduce(comm, nbytes, 1.0)
+        return None
+
+    return prog
+
+
+class TestAllreduceRecurrence:
+    """ext_noise's step runs no DES world on a healthy machine: the
+    noise draws and the allreduce recurrence must be bit-for-bit the
+    compute+allreduce world, rank by rank."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["single", "numalink4", "infiniband"]),
+        p=st.integers(1, 96),
+        noise=st.sampled_from([0.0, 0.25, 1.0]),
+        seed=st.integers(0, 2**16),
+        work=st.sampled_from([0.0, 1e-9, 1e-3]),
+        nbytes=st.sampled_from([8, 65_536, 2_000_000]),
+        faults=st.sampled_from([None, _DEGRADE]),
+    )
+    @example(kind="single", p=1, noise=0.25, seed=0, work=1e-3, nbytes=8,
+             faults=None)
+    @example(kind="numalink4", p=96, noise=1.0, seed=3, work=1e-3, nbytes=8,
+             faults=_DEGRADE)
+    @example(kind="infiniband", p=37, noise=0.0, seed=0, work=0.0,
+             nbytes=65_536, faults=None)
+    # A second send queued on a busy slot lands at ``now + (finish -
+    # now) + latency``, which here differs from ``finish + latency``.
+    @example(kind="single", p=3, noise=0.25, seed=0, work=1e-9,
+             nbytes=2_000_000, faults=None)
+    @example(kind="single", p=9, noise=0.0, seed=0, work=0.0, nbytes=65_536,
+             faults=None)
+    def test_equals_compute_allreduce_world(self, kind, p, noise, seed, work,
+                                            nbytes, faults):
+        pl = _fabric_placement(kind, p)
+        with use_faults(parse_faults(faults) if faults else None):
+            want = run_mpi(pl, _compute_allreduce(work, nbytes),
+                           os_noise=noise, noise_seed=seed).finish_times
+            ready = compute_ready_times(p, work, noise, seed)
+            got = allreduce_times(NetworkModel(pl), ready, nbytes)
+        assert tuple(got.tolist()) == want
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.5])
+    def test_bad_noise_rejected_by_both_paths(self, noise):
+        with pytest.raises(CommunicationError, match="os_noise"):
+            run_mpi(placement(4), _compute_allreduce(1e-3, 8), os_noise=noise)
+        with pytest.raises(CommunicationError, match="os_noise"):
+            compute_ready_times(4, 1e-3, noise)
+
+    def test_ext_noise_step_rejects_bad_noise(self):
+        from repro.core.experiments.ext_noise import _step_time
+
+        for noise in (math.nan, math.inf):
+            with pytest.raises(CommunicationError, match="os_noise"):
+                _step_time(8, noise, 0)
+
+
+class TestExtNoiseStep:
+    def test_healthy_step_starts_no_world(self, worlds):
+        from repro.core.experiments.ext_noise import _step_time
+
+        with use_faults(parse_faults(_DEGRADE)):
+            assert _step_time(16, 0.25, 1) > 1e-3
+        assert worlds == []
+
+    @pytest.mark.parametrize("faults", ["drop:probability=0.2,timeout=1us",
+                                        "jitter:amplitude=0.05"])
+    def test_des_faults_start_worlds(self, faults, worlds):
+        from repro.core.experiments.ext_noise import _step_time
+
+        with use_faults(parse_faults(faults), salt="ext-noise-des"):
+            _step_time(16, 0.25, 1)
+        assert len(worlds) == 1
+
+    def test_traced_step_records_its_messages(self, worlds):
+        from repro.core.experiments.ext_noise import _step_time
+        from repro.mpi.collectives import expected_messages
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = _step_time(16, 0.25, 1)
+        assert len(worlds) == 1
+        assert len(tracer.messages) == expected_messages("allreduce", 16)
+        assert traced == _step_time(16, 0.25, 1)
+        assert len(worlds) == 1

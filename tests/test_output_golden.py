@@ -28,6 +28,11 @@ assignments); regenerate it with::
         ablation_grouping table2 table3 table6 fig11 ext_class_f \
         ext_ins3d_multinode > tests/golden/partition_full.txt
 
+``tests/golden/ext_noise_full.txt`` pins the full OS-noise extension
+(up to 512 ranks); regenerate it with::
+
+    PYTHONPATH=src python -m repro run ext_noise --no-cache > tests/golden/ext_noise_full.txt
+
 ``tests/golden/repro_list.txt`` pins ``repro list`` (id, anchor and
 short title of every experiment, in paper order); regenerate it with
 ``PYTHONPATH=src python -m repro list > tests/golden/repro_list.txt``.
@@ -42,6 +47,7 @@ from pathlib import Path
 GOLDEN = Path(__file__).parent / "golden" / "repro_all_fast.txt"
 BEFF_GOLDEN = Path(__file__).parent / "golden" / "beff_full.txt"
 PARTITION_GOLDEN = Path(__file__).parent / "golden" / "partition_full.txt"
+EXT_NOISE_GOLDEN = Path(__file__).parent / "golden" / "ext_noise_full.txt"
 LIST_GOLDEN = Path(__file__).parent / "golden" / "repro_list.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,16 +98,17 @@ def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
 #: derived here from ``cpu_of``, independently of the memo keys, so a
 #: key that regained per-instance identity would show more runs than
 #: contents.  It also reports the DES worlds the two b_eff sweeps
-#: started against the ping-pong worlds they need (two per sampled
-#: pair): a healthy ring or barrier runs as a recurrence, not a world;
-#: and the paths the route tables priced one pair at a time (the DES's
-#: per-message misses) against the distinct pairs the ping-pong worlds
-#: send over: the recurrences price in bulk and store nothing.
+#: started against the ping-pong games they played (two per sampled
+#: pair): on a healthy machine ping-pong, the rings and the barrier
+#: are recurrences, not worlds; and the paths the route tables priced
+#: one pair at a time (the DES's per-message misses): the recurrences
+#: price in bulk and store nothing.
 _COUNTING_SCRIPT = """
 import contextlib, io, json, sys
 from repro.cli import main
 import repro.hpcc.beff as beff
 import repro.netmodel.costs as costs
+from repro.mpi.comm import MPIWorld
 
 runs = {"stats": 0, "barrier": 0}
 asked = {"stats": set(), "barrier": set()}
@@ -122,16 +129,12 @@ def counted(name, fn):
 
 costs._compute_stats = counted("stats", costs._compute_stats)
 beff._barrier_recurrence = counted("barrier", beff._barrier_recurrence)
-worlds = {"run_mpi": 0, "pingpong": 0}
-pingpong_pairs = set()
-run_mpi = beff.run_mpi
-def counted_run_mpi(placement, *args, ranks=None, **kwargs):
-    worlds["run_mpi"] += 1
-    if ranks is not None:
-        pingpong_pairs.add((content(placement), costs.route_key(placement)[1],
-                            tuple(sorted(ranks))))
-    return run_mpi(placement, *args, ranks=ranks, **kwargs)
-beff.run_mpi = counted_run_mpi
+worlds = {"started": 0, "pingpong": 0}
+world_init = MPIWorld.__init__
+def counted_world(self, *args, **kwargs):
+    worlds["started"] += 1
+    world_init(self, *args, **kwargs)
+MPIWorld.__init__ = counted_world
 scalar_paths = [0]
 table_path = costs._RouteTable.path
 def counted_path(self, rank_a, rank_b):
@@ -158,8 +161,8 @@ beff._barrier_exits = asked_exits
 for name in ("fig5", "fig10"):
     if main(["run", name, "--no-cache"]):
         sys.exit(1)
-beff_worlds = [worlds["run_mpi"], worlds["pingpong"]]
-beff_paths = [scalar_paths[0], len(pingpong_pairs)]
+beff_worlds = [worlds["started"], worlds["pingpong"]]
+beff_paths = scalar_paths[0]
 # The b_eff sweeps build no path statistics; these full sweeps do
 # (fig11 under COLUMBIA_DEGRADED's path fault).  Counted only: their
 # output is not compared here.
@@ -178,8 +181,7 @@ def test_full_beff_sweeps_match_golden():
     build and each shared b_eff barrier recurrence runs once per
     distinct content (no sweep here carries DES faults or a tracer, so
     every barrier is shareable); the b_eff sweeps start no DES world
-    but the ping-pong ones; and their route tables price one pair at a
-    time only for pairs those worlds send over."""
+    at all; and their route tables price no pair one at a time."""
     run = _repro(script=_COUNTING_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout == BEFF_GOLDEN.read_text()
@@ -187,9 +189,37 @@ def test_full_beff_sweeps_match_golden():
     for name, (ran, distinct) in counts["memo"].items():
         assert 0 < ran == distinct, (name, counts)
     started, pingpong = counts["beff_worlds"]
-    assert 0 < started == pingpong, counts
-    priced, sent_over = counts["beff_paths"]
-    assert 0 < priced <= sent_over, counts
+    assert started == 0 < pingpong, counts
+    assert counts["beff_paths"] == 0, counts
+
+
+#: Runs ``repro run ext_noise`` and reports, on stderr's last line, the
+#: DES worlds it started.
+_EXT_NOISE_SCRIPT = """
+import json, sys
+from repro.cli import main
+from repro.mpi.comm import MPIWorld
+
+started = [0]
+world_init = MPIWorld.__init__
+def counted_world(self, *args, **kwargs):
+    started[0] += 1
+    world_init(self, *args, **kwargs)
+MPIWorld.__init__ = counted_world
+if main(["run", "ext_noise", "--no-cache"]):
+    sys.exit(1)
+print(json.dumps({"worlds": started[0]}), file=sys.stderr)
+"""
+
+
+def test_full_ext_noise_matches_golden():
+    """The full OS-noise sweep prints the golden, and on a healthy
+    machine its compute+allreduce steps start no DES world."""
+    run = _repro(script=_EXT_NOISE_SCRIPT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == EXT_NOISE_GOLDEN.read_text()
+    counts = json.loads(run.stderr.strip().splitlines()[-1])
+    assert counts["worlds"] == 0, counts
 
 
 #: Runs the full sweeps built on grid-system partitions in one process
