@@ -27,6 +27,7 @@ calibration index points at one module:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Iterable
 
@@ -90,6 +91,31 @@ class Fault:
     #: short name used in ``--faults`` strings and payloads.
     kind = "fault"
 
+    def __post_init__(self) -> None:
+        """Check each field against its annotation: a ``float`` field
+        holds a number a float can represent (not NaN or infinite), an
+        ``int`` field an integer, a ``str`` field a string, and ``None``
+        only where allowed.  Nothing is coerced, so a valid spec keeps
+        its payload and cache key.  Subclasses call this first."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            base, _, optional = f.type.partition(" | ")
+            if value is None and optional == "None":
+                continue
+            if base == "str":
+                ok = isinstance(value, str)
+            elif base == "int":
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = (isinstance(value, (int, float))
+                      and not isinstance(value, bool)
+                      and abs(value) <= sys.float_info.max)
+            if not ok:
+                what = "a finite float" if base == "float" else f.type
+                raise ConfigurationError(
+                    f"{self.kind}: {f.name} must be {what}, got {value!r}"
+                )
+
     def payload(self) -> dict[str, Any]:
         """Canonical JSON-safe dict (cache-key participation)."""
         out: dict[str, Any] = {"kind": self.kind}
@@ -116,6 +142,7 @@ class LinkDegradation(Fault):
     extra_latency: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _check_link_class(self.link_class)
         if self.latency_factor < 1.0 or not 0.0 < self.bandwidth_factor <= 1.0:
             raise ConfigurationError(
@@ -147,6 +174,7 @@ class LinkFlap(Fault):
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _check_link_class(self.link_class)
         if self.period <= 0 or not 0 <= self.down_time <= self.period:
             raise ConfigurationError(
@@ -177,6 +205,7 @@ class RouterFailover(Fault):
     extra_hops: int = 2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.node < 0 or self.extra_hops < 1:
             raise ConfigurationError(
                 f"failover: need node >= 0 and extra_hops >= 1, got "
@@ -199,6 +228,7 @@ class Straggler(Fault):
     factor: float = 2.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (self.rank is None) == (self.node is None):
             raise ConfigurationError(
                 "straggler: set exactly one of rank= or node="
@@ -224,6 +254,7 @@ class OsJitter(Fault):
     amplitude: float = 0.02
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.amplitude <= 0:
             raise ConfigurationError(
                 f"jitter: amplitude must be > 0, got {self.amplitude}"
@@ -250,6 +281,7 @@ class MessageDrop(Fault):
     backoff: float = 2.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.probability < 1.0:
             raise ConfigurationError(
                 f"drop: probability must be in [0, 1), got {self.probability}"
@@ -282,6 +314,7 @@ class MptAnomaly(Fault):
     reference_cpus: int = MPT_ANOMALY_REFERENCE_CPUS
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.extra_latency < 0 or self.excess < 0 or self.reference_cpus < 1:
             raise ConfigurationError("mpt_anomaly: bad parameters")
 
@@ -306,6 +339,7 @@ class BootCpuset(Fault):
     penalty: float = BOOT_CPUSET_PENALTY
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.penalty < 1.0:
             raise ConfigurationError(
                 f"boot_cpuset: penalty must be >= 1, got {self.penalty}"
@@ -340,6 +374,10 @@ class FaultSpec:
                 raise ConfigurationError(
                     f"FaultSpec entries must be Fault specs, got {f!r}"
                 )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigurationError(
+                f"FaultSpec seed must be an integer, got {self.seed!r}"
+            )
 
     def __bool__(self) -> bool:
         return bool(self.faults)
@@ -399,7 +437,10 @@ def _parse_value(text: str) -> Any:
     """One clause value: int, float (with optional us/ms/s suffix), str."""
     m = _DURATION_RE.match(text)
     if m and m.group(2) is not None:
-        return float(m.group(1)) * _DURATION_SCALE[m.group(2)]
+        try:
+            return float(m.group(1)) * _DURATION_SCALE[m.group(2)]
+        except ValueError:  # e.g. "-ms": left a string, which no field takes
+            return text
     for cast in (int, float):
         try:
             return cast(text)

@@ -6,15 +6,14 @@ the intra-node fabric as a binary fat tree over C-bricks: two bricks
 at tree distance *d* (the level of their lowest common ancestor)
 communicate over ``2*d`` router hops.
 
-`build_fat_tree` also constructs the explicit networkx graph, used by
-tests and the topology-analysis helpers (`bisection_links`,
-`path_hops`); the hot path (`hop_count`) is the closed form, because
-per-message shortest-path queries would dominate DES runtime.
+Only the closed form lives here: per-message shortest-path queries
+would dominate DES runtime, and no runtime path needs the explicit
+router graph.  ``tests/test_machine_topology.py`` builds that graph
+and checks :func:`hop_count` against its breadth-first distances over
+all 512 bricks of a full node.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.memo import memo
@@ -22,7 +21,6 @@ from repro.memo import memo
 __all__ = [
     "hop_count",
     "hop_table",
-    "build_fat_tree",
     "bisection_links",
     "tree_depth",
 ]
@@ -68,50 +66,6 @@ def hop_table(n_bricks: int) -> tuple[tuple[int, ...], ...]:
         tuple(hop_count(a, b) for b in range(n_bricks))
         for a in range(n_bricks)
     )
-
-
-def build_fat_tree(n_bricks: int) -> nx.Graph:
-    """Explicit binary fat-tree graph over ``n_bricks`` leaf bricks.
-
-    Leaves are ``("brick", i)``; internal routers are
-    ``("router", level, index)`` with level 1 just above the leaves.
-    Edge attribute ``level`` records the tree level of the link, so
-    capacity weighting (fat links near the root) can be layered on.
-    """
-    depth = tree_depth(n_bricks)
-    hop_table(n_bricks)  # tabulate the closed form alongside the graph
-    g = nx.Graph()
-    for i in range(n_bricks):
-        g.add_node(("brick", i))
-    # Router at (level, j) covers leaves [j*2^level, (j+1)*2^level).
-    for level in range(1, depth + 1):
-        n_routers = (n_bricks + (1 << level) - 1) >> level
-        for j in range(n_routers):
-            g.add_node(("router", level, j))
-            if level == 1:
-                for child in (2 * j, 2 * j + 1):
-                    if child < n_bricks:
-                        g.add_edge(("router", 1, j), ("brick", child), level=1)
-            else:
-                n_children = (n_bricks + (1 << (level - 1)) - 1) >> (level - 1)
-                for child in (2 * j, 2 * j + 1):
-                    if child < n_children:
-                        g.add_edge(
-                            ("router", level, j),
-                            ("router", level - 1, child),
-                            level=level,
-                        )
-    return g
-
-
-def path_hops(graph: nx.Graph, brick_a: int, brick_b: int) -> int:
-    """Router hops between two bricks via the explicit graph.
-
-    Equals :func:`hop_count` (tested property) but computed by BFS.
-    """
-    if brick_a == brick_b:
-        return 0
-    return nx.shortest_path_length(graph, ("brick", brick_a), ("brick", brick_b))
 
 
 def bisection_links(n_bricks: int) -> int:

@@ -10,11 +10,12 @@ front-end shares one definition of what "traffic matrix" means.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MessageRecord",
@@ -55,6 +56,8 @@ def bytes_by_rank(records: Iterable) -> dict[int, float]:
 
 def traffic_matrix(records: Iterable, n_ranks: int) -> np.ndarray:
     """Bytes sent from each rank to each rank."""
+    import numpy as np  # lazy: `import repro.api` must not load numpy
+
     if n_ranks < 1:
         raise ConfigurationError(f"n_ranks must be >= 1: {n_ranks}")
     m = np.zeros((n_ranks, n_ranks))

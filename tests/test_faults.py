@@ -1,7 +1,10 @@
 """The fault-injection layer: spec parsing, injector determinism,
 degraded-mode pricing, and the DES drop/flap/straggler hooks."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core  # noqa: F401  (imported first: repro.run's harness half lives there)
 from repro.errors import CommunicationError, ConfigurationError, SimulationError
@@ -103,6 +106,119 @@ class TestSpecParsing:
     def test_payload_round_trip(self):
         spec = parse_faults("failover:node=1,extra_hops=3;jitter:amplitude=0.1")
         assert FaultSpec.from_payload(spec.payload()) == spec
+
+    @pytest.mark.parametrize("text", [
+        # non-finite values: once broke every DES cell (KeyError: inf)
+        "straggler:rank=0,factor=nan",
+        "straggler:rank=0,factor=inf",
+        "jitter:amplitude=inf",
+        "degrade:latency_factor=inf",
+        "drop:timeout=1e400ms",
+        "flap:phase=nan",
+        "boot_cpuset:penalty=inf",
+        "jitter:amplitude=1" + "0" * 400,  # an int no float can hold
+        # mistyped values: once accepted, then silently did nothing or
+        # reported "dropped after 1.5 retries"
+        "straggler:rank=abc",
+        "straggler:node=1.0",
+        "drop:max_retries=1.5",
+        "mpt_anomaly:reference_cpus=256.5",
+        # a duration suffix on a non-number once raised ValueError
+        "drop:timeout=-ms",
+    ])
+    def test_non_finite_and_mistyped_values_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_faults(text)
+
+    def test_direct_construction_checks_types(self):
+        for bad in (
+            lambda: Straggler(rank=True),
+            lambda: OsJitter(amplitude="0.1"),
+            lambda: MessageDrop(max_retries=None),
+            lambda: LinkDegradation(link_class=None),
+            # a seed the grammar could not write back (seed=1.5)
+            lambda: FaultSpec.from_payload({"faults": [], "seed": 1.5}),
+        ):
+            with pytest.raises(ConfigurationError):
+                bad()
+
+
+def _num(lo: float, hi: float, exclude_min: bool = False):
+    """A valid value for a ``float`` field in ``[lo, hi]``: a float, or
+    an int as a user would type it."""
+    least = math.floor(lo) + 1 if exclude_min else math.ceil(lo)
+    return st.one_of(
+        st.integers(least, math.floor(hi)),
+        st.floats(lo, hi, exclude_min=exclude_min),
+    )
+
+
+_LINK = st.sampled_from(["any", "intra_brick", "intra_node", "inter_node"])
+_INT = st.integers(0, 10**9)
+
+
+@st.composite
+def _flap(draw):
+    period = draw(_num(1e-9, 10.0))
+    return LinkFlap(
+        link_class=draw(_LINK), period=period,
+        down_time=draw(st.floats(0.0, period)),
+        latency_factor=draw(_num(1.0, 1e6)),
+        phase=draw(st.floats(-10.0, 10.0)),
+    )
+
+
+_FAULTS = st.one_of(
+    st.builds(
+        LinkDegradation, link_class=_LINK, latency_factor=_num(1.0, 1e6),
+        bandwidth_factor=_num(0.0, 1.0, exclude_min=True),
+        extra_latency=_num(0.0, 1.0),
+    ),
+    _flap(),
+    st.builds(RouterFailover, node=_INT, extra_hops=st.integers(1, 64)),
+    st.builds(Straggler, rank=_INT, factor=_num(1.0, 1e6, exclude_min=True)),
+    st.builds(Straggler, node=_INT, factor=_num(1.0, 1e6, exclude_min=True)),
+    st.builds(OsJitter, amplitude=_num(0.0, 10.0, exclude_min=True)),
+    st.builds(
+        MessageDrop, probability=st.floats(0.0, 1.0, exclude_max=True),
+        timeout=_num(0.0, 1.0, exclude_min=True), max_retries=st.integers(0, 99),
+        backoff=_num(1.0, 100.0),
+    ),
+    st.builds(
+        MptAnomaly, extra_latency=_num(0.0, 1.0), excess=_num(0.0, 10.0),
+        reference_cpus=st.integers(1, 10**6),
+    ),
+    st.builds(BootCpuset, penalty=_num(1.0, 100.0)),
+)
+
+#: Fragments of the ``--faults`` grammar, so generated text reaches
+#: the value and field checks instead of dying at the kind lookup.
+_FRAGMENTS = st.sampled_from([
+    "degrade", "flap", "failover", "straggler", "jitter", "drop",
+    "mpt_anomaly", "boot_cpuset", "seed", "rank", "node", "factor",
+    "amplitude", "timeout", "max_retries", "probability", "link_class",
+    "period", "down_time", "phase", "extra_hops", "inter_node",
+    ":", "=", ",", ";", " ", "0", "1", "-1", "2.5", "0.5", "1e400", "nan",
+    "inf", "-", ".", "e", "us", "ms", "s", "none", "abc", "1_0", "٣",
+    "9" * 400,
+])
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), st.lists(_FRAGMENTS).map("".join)))
+    def test_any_text_parses_or_raises_configuration_error(self, text):
+        try:
+            spec = parse_faults(text)
+        except ConfigurationError:
+            return
+        assert isinstance(spec, FaultSpec)
+        assert parse_faults(format_faults(spec)) == spec
+
+    @given(st.lists(_FAULTS, max_size=4), st.integers(-2**31, 2**31))
+    def test_valid_spec_round_trips_through_the_grammar(self, faults, seed):
+        spec = FaultSpec(tuple(faults), seed=seed)
+        assert parse_faults(format_faults(spec)) == spec
 
 
 class TestScenarioIntegration:

@@ -1,5 +1,8 @@
 """Tests for router topology, nodes and clusters."""
 
+from functools import cache
+
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,13 +10,28 @@ from repro.errors import ConfigurationError
 from repro.machine.cluster import Cluster, columbia, multinode, single_node
 from repro.machine.infiniband import MPTVersion
 from repro.machine.node import NodeType, build_node
-from repro.machine.router import (
-    bisection_links,
-    build_fat_tree,
-    hop_count,
-    path_hops,
-    tree_depth,
-)
+from repro.machine.router import bisection_links, hop_count, tree_depth
+
+
+@cache
+def fat_tree(n_bricks: int) -> nx.Graph:
+    """Explicit binary fat-tree graph over ``n_bricks`` leaf bricks: the
+    oracle for the closed-form :func:`hop_count`.
+
+    Leaves are ``("brick", i)``; the router at ``("router", level, j)``
+    covers leaves ``[j * 2**level, (j + 1) * 2**level)``, with level 1
+    just above the leaves.  Built once per brick count, so a Hypothesis
+    example pays only for its shortest-path query.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(("brick", i) for i in range(n_bricks))
+    for level in range(1, tree_depth(n_bricks) + 1):
+        n_children = -(-n_bricks // (1 << (level - 1)))
+        for j in range(n_children):
+            child = ("brick", j) if level == 1 else ("router", level - 1, j)
+            g.add_edge(("router", level, j // 2), child)
+    return g
+
 
 
 class TestFatTree:
@@ -32,8 +50,20 @@ class TestFatTree:
 
     @given(st.integers(0, 511), st.integers(0, 511))
     def test_hop_count_matches_explicit_graph(self, a, b):
-        g = build_fat_tree(512)
-        assert path_hops(g, a, b) == hop_count(a, b)
+        g = fat_tree(512)
+        assert nx.shortest_path_length(
+            g, ("brick", a), ("brick", b)
+        ) == hop_count(a, b)
+
+    def test_hop_count_matches_bfs_over_every_pair(self):
+        # The closed form is the whole runtime model of the fabric:
+        # check it against BFS for all 512 x 512 pairs of a full node.
+        g = fat_tree(512)
+        for a in range(512):
+            hops = nx.single_source_shortest_path_length(g, ("brick", a))
+            assert all(
+                hops[("brick", b)] == hop_count(a, b) for b in range(512)
+            ), a
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_triangle_inequality(self, a, b, c):
@@ -50,10 +80,12 @@ class TestFatTree:
         assert bisection_links(128) == 2 * bisection_links(64)
 
     def test_graph_is_connected(self):
-        import networkx as nx
-
-        g = build_fat_tree(64)
-        assert nx.is_connected(g)
+        for n_bricks in (1, 5, 64, 512):
+            g = fat_tree(n_bricks)
+            assert nx.is_connected(g)
+            # n leaves plus the routers of a binary tree: a tree has
+            # one edge fewer than it has nodes.
+            assert g.number_of_edges() == g.number_of_nodes() - 1
 
 
 class TestNode:

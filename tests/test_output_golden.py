@@ -4,9 +4,10 @@
 ``repro all --fast --no-cache``.  The test runs ``repro all --fast
 --jobs 2`` twice against one fresh cache directory: the cold pass
 executes every cell in the runner's worker pool, the warm pass reads
-every cell back from the cache.  Both must print the golden exactly,
-and the warm pass -- which runs no DES -- must not import NumPy or
-SciPy.
+every cell back from the cache.  Both run with networkx blocked, as
+on an install without the ``test`` extra.  Both must print the golden
+exactly, and the warm pass -- which runs no DES -- must not import
+NumPy or SciPy.
 
 After a deliberate output change, regenerate the golden with::
 
@@ -51,15 +52,22 @@ EXT_NOISE_GOLDEN = Path(__file__).parent / "golden" / "ext_noise_full.txt"
 LIST_GOLDEN = Path(__file__).parent / "golden" / "repro_list.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Runs the CLI, then reports which heavy numeric packages got loaded.
+#: Runs the CLI, then reports which heavy packages got loaded.
 _SCRIPT = """
 import sys
 from repro.cli import main
 code = main(sys.argv[1:])
-heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+heavy = sorted(
+    m for m in ("networkx", "numpy", "scipy") if sys.modules.get(m) is not None
+)
 print("heavy modules:", ",".join(heavy) or "none", file=sys.stderr)
 sys.exit(code)
 """
+
+#: :data:`_SCRIPT` in an interpreter where ``import networkx`` fails,
+#: as on an install without the ``test`` extra; forked pool workers
+#: inherit the block.
+_NO_NETWORKX_SCRIPT = 'import sys; sys.modules["networkx"] = None\n' + _SCRIPT
 
 
 def _repro(*args: str, script: str = _SCRIPT) -> subprocess.CompletedProcess:
@@ -74,7 +82,10 @@ def _repro(*args: str, script: str = _SCRIPT) -> subprocess.CompletedProcess:
 
 
 def _repro_all_fast(cache_dir: Path) -> subprocess.CompletedProcess:
-    return _repro("all", "--fast", "--jobs", "2", "--cache-dir", str(cache_dir))
+    return _repro(
+        "all", "--fast", "--jobs", "2", "--cache-dir", str(cache_dir),
+        script=_NO_NETWORKX_SCRIPT,
+    )
 
 
 def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):

@@ -39,6 +39,20 @@ def _cell(x: int = 0, delay_ms: int = 0) -> list[tuple]:
     return [(x, x * x)]
 
 
+#: The pytest process; forked pool workers inherit the value.
+_SERVER_PID = os.getpid()
+
+
+@workload("serve_test.kill_worker")
+def _kill_worker() -> list[tuple]:
+    # Takes its pool worker down the way an OOM kill would.  Run in
+    # the server's own process it raises instead, so a routing bug
+    # fails the test rather than killing the test run.
+    if os.getpid() == _SERVER_PID:
+        raise RuntimeError("ran in the server process, not a pool worker")
+    os._exit(3)
+
+
 def _runner(**kw) -> Runner:
     kw.setdefault("jobs", 1)
     kw.setdefault("cache", None)
@@ -412,6 +426,60 @@ class TestTcpServe:
                 reply = client.submit(scenario("serve_test.no_such", x=1))
         assert reply.status == "error"
         assert reply.error
+
+
+class TestCrashIsolation:
+    def test_worker_death_mid_burst_answers_everyone_and_keeps_serving(self):
+        """A cell that kills its pool worker fails alone: every request
+        of the burst gets exactly one reply, the innocents' rows equal
+        a ``jobs=1`` run, and the server keeps serving after."""
+        import socket
+
+        from repro.run.runner import WORKER_DIED
+        from repro.serve.protocol import decode_line, encode_line
+
+        cells = [scenario("serve_test.cell", x=700 + i) for i in range(6)]
+        culprit = scenario("serve_test.kill_worker")
+        burst = cells[:3] + [culprit] + cells[3:] + cells[:2]
+        runner = Runner(jobs=2, cache=ResultCache(memory_only=True))
+        try:
+            with BackgroundServer(runner, batch_wait=0.05) as server:
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=60
+                ) as sock:
+                    reader = sock.makefile("rb")
+                    sock.sendall(b"".join(
+                        encode_line({"op": "submit", "id": rid,
+                                     "scenario": scenario_to_wire(sc)})
+                        for rid, sc in enumerate(burst)
+                    ))
+                    replies: dict[int, list[dict]] = {}
+                    for _ in burst:
+                        reply = decode_line(reader.readline())
+                        replies.setdefault(reply["id"], []).append(reply)
+                    # Nothing else is queued for us: the next line
+                    # answers this ping.
+                    sock.sendall(encode_line({"op": "ping", "id": "after"}))
+                    assert decode_line(reader.readline())["status"] == "pong"
+                with ServeClient(port=server.port) as client:
+                    later = client.submit_many(
+                        [scenario("serve_test.cell", x=800 + i) for i in range(2)]
+                    )
+        finally:
+            runner.close()
+        assert sorted(replies) == list(range(len(burst)))
+        assert all(len(got) == 1 for got in replies.values())
+        dead = replies[burst.index(culprit)][0]
+        assert dead["status"] == "error"
+        assert WORKER_DIED in dead["error"]
+        direct = {r.scenario.key(): r.rows for r in _runner().run(cells)}
+        for rid, sc in enumerate(burst):
+            if sc is culprit:
+                continue
+            (reply,) = replies[rid]
+            assert reply["status"] == "ok", reply
+            assert ServeClient._reply(reply).rows == direct[sc.key()]
+        assert [r.rows for r in later] == [((800, 640000),), ((801, 641601),)]
 
 
 class TestBadRequestFields:
