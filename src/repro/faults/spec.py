@@ -439,7 +439,7 @@ def _parse_value(text: str) -> Any:
     if m and m.group(2) is not None:
         try:
             return float(m.group(1)) * _DURATION_SCALE[m.group(2)]
-        except ValueError:  # e.g. "-ms": left a string, which no field takes
+        except ValueError:  # e.g. "-ms": a string, which numeric fields reject
             return text
     for cast in (int, float):
         try:
