@@ -7,7 +7,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## The default verification path: unit tests, the quick perf gate, and
-## the CLI smokes (cache, tracing, faults, compare).  The serve, shard,
+## the CLI smokes (cache, tracing, faults, compare).  The serve,
 ## explore and fidelity end-to-end checks are tier-1 tests.  Run
 ## `make bench-check` for the full kernel gate before refreshing
 ## BENCH_kernels.json.

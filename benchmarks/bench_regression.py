@@ -66,10 +66,6 @@ LOOSE_TOLERANCES = {
     "des_pingpong_faulted_events_per_sec": 0.35,
     "des_alltoall_msgs_per_sec": 0.35,
     "serve_submit_cells_per_sec": 0.35,
-    #: two TCP hops + routing + a disk-cache read per cell; scheduler
-    #: jitter across 4 processes earns the same loose budget as the
-    #: other serve-tier kernels.
-    "sharded_serve_cells_per_sec": 0.35,
     "analytic_serve_cells_per_sec": 0.35,
     "explore_candidates_per_sec": 0.35,
     "compare_cells_per_sec": 0.35,
@@ -95,13 +91,6 @@ SEED_GATES = {
 #: which cost multiples, never on machine weather.
 ABS_FLOORS = {
     "analytic_serve_cells_per_sec": 40_000.0,
-    #: the sharded tier's steady state is ~5-6k cells/s on this
-    #: machine (two TCP hops + ring lookup + shared-cache hit per
-    #: cell).  The floor sits ~3.5x under the slowest observed phase:
-    #: it trips on structural rot — losing client pipelining, a
-    #: reconnect per request, the router growing a per-cell subprocess
-    #: hop — all of which cost multiples, never on machine weather.
-    "sharded_serve_cells_per_sec": 1_500.0,
     #: the explore loop's interactivity contract: a full optimizer
     #: round-trip per candidate (ask, materialize, serve inline,
     #: score, tell) must stay north of 10k cells/s, or
@@ -399,48 +388,6 @@ def bench_serve() -> dict[str, float]:
     return {"serve_submit_cells_per_sec": SERVE_CELLS / wall}
 
 
-def bench_sharded_serve() -> dict[str, float]:
-    """Steady-state round-trip throughput of the sharded serve tier.
-
-    SERVE_CELLS distinct no-op cells through a real 3-worker
-    :class:`~repro.serve.shard.ShardedServer` — front-door TCP, the
-    consistent-hash routing hop, the worker's own protocol hop, and
-    the shared on-disk result cache — pipelined by one
-    :class:`~repro.serve.ServeClient`.  The first pass executes and
-    publishes every cell; the timed passes are the warm steady state
-    (shared-cache round trips), so cells/sec here is the fleet's
-    per-request overhead ceiling: two serialization hops + routing +
-    cache hit, no simulation time.  Worker spawn cost is deliberately
-    outside the clock — it is paid once per fleet, not per request.
-    """
-    import shutil
-    import tempfile
-
-    from repro.run import ResultCache, Runner, scenario, workload
-    from repro.serve import ServeClient
-    from repro.serve.shard import ShardedServer
-
-    # Idempotent, like the serve_noop registration above; fork-spawned
-    # workers inherit it.
-    workload("bench.serve_noop")(_serve_noop_cell)
-    cells = [scenario("bench.serve_noop", i=i) for i in range(SERVE_CELLS)]
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-shard-")
-    try:
-        with ShardedServer(Runner(cache=ResultCache(cache_dir)), workers=3) as fleet:
-            with ServeClient(fleet.host, fleet.port) as client:
-                warm = client.submit_many(cells)
-                assert all(r.ok for r in warm)
-
-                def run_once():
-                    replies = client.submit_many(cells)
-                    assert all(r.ok for r in replies)
-
-                wall = _best_time(run_once, repeats=5)
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    return {"sharded_serve_cells_per_sec": SERVE_CELLS / wall}
-
-
 # -- surrogate fast path -----------------------------------------------------
 
 
@@ -582,7 +529,6 @@ BENCHES = [
     bench_md,
     bench_cost_model,
     bench_serve,
-    bench_sharded_serve,
     bench_analytic_serve,
     bench_explore,
     bench_compare,

@@ -31,10 +31,7 @@ The facade groups five seams:
   :class:`CounterSet`;
 * **serving** — :class:`ServeClient`, :class:`ServeResult`,
   :func:`submit` (in-process one-shot), :class:`ScenarioService`,
-  :class:`QuotaPolicy` (per-client token-bucket admission), and the
-  sharded tier: :class:`ShardedServer` (N worker processes behind a
-  consistent-hashing router over a shared on-disk cache) and
-  :func:`serve_sharded` (its blocking CLI loop);
+  :class:`QuotaPolicy` (per-client token-bucket admission);
 * **surrogate tier** — :func:`evaluate_scenario` (closed-form cell
   evaluation), :func:`calibrate_fidelity` and :class:`ErrorTable`
   (the measured analytic-vs-DES error bound the Runner's
@@ -106,8 +103,6 @@ from repro.serve import (
     ServeClient,
     ServeReply,
     ServeResult,
-    ShardedServer,
-    serve_sharded,
     submit,
 )
 from repro.surrogate import ErrorTable, evaluate_scenario
@@ -143,7 +138,6 @@ __all__ = sorted(
         "ServeClient",
         "ServeReply",
         "ServeResult",
-        "ShardedServer",
         "Tracer",
         "build_machine",
         "calibrate_fidelity",
@@ -167,7 +161,6 @@ __all__ = sorted(
         "run_study",
         "scenario",
         "search_space",
-        "serve_sharded",
         "single_node",
         "submit",
         "sweep",

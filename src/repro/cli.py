@@ -17,15 +17,12 @@ Commands
     write a Perfetto-loadable Chrome trace + spans CSV, printing the
     compute/comm/wait decomposition and the critical path.
 ``serve [--host H] [--port P] [--max-queue N] [--max-batch N]
-[--workers N] [--quota-rate R [--quota-burst B]]``
+[--quota-rate R [--quota-burst B]]``
     Long-lived scenario service (JSON lines over TCP): queues,
     coalesces and micro-batches scenario cells against the shared
     cache; analytic-fidelity requests resolve inline through the
-    surrogate.  ``--workers N`` (N > 1) runs the sharded tier — N
-    worker processes behind a consistent-hashing router over a shared
-    on-disk cache, same protocol, worker-death failover;
-    ``--quota-rate``/``--quota-burst`` add per-client token-bucket
-    admission.  See docs/api.md for the protocol and
+    surrogate.  ``--quota-rate``/``--quota-burst`` add per-client
+    token-bucket admission.  See docs/api.md for the protocol and
     :class:`repro.serve.ServeClient`.
 ``calibrate --fidelity [--full] [--bound ERR] [--check]``
     Measure surrogate-vs-DES relative error per workload family
@@ -223,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-wait", type=float, default=0.0, metavar="SECONDS",
         help="linger before forming a batch so request bursts pack "
              "together (default 0: dispatch immediately)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes; >1 runs the sharded tier (consistent-"
-             "hash router + shared on-disk result cache; requires a "
-             "cache, so not with --no-cache or --checkpoint) (default 1)",
     )
     serve_p.add_argument(
         "--quota-rate", type=float, default=None, metavar="R",
@@ -657,12 +648,7 @@ def main(argv: list[str] | None = None) -> int:
             for a in advice:
                 print(f"[{a.severity:<7}] {a.rule} ({a.paper_ref}): {a.message}")
         elif args.command == "serve":
-            from repro.serve import (
-                DEFAULT_PORT,
-                QuotaPolicy,
-                serve_forever,
-                serve_sharded,
-            )
+            from repro.serve import DEFAULT_PORT, QuotaPolicy, serve_forever
 
             quota = None
             if args.quota_rate is not None:
@@ -671,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
                     else 10.0 * args.quota_rate
                 )
                 quota = QuotaPolicy(rate=args.quota_rate, burst=burst)
-            options = dict(
+            return serve_forever(
+                _build_runner(args),
                 host=args.host,
                 port=DEFAULT_PORT if args.port is None else args.port,
                 max_queue=args.max_queue,
@@ -679,11 +666,6 @@ def main(argv: list[str] | None = None) -> int:
                 batch_wait=args.batch_wait,
                 quota=quota,
             )
-            # The sharded tier rejects a runner without a disk cache
-            # (--no-cache) or with a --checkpoint journal (exit 2).
-            if args.workers > 1:
-                return serve_sharded(_build_runner(args), args.workers, **options)
-            return serve_forever(_build_runner(args), **options)
         elif args.command == "explore":
             return _run_explore(args)
         elif args.command == "compare":

@@ -25,22 +25,22 @@ Writes are atomic (tmp file + rename) so parallel readers — threads
 one.  ``memory_only=True`` keeps everything in-process — the default
 for library use, so tests stay hermetic; the CLI passes a directory.
 
-The disk directory is the *shared* backend of the sharded serve tier
-(:mod:`repro.serve.shard`): many worker processes open the same
-directory, each with its own mirror, and the content-addressed
+The disk directory is shared by every ``repro`` process pointed at
+it (two CLI runs against ``.repro-cache``, or a CLI run beside
+``repro serve``), each with its own mirror; the content-addressed
 atomic-publish discipline is what makes concurrent ``put``/``get`` of
 the same key safe.  Three hygiene rules keep a long-lived shared
 store healthy:
 
 * the configured directory is resolved to an **absolute path at
-  construction** — workers launched from different working
-  directories must land in the same store, and a caller that
-  ``chdir``s after opening the cache must not silently split it;
-* stale ``*.tmp`` files (leaked by a worker killed mid-``put``) are
+  construction** — a caller that ``chdir``s after opening the cache
+  must not silently split it;
+* stale ``*.tmp`` files (leaked by a process killed mid-``put``) are
   swept on open and on :meth:`clear`;
-* a corrupt cell is **unlinked** on first read, so one torn file from
-  a dead writer costs one re-execution instead of a re-parse-and-miss
-  in every future worker.
+* a corrupt cell — unreadable JSON, or ``rows`` that are not a list of
+  lists of scalars — is **unlinked** on first read, so one torn file
+  from a dead writer costs one re-execution instead of a
+  re-parse-and-miss in every future process.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default bound on the per-process memory mirror of a disk-backed
 #: cache.  Every disk hit used to be mirrored forever — an unbounded
-#: leak in any long-lived serve worker; past this many entries the
+#: leak in a long-lived ``repro serve``; past this many entries the
 #: least recently used row list is dropped (the disk copy stays).
 DEFAULT_MEMORY_ENTRIES = 4096
 
@@ -98,9 +98,7 @@ def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path:
     """The cache directory as an absolute path.
 
     ``None`` means the default location.  Every consumer of a disk
-    cache path funnels through here — :class:`ResultCache` at
-    construction, and the serve tier when it threads one shared
-    directory to its worker processes — so two components handed the
+    cache path funnels through here, so two components handed the
     same (possibly relative) spelling always agree on the same store.
     """
     return Path(
@@ -176,9 +174,8 @@ class ResultCache:
     ) -> None:
         self.memory_only = memory_only
         #: absolute directory of the disk level (``None`` when
-        #: memory-only); resolved once here so later ``chdir``s — or
-        #: serve workers launched from other directories — cannot
-        #: split one logical store into disjoint relative ones.
+        #: memory-only); resolved once here so later ``chdir``s
+        #: cannot split one logical store into disjoint relative ones.
         self.cache_dir = None if memory_only else resolve_cache_dir(cache_dir)
         if max_memory_entries is not None and max_memory_entries < 0:
             raise ConfigurationError(
@@ -283,23 +280,28 @@ class ResultCache:
     def _read_disk(self, key: str) -> list[tuple] | None:
         path = self._path(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None  # no such cell: an ordinary miss
         try:
-            payload = json.loads(text)
-            return [canonical_value(r) for r in payload["rows"]]
-        except (ValueError, KeyError, TypeError, ConfigurationError):
-            # Corrupt cell (torn write from a dead kernel, bit rot):
-            # unlink it so one bad file costs one re-execution, not a
-            # re-parse-and-miss in every worker that ever probes the
-            # key.  A concurrent writer republishing the same key in
-            # this window loses at worst that one re-creatable cell.
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort hygiene
-                pass
-            return None
+            rows = json.loads(data)["rows"]
+            if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
+                return [canonical_value(r) for r in rows]
+        except (ValueError, KeyError, TypeError, RecursionError,
+                ConfigurationError):
+            pass
+        # Corrupt cell (torn write from a dead kernel, bit rot, bytes
+        # that are not UTF-8, nesting past the recursion limit, rows
+        # that are not a list of lists): unlink it so one bad file
+        # costs one re-execution, not a re-parse-and-miss in every
+        # process that ever probes the key.  A concurrent writer
+        # republishing the same key in this window loses at worst that
+        # one re-creatable cell.
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:  # pragma: no cover - best-effort hygiene
+            pass
+        return None
 
     # -- hygiene --------------------------------------------------------------
 

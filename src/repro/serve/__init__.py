@@ -7,19 +7,13 @@ The package splits along the classic service seam:
   path, bounded priority queue with ``retry_after`` backpressure),
   in-flight request coalescing by scenario content hash,
   micro-batching into :meth:`Runner.run`, whose one long-lived worker
-  pool runs each batch; one plain counter table and the fleet merge
-  rules for its stats;
+  pool runs each batch; one plain counter table for its stats;
 * :mod:`repro.serve.protocol` — the JSON-lines wire format and the
   one reading of a ``submit`` message;
-* :mod:`repro.serve.server` — the one JSON-lines connection loop
-  (:class:`~repro.serve.server.LineServer`), the single-service TCP
-  front end on it, and the ``repro serve`` loop;
-* :mod:`repro.serve.client` — the blocking :class:`ServeClient`;
-* :mod:`repro.serve.shard` — the multi-worker tier
-  (:class:`ShardedServer`): N worker processes behind one front-door
-  router on the same connection loop, consistent hashing on the
-  service's coalescing key, a shared on-disk result cache, and
-  worker-death failover.
+* :mod:`repro.serve.server` — the TCP front end
+  (:class:`ScenarioServer`), its thread host
+  (:class:`BackgroundServer`) and the ``repro serve`` loop;
+* :mod:`repro.serve.client` — the blocking :class:`ServeClient`.
 
 For one-shot in-process use (no sockets), :func:`submit` runs a list
 of scenarios through a short-lived service and returns the results in
@@ -48,7 +42,6 @@ from repro.serve.service import (
     ServeRejected,
     ServeResult,
 )
-from repro.serve.shard import ShardedServer, serve_sharded
 
 __all__ = [
     "DEFAULT_PORT",
@@ -62,11 +55,9 @@ __all__ = [
     "ServeRejected",
     "ServeReply",
     "ServeResult",
-    "ShardedServer",
     "scenario_from_wire",
     "scenario_to_wire",
     "serve_forever",
-    "serve_sharded",
     "submit",
 ]
 

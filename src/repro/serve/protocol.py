@@ -189,10 +189,9 @@ def parse_submit(message: dict[str, Any]) -> SubmitRequest:
     """Interpret one ``submit`` message; raises ConfigurationError on a
     bad field.
 
-    This is *the* reading of a submit message: the single server builds
-    what it runs from it, and the shard router builds its routing key
-    and quota charge from it, so a cell can never hash to one worker
-    and execute as another.
+    This is *the* reading of a submit message: the server builds what
+    it runs, and the service its coalescing key and quota charge, from
+    what this returns.
     """
     sc = scenario_from_wire(message.get("scenario"))
     faults_text = message.get("faults")

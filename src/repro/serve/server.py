@@ -1,27 +1,22 @@
-"""TCP front ends of the scenario service.
+"""TCP front end of the scenario service.
 
-:class:`LineServer` is the one JSON-lines connection loop (the
-protocol is documented in :mod:`repro.serve.protocol`; plain
-``asyncio`` streams, stdlib only).  Each connection is one reader
-task; each ``submit`` runs as its own task so slow cells never block
-the connection — responses stream back in completion order and
-clients match them to requests by ``id``.  Two front doors run that
-loop and supply only their ``submit`` and ``stats`` handlers:
-:class:`ScenarioServer` over one :class:`ScenarioService`, and the
-shard router (:class:`repro.serve.shard.ShardRouter`) over a fleet.
+:class:`ScenarioServer` binds one :class:`ScenarioService` to a
+JSON-lines endpoint (the protocol is documented in
+:mod:`repro.serve.protocol`; plain ``asyncio`` streams, stdlib only).
+Each connection is one reader task; each ``submit`` runs as its own
+task so slow cells never block the connection — responses stream back
+in completion order and clients match them to requests by ``id``.
 
-:class:`BackgroundServer` runs the whole single-server stack (event
-loop, service, server) on a :class:`LoopThread` — the one host of an
-event-loop thread, which also runs the shard router.
-:func:`serve_forever`, the blocking loop behind the ``repro serve``
-CLI verb, and each shard worker wait on a ``BackgroundServer``.
+:class:`BackgroundServer` runs the whole stack (event loop, service,
+server) on a daemon thread; :func:`serve_forever`, the blocking loop
+behind the ``repro serve`` CLI verb, waits on one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Awaitable, Callable
+from typing import Any
 
 from repro.errors import ReproError
 from repro.run.runner import Runner
@@ -37,27 +32,27 @@ from repro.serve.service import QuotaPolicy, ScenarioService, ServeRejected
 
 __all__ = [
     "BackgroundServer",
-    "LineServer",
-    "LoopThread",
     "ScenarioServer",
     "serve_forever",
 ]
 
 
-class LineServer:
-    """A JSON-lines protocol endpoint: the one connection loop.
+class ScenarioServer:
+    """Bind a :class:`ScenarioService` to a TCP endpoint.
 
-    Subclasses answer the ops: :meth:`_submit` turns one ``submit``
-    message into a response body (raising :class:`ServeRejected` to
-    refuse it), :meth:`_stats` returns the stats snapshot and
-    :meth:`_pong` the ``ping`` body.  The loop owns everything else:
-    the line limit, blank and undecodable lines, the per-connection
-    write lock, unknown ops, exactly one response per request whatever
-    a handler raises, and answering what was asked before it closes
-    on EOF.
+    The connection loop owns the line limit, blank and undecodable
+    lines, the per-connection write lock, unknown ops, exactly one
+    response per request whatever the service raises, and answering
+    what was asked before it closes on EOF.
     """
 
-    def __init__(self, host: str, port: int) -> None:
+    def __init__(
+        self,
+        service: ScenarioService,
+        host: str = "127.0.0.1",
+        port: int = DEFAULT_PORT,
+    ) -> None:
+        self.service = service
         self.host = host
         #: requested port; after :meth:`start` the bound port (use
         #: ``port=0`` to let the OS pick one).
@@ -65,7 +60,8 @@ class LineServer:
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
 
-    async def start(self) -> "LineServer":
+    async def start(self) -> "ScenarioServer":
+        await self.service.start()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
@@ -81,15 +77,30 @@ class LineServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        await self.service.close()
 
     async def _submit(self, message: dict) -> dict:
-        raise NotImplementedError
-
-    async def _stats(self) -> dict[str, float]:
-        raise NotImplementedError
-
-    def _pong(self) -> dict:
-        return {"status": "pong", "protocol": PROTOCOL_VERSION}
+        """One ``submit`` message's response body; raises
+        :class:`ServeRejected` when admission control refuses it."""
+        request = parse_submit(message)
+        result = await self.service.submit(
+            request.scenario,
+            priority=request.priority,
+            trace_dir=request.trace_dir,
+            client_id=request.client_id,
+        )
+        if not result.ok:
+            return {"status": "error", "error": result.error}
+        ok = {"status": "ok",
+              "rows": [list(r) for r in result.rows],
+              "cached": result.cached, "coalesced": result.coalesced,
+              "duration_s": result.duration_s,
+              "latency_s": result.latency_s}
+        if result.escalated:
+            # Only present when true: full-fidelity responses keep
+            # their exact pre-fidelity wire bytes.
+            ok["escalated"] = True
+        return ok
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -113,8 +124,8 @@ class LineServer:
                 body = {"status": "rejected", "retry_after": exc.retry_after,
                         "depth": exc.depth, "reason": exc.reason}
             except Exception as exc:
-                # The per-request boundary: whatever a bad field or a
-                # handler raises becomes this request's error response,
+                # The per-request boundary: whatever a bad field or the
+                # service raises becomes this request's error response,
                 # and the connection keeps serving.
                 body = {"status": "error", "error": str(exc)}
             try:
@@ -149,10 +160,12 @@ class LineServer:
                     task.add_done_callback(pending.discard)
                 elif op == "stats":
                     await reply(
-                        rid, {"status": "stats", "stats": await self._stats()}
+                        rid, {"status": "stats", "stats": self.service.stats()}
                     )
                 elif op == "ping":
-                    await reply(rid, self._pong())
+                    await reply(
+                        rid, {"status": "pong", "protocol": PROTOCOL_VERSION}
+                    )
                 else:
                     await reply(
                         rid, {"status": "error", "error": f"unknown op {op!r}"}
@@ -173,50 +186,76 @@ class LineServer:
                 pass
 
 
-class ScenarioServer(LineServer):
-    """Bind a :class:`ScenarioService` to a TCP endpoint."""
+class BackgroundServer:
+    """A full serve stack on a daemon thread.
+
+    ``with BackgroundServer(runner) as server:`` yields once the socket
+    is bound (``server.port`` is then real even for ``port=0``), and
+    re-raises a startup failure in the caller; exit closes the server
+    on its own loop, which drains the service, and joins the thread.
+    It hosts ``repro serve`` (:func:`serve_forever`) and the tests.
+    """
 
     def __init__(
         self,
-        service: ScenarioService,
+        runner: Runner,
         host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
+        port: int = 0,
+        max_queue: int = 1024,
+        max_batch: int = 32,
+        batch_wait: float = 0.0,
+        quota: QuotaPolicy | None = None,
     ) -> None:
-        super().__init__(host, port)
-        self.service = service
+        self._runner = runner
+        self._service_args = dict(
+            max_queue=max_queue, max_batch=max_batch,
+            batch_wait=batch_wait, quota=quota,
+        )
+        self.host = host
+        self.port = port
+        self.service: ScenarioService | None = None
+        self._thread: threading.Thread | None = None
+        self._ready = threading.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._startup_error: BaseException | None = None
 
-    async def start(self) -> "ScenarioServer":
-        await self.service.start()
-        await super().start()
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        try:
+            self.service = ScenarioService(self._runner, **self._service_args)
+            server = await ScenarioServer(
+                self.service, host=self.host, port=self.port
+            ).start()
+        except BaseException as exc:
+            self._startup_error = exc
+            self._ready.set()
+            return
+        self.host, self.port = server.host, server.port
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            await server.close()
+
+    def __enter__(self) -> "BackgroundServer":
+        self._ready.clear()
+        self._startup_error = None
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()),
+            name="repro-serve", daemon=True,
+        )
+        self._thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            self._thread.join()
+            raise self._startup_error
         return self
 
-    async def close(self) -> None:
-        await super().close()
-        await self.service.close()
-
-    async def _submit(self, message: dict) -> dict:
-        request = parse_submit(message)
-        result = await self.service.submit(
-            request.scenario,
-            priority=request.priority,
-            trace_dir=request.trace_dir,
-            client_id=request.client_id,
-        )
-        if not result.ok:
-            return {"status": "error", "error": result.error}
-        ok = {"status": "ok",
-              "rows": [list(r) for r in result.rows],
-              "cached": result.cached, "coalesced": result.coalesced,
-              "duration_s": result.duration_s,
-              "latency_s": result.latency_s}
-        if result.escalated:
-            # Only present when true: full-fidelity responses keep
-            # their exact pre-fidelity wire bytes.
-            ok["escalated"] = True
-        return ok
-
-    async def _stats(self) -> dict[str, float]:
-        return self.service.stats()
+    def __exit__(self, *exc) -> None:
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join()
 
 
 def serve_forever(
@@ -245,101 +284,3 @@ def serve_forever(
     finally:
         runner.close()
     return 0
-
-
-class LoopThread:
-    """One front door's event loop, hosted on a daemon thread.
-
-    ``open_door`` is a coroutine function that builds and starts the
-    front door and returns it (anything with an async ``close``).
-    :meth:`start` blocks until it has, re-raising a startup failure in
-    the caller; :meth:`stop` closes the door on its own loop and joins
-    the thread.
-    """
-
-    def __init__(
-        self, open_door: Callable[[], Awaitable[Any]], name: str
-    ) -> None:
-        self._open_door = open_door
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), name=name, daemon=True
-        )
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._door: Any = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> Any:
-        """Run the loop thread; the started front door once it is up."""
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self._door
-
-    def stop(self) -> None:
-        """Close the started front door and join the thread."""
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            door = await self._open_door()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._door = door
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await door.close()
-
-
-class BackgroundServer:
-    """A full serve stack on a daemon thread.
-
-    ``with BackgroundServer(runner) as server:`` yields once the socket
-    is bound (``server.port`` is then real even for ``port=0``); exit
-    drains the service and joins the thread.  It hosts ``repro serve``
-    (:func:`serve_forever`), every shard worker, and the tests.
-    """
-
-    def __init__(
-        self,
-        runner: Runner,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_queue: int = 1024,
-        max_batch: int = 32,
-        batch_wait: float = 0.0,
-        quota: QuotaPolicy | None = None,
-    ) -> None:
-        self._runner = runner
-        self._service_args = dict(
-            max_queue=max_queue, max_batch=max_batch,
-            batch_wait=batch_wait, quota=quota,
-        )
-        self.host = host
-        self.port = port
-        self.service: ScenarioService | None = None
-        self._loop_thread: LoopThread | None = None
-
-    async def _open(self) -> ScenarioServer:
-        self.service = ScenarioService(self._runner, **self._service_args)
-        server = ScenarioServer(self.service, host=self.host, port=self.port)
-        return await server.start()
-
-    def __enter__(self) -> "BackgroundServer":
-        self._loop_thread = LoopThread(self._open, name="repro-serve")
-        server = self._loop_thread.start()
-        self.host, self.port = server.host, server.port
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._loop_thread.stop()

@@ -31,8 +31,7 @@ Everything observable is counted in one plain dict of totals
 (:attr:`ScenarioService.counts`: ``serve.requests``,
 ``serve.coalesced``, ``serve.batch_occupancy``, ``serve.rejected`` and
 friends), reported with live queue depths and p50/p99 request latency
-by :meth:`ScenarioService.stats`; :func:`merge_stats` is the one rule
-set that folds those snapshots across a fleet.
+by :meth:`ScenarioService.stats`.
 
 The service never executes *full-fidelity* cells on the event loop:
 batches run in a worker thread (``asyncio.to_thread``) so the loop
@@ -60,7 +59,6 @@ import itertools
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import ConfigurationError, ReproError
 from repro.run.runner import Runner, RunRecord
@@ -72,8 +70,6 @@ __all__ = [
     "ScenarioService",
     "ServeRejected",
     "ServeResult",
-    "coalescing_key",
-    "merge_stats",
 ]
 
 
@@ -232,32 +228,9 @@ def coalescing_key(effective: Scenario, trace_dir: str | None) -> tuple:
     (:meth:`Runner.effective_scenario`).  Its content hash covers the
     fidelity tier, so an analytic submit never coalesces with a
     full-DES submit of the same cell; the tier rides along explicitly
-    so that invariant is visible here.  The shard router hashes this
-    same key onto its ring, which keeps coalescing global in a fleet.
+    so that invariant is visible here.
     """
     return (effective.key(), trace_dir, effective.fidelity)
-
-
-#: Fleet merge rule of :meth:`ScenarioService.stats` keys: a key ending
-#: in one of these is a latency percentile or a ratio gauge and merges
-#: by max (a conservative fleet-wide bound — a sum of ratios means
-#: nothing); every other key is a count or a depth and sums.
-_MERGE_BY_MAX = ("_p50_s", "_p99_s", "serve.batch_occupancy")
-
-
-def merge_stats(snapshots: Iterable[dict[str, float]]) -> dict[str, float]:
-    """Fold per-worker :meth:`ScenarioService.stats` snapshots into one
-    fleet-wide view (summed ``runner.executed`` is the global execution
-    count)."""
-    merged: dict[str, float] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            value = float(value)
-            if name.endswith(_MERGE_BY_MAX):
-                merged[name] = max(merged.get(name, 0.0), value)
-            else:
-                merged[name] = merged.get(name, 0.0) + value
-    return merged
 
 
 #: Cap on the retained latency samples (p50/p99 window).
@@ -534,9 +507,8 @@ class ScenarioService:
         out["serve.latency_p50_s"] = pct(combined, 0.50)
         out["serve.latency_p99_s"] = pct(combined, 0.99)
         # Runner- and cache-level gauges ride along so a remote stats
-        # call (and the shard router's merge) can prove the global
-        # execution story: executed-exactly-once shows up as
-        # sum(runner.executed) == distinct cells across the fleet.
+        # call can prove the execution story: executed-exactly-once
+        # shows up as runner.executed == distinct cells.
         rstats = self.runner.stats
         out["runner.executed"] = float(rstats.executed)
         out["runner.cached"] = float(rstats.cached)

@@ -1,10 +1,11 @@
 """Cross-process semantics and hygiene of the shared ResultCache.
 
-The sharded serve tier points N worker processes at one cache
-directory, so these tests pin the properties that makes safe:
-absolute-path anchoring, the bounded LRU memory mirror (and its
-eviction accounting), stale-temp/corrupt-cell hygiene, and torn-free
-concurrent put/get through atomic publish.
+Every ``repro`` process pointed at one cache directory (two CLI runs,
+or a CLI run beside ``repro serve``) shares its cells, so these tests
+pin the properties that makes safe: absolute-path anchoring, the
+bounded LRU memory mirror (and its eviction accounting),
+stale-temp/corrupt-cell hygiene, and torn-free concurrent put/get
+through atomic publish.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.run import Runner, scenario, workload
@@ -177,6 +179,57 @@ class TestHygiene:
         path.write_text(json.dumps({"workload": "cache_shared.cell"}))
         assert cache.get(sc) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",  # not UTF-8
+        b"[" * 200_000,  # nested past the recursion limit
+        b'{"rows": [1, 2]}',  # rows of scalars, not of lists
+        b'{"rows": "ab"}',
+        b'{"rows": {"a": 1}}',
+    ], ids=["non-utf8", "deep-nesting", "scalar-rows", "string-rows",
+            "object-rows"])
+    def test_malformed_cell_is_a_miss_and_unlinked(self, tmp_path, content):
+        cache = ResultCache(tmp_path, max_memory_entries=0)
+        sc = _cells(1)[0]
+        cache.put(sc, [(0,)])
+        path = cache._path(cache.key_for(sc))
+        path.write_bytes(content)
+        assert cache.get(sc) is None
+        assert not path.exists(), "malformed cell should be unlinked"
+        assert cache.stats.hits == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_cell_files = (
+    st.binary(max_size=64)
+    | _json_values.map(lambda v: json.dumps(v).encode())
+    | _json_values.map(lambda v: json.dumps({"rows": v}).encode())
+)
+
+
+class TestCellReadFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(content=_cell_files)
+    def test_any_cell_file_reads_as_rows_or_a_miss(self, tmp_path_factory,
+                                                   content):
+        cache = ResultCache(tmp_path_factory.mktemp("fuzz"),
+                            max_memory_entries=0)
+        sc = _cells(1)[0]
+        path = cache._path(cache.key_for(sc))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(content)
+        rows = cache.get(sc)
+        if rows is None:
+            assert not path.exists()
+        else:
+            assert isinstance(rows, list)
+            assert all(isinstance(r, tuple) for r in rows)
 
 
 def _writer_proc(cache_dir: str, value: int, rounds: int) -> None:

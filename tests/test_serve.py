@@ -427,6 +427,58 @@ class TestTcpServe:
         assert reply.status == "error"
         assert reply.error
 
+    def test_half_closed_client_still_gets_its_reply(self):
+        # A client that stops sending is still answered before close.
+        import socket
+
+        from repro.serve.protocol import decode_line, encode_line
+
+        sc = scenario("serve_test.cell", x=7, delay_ms=200)
+        with BackgroundServer(_runner()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(encode_line(
+                    {"op": "submit", "id": 1,
+                     "scenario": scenario_to_wire(sc)}
+                ))
+                sock.shutdown(socket.SHUT_WR)
+                reply = decode_line(sock.makefile("rb").readline())
+        assert reply["id"] == 1 and reply["status"] == "ok"
+        assert reply["rows"] == [[7, 49]]
+
+    def test_runner_options_reach_served_cells(self, tmp_path):
+        # The server serves with the runner handed in: a runner-level
+        # trace dir makes each executed cell write its trace file.
+        from repro.core.registry import resolve_experiment
+
+        sc = resolve_experiment("fig5").scenarios(fast=True)[0]  # 4 CPUs
+        trace_dir = tmp_path / "traces"
+        runner = Runner(cache=ResultCache(tmp_path / "cache"),
+                        trace_dir=str(trace_dir))
+        with BackgroundServer(runner) as server:
+            with ServeClient(server.host, server.port) as client:
+                assert client.submit(sc).ok
+        assert len(list(trace_dir.glob("fig5.cell-*.trace.json"))) == 1
+
+    def test_quota_rejects_greedy_client_over_tcp(self):
+        sc = scenario("serve_test.cell", x=8)
+        quota = QuotaPolicy(rate=0.5, burst=2)
+        with BackgroundServer(_runner(), quota=quota) as server:
+            with ServeClient(server.host, server.port,
+                             client_id="greedy") as client:
+                first = client.submit(sc)
+                second = client.submit(sc)
+                assert first.ok and second.ok
+                third = client.submit(sc, retry=False)
+                assert third.status == "rejected"
+                assert third.reason == "quota"
+                assert third.retry_after > 0
+            # A different client has its own untouched bucket.
+            with ServeClient(server.host, server.port,
+                             client_id="patient") as client:
+                assert client.submit(sc, retry=False).ok
+
 
 class TestCrashIsolation:
     def test_worker_death_mid_burst_answers_everyone_and_keeps_serving(self):
@@ -564,3 +616,123 @@ class TestStatsKeys:
         assert stats["serve.requests"] == 5
         assert stats["serve.inline"] == 1
         assert stats["serve.quota_rejected"] == 1
+
+
+class TestQuotaSingleService:
+    """The QuotaPolicy on an in-process service."""
+
+    def test_inprocess_quota_rejection_and_recovery(self):
+        sc = scenario("serve_test.cell", x=1)
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=50.0, burst=1),
+            )
+            async with service:
+                first = await service.submit(sc, client_id="c")
+                assert first.ok
+                with pytest.raises(ServeRejected) as err:
+                    await service.submit(sc, client_id="c")
+                assert err.value.reason == "quota"
+                assert err.value.retry_after > 0
+                # The bucket refills: admitted again after the hint.
+                await asyncio.sleep(err.value.retry_after)
+                again = await service.submit(sc, client_id="c")
+                assert again.ok
+                totals = service.stats()
+                assert totals["serve.quota_rejected"] == 1
+
+        asyncio.run(drive())
+
+    def test_anonymous_clients_share_one_bucket(self):
+        sc = scenario("serve_test.cell", x=2)
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=0.1, burst=1),
+            )
+            async with service:
+                assert (await service.submit(sc)).ok
+                with pytest.raises(ServeRejected):
+                    await service.submit(sc)  # same anonymous bucket
+                # A named client is unaffected.
+                assert (await service.submit(sc, client_id="named")).ok
+
+        asyncio.run(drive())
+
+    def test_escalating_nowait_spends_no_token(self):
+        # submit_nowait of a cell that must escalate returns None; it
+        # used to keep the token it charged, so the follow-up submit
+        # of the same request was rejected for quota.
+        sc = scenario("serve_test.cell", x=3, fidelity="analytic")
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            async with service:
+                assert service.submit_nowait(sc, client_id="c") is None
+                assert "serve.requests" not in service.stats()
+                result = await service.submit(sc, client_id="c")
+                assert result.ok and result.escalated
+                with pytest.raises(ServeRejected):
+                    await service.submit(sc, client_id="c")
+                return service.stats()
+
+        totals = asyncio.run(drive())
+        assert totals["serve.requests"] == 2
+        assert totals["serve.quota_rejected"] == 1
+
+    def test_both_entries_count_a_rejection_once(self):
+        sc = scenario("fig9.cell", processes=4, threads=1,
+                      fidelity="analytic")
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None),
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            async with service:
+                assert service.submit_nowait(sc, client_id="c").ok
+                with pytest.raises(ServeRejected):
+                    service.submit_nowait(sc, client_id="c")
+                with pytest.raises(ServeRejected):
+                    await service.submit(sc, client_id="c")
+                return service.stats()
+
+        totals = asyncio.run(drive())
+        assert totals["serve.requests"] == 3
+        assert totals["serve.rejected"] == 2
+        assert totals["serve.quota_rejected"] == 2
+
+    def test_quota_policy_validation(self):
+        with pytest.raises(ConfigurationError):
+            QuotaPolicy(rate=0.0, burst=1)
+        with pytest.raises(ConfigurationError):
+            QuotaPolicy(rate=1.0, burst=0)
+
+
+class TestServeCli:
+    def test_help_lists_no_workers_option(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--max-queue" in out
+        assert "--workers" not in out
+
+    def test_workers_option_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--workers", "2", "--port", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err

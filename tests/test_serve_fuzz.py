@@ -1,13 +1,12 @@
-"""Fuzz both serve front doors through their shared connection loop.
+"""Fuzz the serve front door through its connection loop.
 
-Arbitrary JSON objects go to a single :class:`BackgroundServer` and to
-a one-worker :class:`ShardedServer`: random ``op`` and ``id``, junk or
-valid scenarios, and junk in every per-request field (``priority``
-including inf, NaN and huge ints; ``faults``; ``fidelity``;
-``client_id``).  ``trace`` names a directory the server writes to, so
-it is pinned to a temporary directory.  Every line must get exactly
-one response within a timeout, and a ``ping`` must still answer on
-the same connection afterwards.
+Arbitrary JSON objects go to one :class:`BackgroundServer`: random
+``op`` and ``id``, junk or valid scenarios, and junk in every
+per-request field (``priority`` including inf, NaN and huge ints;
+``faults``; ``fidelity``; ``client_id``).  ``trace`` names a directory
+the server writes to, so it is pinned to a temporary directory.  Every
+line must get exactly one response within a timeout, and a ``ping``
+must still answer on the same connection afterwards.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.run import ResultCache, Runner, scenario, workload
-from repro.serve import BackgroundServer, ShardedServer, scenario_to_wire
+from repro.run import Runner, scenario, workload
+from repro.serve import BackgroundServer, scenario_to_wire
 from repro.serve.protocol import decode_line, encode_line
 
 #: Seconds one response may take; a dropped request shows as a timeout.
@@ -97,13 +96,6 @@ def single_door():
 
 
 @pytest.fixture(scope="module")
-def sharded_door(tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("fuzz-cache")
-    with ShardedServer(Runner(cache=ResultCache(cache_dir)), workers=1) as fleet:
-        yield fleet.port
-
-
-@pytest.fixture(scope="module")
 def trace_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz-trace"))
 
@@ -126,7 +118,7 @@ def _exchange(port: int, message: dict) -> None:
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
-@pytest.mark.parametrize("door", ["single_door", "sharded_door"])
+@pytest.mark.parametrize("door", ["single_door"])
 def test_every_line_gets_one_reply(door, request, trace_dir):
     port = request.getfixturevalue(door)
 
