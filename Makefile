@@ -48,19 +48,19 @@ trace-smoke:
 	@echo "trace-smoke ok"
 
 FAULTS_SMOKE_DIR := /tmp/repro-faults-smoke
-FAULTS_SMOKE_RUN := $(PYTHON) -m repro run fig9 --fast --no-cache \
+FAULTS_SMOKE_RUN := $(PYTHON) -m repro run fig9 --fast \
 	  --faults "drop:probability=0.02;jitter:amplitude=0.001;seed=7" \
-	  --checkpoint $(FAULTS_SMOKE_DIR)/sweep.jsonl
+	  --cache-dir $(FAULTS_SMOKE_DIR)/cache
 ## "<total> total, <cached> cached, <executed> executed" from a stats
 ## file, checked by a Python expression over t, c and e.
 FAULTS_SMOKE_STATS = $(PYTHON) -c "import re,sys; m=re.search(r'(\d+) total, (\d+) cached, (\d+) executed', open('$(FAULTS_SMOKE_DIR)/$(1)').read()); t,c,e=map(int,m.groups()) if m else (0,0,-1); sys.exit(0 if $(2) else 1)"
 
-## Injected-fault sweep with a checkpoint journal, then a second pass
-## that must resume entirely from the journal (0 cells re-executed)
-## and render byte-identical output.  Then the journal's tail is torn
+## Injected-fault sweep into a fresh cell store, then a second pass
+## that must resume entirely from the store (0 cells re-executed) and
+## render byte-identical output.  Then the tail of cells.jsonl is torn
 ## as a kill would leave it: the next pass re-executes the torn cell,
 ## and a third pass must again replay everything from the healed
-## journal, byte-identical.
+## store, byte-identical.
 .PHONY: faults-smoke
 faults-smoke:
 	rm -rf $(FAULTS_SMOKE_DIR) && mkdir -p $(FAULTS_SMOKE_DIR)
@@ -70,19 +70,19 @@ faults-smoke:
 	@diff $(FAULTS_SMOKE_DIR)/cold.txt $(FAULTS_SMOKE_DIR)/warm.txt \
 	  || { echo 'faults-smoke FAILED: resumed run differs from original'; exit 1; }
 	@$(call FAULTS_SMOKE_STATS,warm_stats.txt,c == t and e == 0) \
-	  || { echo 'faults-smoke FAILED: resume re-executed cells instead of replaying the journal'; exit 1; }
-	$(PYTHON) -c "import os; p='$(FAULTS_SMOKE_DIR)/sweep.jsonl'; os.truncate(p, os.path.getsize(p) - 20)"
+	  || { echo 'faults-smoke FAILED: resume re-executed cells instead of replaying the store'; exit 1; }
+	$(PYTHON) -c "import os; p='$(FAULTS_SMOKE_DIR)/cache/cells.jsonl'; os.truncate(p, os.path.getsize(p) - 20)"
 	$(FAULTS_SMOKE_RUN) >$(FAULTS_SMOKE_DIR)/torn.txt 2>$(FAULTS_SMOKE_DIR)/torn_stats.txt
 	@cat $(FAULTS_SMOKE_DIR)/torn_stats.txt
 	@$(call FAULTS_SMOKE_STATS,torn_stats.txt,e >= 1) \
-	  || { echo 'faults-smoke FAILED: torn journal re-executed no cell'; exit 1; }
+	  || { echo 'faults-smoke FAILED: torn store re-executed no cell'; exit 1; }
 	$(FAULTS_SMOKE_RUN) >$(FAULTS_SMOKE_DIR)/healed.txt 2>$(FAULTS_SMOKE_DIR)/healed_stats.txt
 	@cat $(FAULTS_SMOKE_DIR)/healed_stats.txt
 	@diff $(FAULTS_SMOKE_DIR)/cold.txt $(FAULTS_SMOKE_DIR)/healed.txt \
-	  || { echo 'faults-smoke FAILED: run after a torn journal differs from original'; exit 1; }
+	  || { echo 'faults-smoke FAILED: run after a torn store differs from original'; exit 1; }
 	@$(call FAULTS_SMOKE_STATS,healed_stats.txt,c == t and e == 0) \
-	  || { echo 'faults-smoke FAILED: the cell after a torn tail was lost from the journal'; exit 1; }
-	@echo "faults-smoke ok: faulted sweep completed, resumed from checkpoint and healed a torn journal"
+	  || { echo 'faults-smoke FAILED: the cell after a torn tail was lost from the store'; exit 1; }
+	@echo "faults-smoke ok: faulted sweep completed, resumed from the cell store and healed a torn tail"
 
 COMPARE_SMOKE_DIR := /tmp/repro-compare-smoke
 

@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="cell cache directory (default .repro-cache or "
-                 "$REPRO_CACHE_DIR)",
+                 "$REPRO_CACHE_DIR); a re-run on the same directory "
+                 "resumes an interrupted sweep",
         )
         p.add_argument(
             "--trace", default=None, metavar="DIR", dest="trace_dir",
@@ -124,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--retries", type=int, default=0, metavar="N",
             help="re-run a failed cell up to N times with exponential "
                  "backoff before recording the failure",
-        )
-        p.add_argument(
-            "--checkpoint", default=None, metavar="FILE",
-            help="journal completed cells to FILE (JSONL); a re-run "
-                 "resumes from it instead of re-executing finished cells",
         )
 
     sub.add_parser("list", help="list all experiments")
@@ -391,7 +387,6 @@ def _build_runner(args):
         jobs=args.jobs, cache=cache, trace_dir=args.trace_dir,
         faults=faults, fidelity=getattr(args, "fidelity", None),
         surrogate_policy=policy, retries=getattr(args, "retries", 0),
-        checkpoint=getattr(args, "checkpoint", None),
     )
 
 

@@ -18,10 +18,11 @@ Budgets and resumability:
 * ``journal=PATH`` appends one JSONL line per scored candidate — the
   trajectory — and a re-run with the same space/objective/optimizer
   replays journaled candidates through ``tell`` without re-submitting
-  them, exactly like ``--checkpoint`` resumes a sweep.  Lines carry
-  no wall-clock data, so two runs from one seed produce
-  byte-identical journals (the determinism contract the explore
-  tests pin).
+  them, exactly like a re-run on the same ``--cache-dir`` resumes a
+  sweep (both files are a :class:`~repro.run.journal.JsonlJournal`).
+  Lines carry no wall-clock data, so two runs from one seed produce
+  byte-identical journals (the determinism contract the explore tests
+  pin).
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class TrajectoryJournal(JsonlJournal):
 
     A killed exploration loses at most the candidate in progress; the
     torn tail is cut on resume (:class:`~repro.run.journal.
-    JsonlJournal`, shared with ``--checkpoint``).  Deliberately
+    JsonlJournal`, shared with the cell store).  Deliberately
     wall-clock-free: two runs from one seed write byte-identical
     journals.
     """

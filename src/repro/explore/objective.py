@@ -253,11 +253,15 @@ def parse_objective(text: str) -> Objective:
                 ) from None
         elif key in ("quantile", "noise", "constraint_min", "constraint_max"):
             try:
-                kwargs[key] = float(value)
+                number = float(value)
+                if not math.isfinite(number):
+                    raise ValueError(value)
             except ValueError:
                 raise ConfigurationError(
-                    f"--objective: {key} must be a number, got {value!r}"
+                    f"--objective: {key} must be a finite number, "
+                    f"got {value!r}"
                 ) from None
+            kwargs[key] = number
         elif key in ("mode", "reduce"):
             kwargs[key] = value
         else:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields as dc_fields
 from typing import Any, Iterable, Mapping
 
@@ -66,6 +67,11 @@ __all__ = [
 #: at space declaration time instead of deep inside a candidate build.
 _MACHINE_FIELDS = tuple(f.name for f in dc_fields(MachineSpec))
 _PLACEMENT_FIELDS = tuple(f.name for f in dc_fields(PlacementSpec))
+
+#: Most values one ``lo:hi:n`` range may expand to: a design-space
+#: dimension is a hand-sized list, and a larger count (a typo such as
+#: ``x=1:2:100000000000``) would hang the parser building it.
+MAX_RANGE_COUNT = 10_000
 
 
 def _as_fault_value(value: Any, name: str) -> FaultSpec | None:
@@ -335,7 +341,8 @@ def _parse_scalar(text: str) -> Any:
 def _parse_range(text: str, name: str) -> list[Any] | None:
     """``lo:hi:n`` linear range, or None when the clause isn't one.
     Integral endpoints with integral steps yield ints (so
-    ``l3_mb=6:12:3`` gives ``6, 9, 12``, not floats)."""
+    ``l3_mb=6:12:3`` gives ``6, 9, 12``, not floats).  Endpoints and
+    step must be finite, and ``n`` at most :data:`MAX_RANGE_COUNT`."""
     parts = text.split(":")
     if len(parts) != 3:
         return None
@@ -343,15 +350,17 @@ def _parse_range(text: str, name: str) -> list[Any] | None:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         return None
-    if n < 1:
+    if not 1 <= n <= MAX_RANGE_COUNT:
         raise ConfigurationError(
-            f"space dimension {name!r}: range count must be >= 1, got {n}"
+            f"space dimension {name!r}: range count must be in "
+            f"1..{MAX_RANGE_COUNT}, got {n}"
         )
-    if n == 1:
-        values = [lo]
-    else:
-        step = (hi - lo) / (n - 1)
-        values = [round(lo + i * step, 10) for i in range(n)]
+    step = (hi - lo) / (n - 1) if n > 1 else 0.0
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ConfigurationError(
+            f"space dimension {name!r}: range {text!r} is not finite"
+        )
+    values = [lo] if n == 1 else [round(lo + i * step, 10) for i in range(n)]
     out = []
     for v in values:
         out.append(int(v) if float(v).is_integer() else v)

@@ -19,28 +19,23 @@ documentation rule for tuned constants, and the cache turns it into a
 correctness rule.
 
 The cache is two-level: a bounded per-process LRU mirror in front of
-a JSON file-per-cell directory (``<dir>/<key[:2]>/<key>.json``).
-Writes are atomic (tmp file + rename) so parallel readers — threads
-*or* other processes — see the old cell or the new one, never a torn
-one.  ``memory_only=True`` keeps everything in-process — the default
-for library use, so tests stay hermetic; the CLI passes a directory.
+one append-only JSONL file, ``<dir>/cells.jsonl``
+(:class:`~repro.run.journal.JsonlJournal`, one line per cell).
+``memory_only=True`` keeps everything in-process — the default for
+library use, so tests stay hermetic; the CLI passes a directory.
 
-The disk directory is shared by every ``repro`` process pointed at
-it (two CLI runs against ``.repro-cache``, or a CLI run beside
-``repro serve``), each with its own mirror; the content-addressed
-atomic-publish discipline is what makes concurrent ``put``/``get`` of
-the same key safe.  Three hygiene rules keep a long-lived shared
-store healthy:
-
-* the configured directory is resolved to an **absolute path at
-  construction** — a caller that ``chdir``s after opening the cache
-  must not silently split it;
-* stale ``*.tmp`` files (leaked by a process killed mid-``put``) are
-  swept on open and on :meth:`clear`;
-* a corrupt cell — unreadable JSON, or ``rows`` that are not a list of
-  lists of scalars — is **unlinked** on first read, so one torn file
-  from a dead writer costs one re-execution instead of a
-  re-parse-and-miss in every future process.
+The file is shared by every ``repro`` process pointed at the directory
+(two CLI runs against ``.repro-cache``, or a CLI run beside ``repro
+serve``), each with its own mirror, and it is the resumable store: a
+sweep killed part-way re-runs with the same ``--cache-dir`` and
+replays every finished cell.  The journal makes that safe — appends
+are ``flock``ed, a torn tail left by a killed writer is cut before the
+next append, a corrupt line is skipped without hiding later ones, and
+the first record for a key wins.  The configured directory is resolved
+to an **absolute path at construction**, so a caller that ``chdir``s
+after opening the cache cannot silently split it.  The file is opened
+on the first :meth:`ResultCache.get` or :meth:`ResultCache.put`, not
+at construction.
 """
 
 from __future__ import annotations
@@ -48,13 +43,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import time
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.run.journal import JsonlJournal
 from repro.run.scenario import Scenario, canonical_value
 
 __all__ = [
@@ -74,12 +69,13 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: least recently used row list is dropped (the disk copy stays).
 DEFAULT_MEMORY_ENTRIES = 4096
 
-#: A ``*.tmp`` file this much older than "now" cannot belong to a
-#: live ``put`` (a put holds its temp for milliseconds) — it was
-#: leaked by a writer that died mid-publish, and the open-time sweep
-#: may safely collect it.  Younger temps are left alone so the sweep
-#: can never race a concurrent writer's in-flight publish.
-STALE_TMP_AGE_S = 3600.0
+#: The cell store's file name inside the cache directory.
+CELLS_FILE = "cells.jsonl"
+
+#: Line 1 of the cell store: its format version.  The invalidation
+#: context (version, calibration) lives in every key instead, so
+#: processes of different builds can share one file.
+_CELLS_HEADER = {"cells": 1}
 
 
 def default_cache_dir() -> Path:
@@ -151,6 +147,15 @@ def _approx_bytes(rows) -> int:
         return 0
 
 
+def _decode_cell(record: dict) -> list[tuple]:
+    """A cell record's rows, canonicalized; raises on anything that is
+    not a list of lists of scalars."""
+    rows = record["rows"]
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("cell rows must be a list of lists")
+    return [canonical_value(r) for r in rows]
+
+
 class ResultCache:
     """Two-level (memory + disk) cache of cell rows.
 
@@ -185,16 +190,22 @@ class ResultCache:
             max_memory_entries = None if memory_only else DEFAULT_MEMORY_ENTRIES
         self.max_memory_entries = max_memory_entries
         self._memory: OrderedDict[str, list[tuple]] = OrderedDict()
+        #: guards the mirror and the stats: the serve tier reaches one
+        #: cache from the event loop and from a worker thread at once.
+        self._lock = threading.Lock()
         self.stats = CacheStats()
         # Computed once per cache instance: the fingerprint is pure
         # code/config state, constant for the process lifetime.
         self._context = (
             f"{_package_version()}|{calibration_fingerprint()}"
         )
-        if self.cache_dir is not None:
-            # Collect temps leaked by writers that died mid-put; only
-            # provably-stale ones, so a live writer is never raced.
-            self._sweep_temps(max_age_s=STALE_TMP_AGE_S)
+        #: the disk level (``None`` when memory-only); no I/O until
+        #: the first get or put.
+        self._journal = (
+            None if self.cache_dir is None
+            else JsonlJournal(self.cache_dir / CELLS_FILE, _CELLS_HEADER,
+                              decode=_decode_cell)
+        )
 
     # -- keys -----------------------------------------------------------------
 
@@ -202,9 +213,6 @@ class ResultCache:
         """Full cache key: scenario hash x calibration x version."""
         blob = f"{scenario.key()}|{self._context}"
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
 
     # -- the bounded memory mirror --------------------------------------------
 
@@ -229,17 +237,18 @@ class ResultCache:
     def get(self, scenario: Scenario) -> list[tuple] | None:
         """Cached rows for ``scenario``, or None on a miss."""
         key = self.key_for(scenario)
-        rows = self._memory.get(key)
-        if rows is not None:
-            self._memory.move_to_end(key)  # LRU touch
-        elif self.cache_dir is not None:
-            rows = self._read_disk(key)
+        with self._lock:
+            rows = self._memory.get(key)
             if rows is not None:
-                self._remember(key, rows)
-        if rows is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+                self._memory.move_to_end(key)  # LRU touch
+            elif self._journal is not None:
+                rows = self._journal.get(key)
+                if rows is not None:
+                    self._remember(key, rows)
+            if rows is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
         return list(rows)
 
     def put(self, scenario: Scenario, rows: list[tuple]) -> None:
@@ -252,90 +261,27 @@ class ResultCache:
         """
         key = self.key_for(scenario)
         rows = [canonical_value(r, "cached row value ") for r in rows]
-        self._remember(key, rows)
-        self.stats.writes += 1
-        if self.cache_dir is None:
-            return
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "workload": scenario.workload,
-            "cell": scenario.describe(),
-            "rows": [list(r) for r in rows],
-        }
-        # Atomic publish: a parallel reader sees the old file or the
-        # new one, never a partial write.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with self._lock:
+            self._remember(key, rows)
+            self.stats.writes += 1
+            if self._journal is not None:
+                self._journal.put(key, {
+                    "key": key,
+                    "workload": scenario.workload,
+                    "cell": scenario.describe(),
+                    "rows": rows,
+                })
 
-    def _read_disk(self, key: str) -> list[tuple] | None:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None  # no such cell: an ordinary miss
-        try:
-            rows = json.loads(data)["rows"]
-            if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
-                return [canonical_value(r) for r in rows]
-        except (ValueError, KeyError, TypeError, RecursionError,
-                ConfigurationError):
-            pass
-        # Corrupt cell (torn write from a dead kernel, bit rot, bytes
-        # that are not UTF-8, nesting past the recursion limit, rows
-        # that are not a list of lists): unlink it so one bad file
-        # costs one re-execution, not a re-parse-and-miss in every
-        # process that ever probes the key.  A concurrent writer
-        # republishing the same key in this window loses at worst that
-        # one re-creatable cell.
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - best-effort hygiene
-            pass
-        return None
-
-    # -- hygiene --------------------------------------------------------------
-
-    def _sweep_temps(self, max_age_s: float = 0.0) -> int:
-        """Unlink leaked ``*.tmp`` files; returns how many went.
-
-        ``max_age_s > 0`` spares temps younger than that (the
-        open-time mode: a concurrent writer's in-flight temp must
-        survive); ``0`` collects everything (the :meth:`clear` mode).
-        """
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return 0
-        cutoff = time.time() - max_age_s
-        swept = 0
-        for sub in self.cache_dir.iterdir():
-            if not (sub.is_dir() and len(sub.name) == 2):
-                continue
-            for tmp in sub.glob("*.tmp"):
-                try:
-                    if max_age_s > 0.0 and tmp.stat().st_mtime >= cutoff:
-                        continue
-                    tmp.unlink(missing_ok=True)
-                    swept += 1
-                except OSError:  # pragma: no cover - racing another sweep
-                    continue
-        return swept
+    def close(self) -> None:
+        """Close the cell file; the next get or put reopens it."""
+        if self._journal is not None:
+            self._journal.close()
 
     def clear(self) -> None:
-        """Drop every cached cell (memory and disk), temps included."""
-        self._memory.clear()
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return
-        self._sweep_temps(max_age_s=0.0)
-        for sub in self.cache_dir.iterdir():
-            if sub.is_dir() and len(sub.name) == 2:
-                for cell in sub.glob("*.json"):
-                    cell.unlink(missing_ok=True)
+        """Drop every cached cell, in memory and on disk (for a store
+        no other process is using)."""
+        with self._lock:
+            self._memory.clear()
+            if self._journal is not None:
+                self._journal.close()
+                (self.cache_dir / CELLS_FILE).unlink(missing_ok=True)

@@ -1,26 +1,33 @@
-"""The one append-only JSONL journal core behind every resumable run.
+"""The one append-only JSONL journal core behind every resumable store.
 
-Both the sweep checkpoint (:class:`repro.run.runner.SweepCheckpoint`)
-and the exploration trail (:class:`repro.explore.driver.
-TrajectoryJournal`) are this file format:
+Both the cell store (:class:`repro.run.cache.ResultCache`'s disk level,
+``<cache-dir>/cells.jsonl``) and the exploration trail
+(:class:`repro.explore.driver.TrajectoryJournal`) are this file format:
+line 1 is a header binding the journal to its context (a journal whose
+header differs is ignored and rewritten on the first append); each
+later line is one record, a JSON object with a ``"key"``, written as
+one whole line.  The first record for a key wins.
 
-* line 1 is a header binding the journal to its context (package
-  version, calibration fingerprint, and whatever else the owner puts
-  in it); a journal whose header differs is ignored and rewritten on
-  the first append;
-* each later line is one record, a JSON object with a ``"key"``,
-  written and flushed as one whole line — a kill loses at most the
-  record in progress;
-* loading keeps the records up to the first line that is not whole
-  (no newline yet, or not parseable): the torn tail a kill leaves.
-  The first append truncates the file back to that intact prefix, so
-  a new record is never glued onto a fragment.
+Several processes and threads may share one file.  An append holds a
+``threading.Lock`` and ``fcntl.flock(LOCK_EX)``; under the lock it
+first reads what others appended (so no key is journaled twice) and
+cuts a torn tail — the bytes after the last newline, left by a writer
+killed mid-append — before its own line goes on.  Readers take no file
+lock: they consume whole lines only, and a writer only ever cuts bytes
+after the last newline.  A miss reads the lines appended since the last
+read.  A whole line that does not parse is skipped and never hides the
+records after it.  The index maps key to the byte span of its line,
+and a hit re-reads that one line with ``os.pread``.  The file opens on
+the first :meth:`~JsonlJournal.get` or :meth:`~JsonlJournal.put`; a
+get never creates it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,13 +35,20 @@ from repro.errors import ConfigurationError
 
 __all__ = ["JsonlJournal"]
 
+#: What a corrupt line or record raises on parse or decode.
+_CORRUPT = (ValueError, KeyError, TypeError, RecursionError, ConfigurationError)
+
+
+def _encode(obj: dict[str, Any]) -> bytes:
+    return (json.dumps(obj, sort_keys=True) + "\n").encode()
+
 
 class JsonlJournal:
     """Keyed records in an append-only, header-bound JSONL file.
 
     ``decode`` maps a parsed record line to the value :meth:`get`
-    returns (identity by default); a line it rejects ends the intact
-    prefix like a torn one.  :meth:`put` is idempotent per key.
+    returns (identity by default); a record it rejects reads as a
+    miss.  :meth:`put` is idempotent per key.
     """
 
     def __init__(
@@ -46,63 +60,132 @@ class JsonlJournal:
         self.path = Path(path)
         self.header = header
         self._decode = decode
-        self._records: dict[str, Any] = {}
+        self._lock = threading.Lock()
         self._fh = None
-        #: byte length of the intact prefix (header plus every whole
-        #: record line); 0 when the file holds no valid header.
-        self._intact = 0
-        self._load()
+        self._reset()
 
-    def _load(self) -> None:
-        try:
-            data = self.path.read_bytes()
-        except OSError:
-            return
-        # The piece after the last newline is a torn line (or empty).
-        *whole, _tail = data.split(b"\n")
-        if not whole:
-            return
-        try:
-            header = json.loads(whole[0])
-        except ValueError:
-            return
-        if header != self.header:
-            return
-        intact = len(whole[0]) + 1
-        for line in whole[1:]:
+    def _reset(self) -> None:
+        #: key -> (offset, length) of its record line, newline excluded.
+        self._spans: dict[str, tuple[int, int]] = {}
+        #: bytes consumed so far: always the end of a whole line.
+        self._read_to = 0
+        #: whether line 1 is this journal's header.
+        self._valid = False
+
+    def _open(self, create: bool):
+        if self._fh is None:
+            flags = os.O_RDWR | os.O_APPEND | (os.O_CREAT if create else 0)
             try:
-                record = json.loads(line)
-                self._records[record["key"]] = self._decode(record)
-            except (ValueError, KeyError, TypeError, ConfigurationError):
-                break  # nothing after a corrupt line is trusted
-            intact += len(line) + 1
-        self._intact = intact
+                if create:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(os.open(self.path, flags, 0o644), "rb+",
+                                buffering=0)
+            except OSError as exc:
+                if isinstance(exc, FileNotFoundError) and not create:
+                    return None  # nothing journaled yet: every get misses
+                raise ConfigurationError(
+                    f"cannot open journal {self.path}: {exc}"
+                ) from None
+        return self._fh.fileno()
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def _catch_up(self, fd: int) -> int:
+        """Index the whole lines appended since the last read; returns
+        the file size."""
+        size = os.fstat(fd).st_size
+        if size < self._read_to:  # truncated under us (clear, rewrite)
+            self._reset()
+        if size == self._read_to:
+            return size
+        data = os.pread(fd, size - self._read_to, self._read_to)
+        pos = self._read_to
+        for line in data.split(b"\n")[:-1]:
+            if pos == 0:
+                try:
+                    self._valid = json.loads(line) == self.header
+                except _CORRUPT:
+                    self._valid = False
+            elif self._valid:
+                try:
+                    key = json.loads(line)["key"]
+                except _CORRUPT:
+                    key = None
+                if isinstance(key, str) and key not in self._spans:
+                    self._spans[key] = (pos, len(line))
+            pos += len(line) + 1
+        self._read_to = pos
+        return size
 
     def get(self, key: str) -> Any:
         """The decoded record journaled under ``key``, or None."""
-        return self._records.get(key)
+        with self._lock:
+            span = self._spans.get(key)
+            if span is None:
+                fd = self._open(create=False)
+                if fd is None:
+                    return None
+                self._catch_up(fd)
+                span = self._spans.get(key)
+                if span is None:
+                    return None
+            offset, length = span
+            try:
+                record = json.loads(os.pread(self._fh.fileno(), length, offset))
+                if record["key"] == key:
+                    return self._decode(record)
+            except _CORRUPT:
+                pass
+            # Undecodable (bit rot, or a file cleared under us): a miss,
+            # and the next put journals the key afresh.
+            del self._spans[key]
+            return None
 
     def put(self, key: str, record: dict[str, Any]) -> None:
         """Journal one record (its ``"key"`` is ``key``) unless ``key``
-        is already journaled."""
-        if key in self._records:
-            return
-        self._records[key] = self._decode(record)
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._intact and self.path.exists():
-                os.truncate(self.path, self._intact)
-                self._fh = open(self.path, "a")
-            else:
-                self._fh = open(self.path, "w")
-                self._fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        is already journaled, here or by another process."""
+        with self._lock:
+            if key in self._spans:
+                return
+            line = _encode(record)
+            try:
+                fd = self._open(create=True)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                try:
+                    size = self._catch_up(fd)
+                    if not self._valid:
+                        # Re-read from the top before rewriting: another
+                        # process may have rewritten a stale file since.
+                        self._reset()
+                        size = self._catch_up(fd)
+                    if key in self._spans:
+                        return
+                    end = self._read_to if self._valid else 0
+                    if size != end:
+                        os.ftruncate(fd, end)  # torn tail, or a stale file
+                    if end == 0:
+                        self._reset()
+                        head = _encode(self.header)
+                        _write_all(fd, head)
+                        end = len(head)
+                    _write_all(fd, line)
+                    self._valid = True
+                    self._spans[key] = (end, len(line) - 1)
+                    self._read_to = end + len(line)
+                finally:
+                    fcntl.flock(fd, fcntl.LOCK_UN)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot append to journal {self.path}: {exc}"
+                ) from None
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+            self._reset()
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]

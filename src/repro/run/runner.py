@@ -27,12 +27,15 @@ Resilience knobs (all off by default):
 
 * ``retries=N`` — re-run a failed cell up to N times with exponential
   backoff before recording the failure (transient-failure hygiene);
-* ``checkpoint=PATH`` — journal every completed cell to an
-  append-only JSONL file; a re-run after a crash (or a ``kill -9``)
-  resumes from the journal instead of re-executing finished cells;
 * ``faults=SPEC`` — overlay a :class:`~repro.faults.FaultSpec` onto
   every scenario (merged with any cell-level spec), the CLI's
   ``--faults`` path.
+
+Resuming is the cache's job: every completed cell is appended to the
+runner's :class:`~repro.run.cache.ResultCache`, so a sweep re-run
+after a crash (or a ``kill -9``) on the same cache directory replays
+finished cells instead of re-executing them.  Failures are never
+cached, so a resumed sweep re-runs them.
 
 Each runner owns at most one worker pool: built lazily by its first
 parallel :meth:`Runner.run`, reused by every later call (a CLI sweep's
@@ -51,14 +54,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.faults.context import use_faults
 from repro.faults.spec import FaultSpec
 from repro.run.cache import ResultCache
-from repro.run.journal import JsonlJournal
 from repro.run.scenario import Scenario, canonical_value
 from repro.run.workloads import resolve
 
@@ -66,7 +67,6 @@ __all__ = [
     "RunRecord",
     "Runner",
     "RunStats",
-    "SweepCheckpoint",
     "default_runner",
     "execute_scenario",
 ]
@@ -275,44 +275,13 @@ def _resolve_jobs(jobs) -> int:
     return jobs
 
 
-class SweepCheckpoint(JsonlJournal):
-    """Append-only JSONL journal that lets a crashed sweep resume.
-
-    The header binds the journal to the calibration fingerprint and
-    package version (the result cache's invalidation contract); each
-    later line is one completed cell::
-
-        {"key": "<scenario key>", "rows": [[...], ...]}
-
-    Failures are *not* journaled — a resumed sweep re-runs them.  Torn
-    tails and stale headers are handled by :class:`~repro.run.journal.
-    JsonlJournal`.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        from repro.run.cache import calibration_fingerprint, _package_version
-
-        super().__init__(
-            path,
-            {
-                "checkpoint": 1,
-                "context": f"{_package_version()}|{calibration_fingerprint()}",
-            },
-            decode=lambda cell: tuple(canonical_value(r) for r in cell["rows"]),
-        )
-
-    def put(self, key: str, rows) -> None:
-        """Journal one completed cell (idempotent per key)."""
-        super().put(key, {"key": key, "rows": [canonical_value(r) for r in rows]})
-
-
 class Runner:
     """Executes scenario cells through the cache and a backend.
 
     One runner can serve many experiments (the CLI shares a single
     runner across ``repro all``); ``stats`` accumulates over its
     lifetime.  See the module docstring for the resilience knobs
-    (``retries``, ``checkpoint``, ``faults``).
+    (``retries``, ``faults``).
     """
 
     def __init__(
@@ -326,7 +295,6 @@ class Runner:
         error_table=None,
         retries: int = 0,
         retry_backoff: float = 0.05,
-        checkpoint: str | Path | SweepCheckpoint | None = None,
     ) -> None:
         self.jobs = _resolve_jobs(jobs)
         self.cache = cache
@@ -363,11 +331,6 @@ class Runner:
             raise ConfigurationError(f"retries must be >= 0: {retries}")
         self.retries = int(retries)
         self.retry_backoff = retry_backoff
-        self.checkpoint = (
-            checkpoint
-            if checkpoint is None or isinstance(checkpoint, SweepCheckpoint)
-            else SweepCheckpoint(checkpoint)
-        )
         self.stats = RunStats(
             cache=cache.stats if cache is not None else None
         )
@@ -402,10 +365,10 @@ class Runner:
         return replace(sc, **changes) if changes else sc
 
     def close(self) -> None:
-        """Release the worker pool and the checkpoint journal."""
+        """Release the worker pool and the cache's open file."""
         self._discard_pool()
-        if self.checkpoint is not None:
-            self.checkpoint.close()
+        if self.cache is not None:
+            self.cache.close()
 
     def _discard_pool(self) -> None:
         if self._pool is not None:
@@ -413,23 +376,14 @@ class Runner:
             self._pool = None
 
     def _lookup(self, sc: Scenario, trace_dir: str | None):
-        """Cache/checkpoint probe for one cell; ``None`` on a miss.
+        """Cache probe for one cell; ``None`` on a miss.
 
-        Tracing forces execution: a cache (or checkpoint) hit would
-        skip the instrumented layers and record nothing.
+        Tracing forces execution: a cache hit would skip the
+        instrumented layers and record nothing.
         """
-        if trace_dir is not None:
+        if trace_dir is not None or self.cache is None:
             return None
-        rows = None
-        if self.cache is not None:
-            rows = self.cache.get(sc)
-        if rows is None and self.checkpoint is not None:
-            rows = self.checkpoint.get(sc.key())
-            if rows is not None and self.cache is not None:
-                # Promote the journaled cell so later runs hit the
-                # cache without the journal.
-                self.cache.put(sc, list(rows))
-        return rows
+        return self.cache.get(sc)
 
     def _surrogate_permit(self, sc: Scenario) -> tuple[bool, str]:
         """May the surrogate serve this non-``full`` cell?
@@ -466,7 +420,7 @@ class Runner:
         escalated: bool = False,
     ) -> RunRecord:
         """Account one executed cell and build its record (the single
-        funnel for stats, cache and checkpoint — thread-safe, because
+        funnel for stats and cache — thread-safe, because
         the serve tier finishes fast cells on the event loop while a
         batch finishes in a worker thread)."""
         with self._stats_lock:
@@ -485,8 +439,6 @@ class Runner:
         record = RunRecord(sc, rows, duration_s=dt, escalated=escalated)
         if self.cache is not None:
             self.cache.put(sc, list(rows))
-        if self.checkpoint is not None:
-            self.checkpoint.put(sc.key(), rows)
         return record
 
     def run_fast_cell(self, sc: Scenario) -> RunRecord | None:
@@ -505,12 +457,11 @@ class Runner:
         """
         if sc.fidelity == "full":
             return None
-        if self.cache is not None or self.checkpoint is not None:
-            rows = self._lookup(sc, self.trace_dir)
-            if rows is not None:
-                with self._stats_lock:
-                    self.stats.cached += 1
-                return RunRecord(sc, tuple(rows), cached=True)
+        rows = self._lookup(sc, self.trace_dir)
+        if rows is not None:
+            with self._stats_lock:
+                self.stats.cached += 1
+            return RunRecord(sc, tuple(rows), cached=True)
         permitted, reason = self._surrogate_permit(sc)
         if not permitted:
             if self.surrogate_policy == "refuse":

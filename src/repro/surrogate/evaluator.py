@@ -4,8 +4,8 @@
 :func:`repro.run.runner.execute_scenario`: same fault-context
 salting, same machine/placement materialization, same row
 normalization — so a surrogate row is shape- and type-compatible
-with a DES row and can share the ``ExperimentResult`` schema, the
-cell cache, and the checkpoint journal.  It never pickles anything
+with a DES row and can share the ``ExperimentResult`` schema and
+the cell cache.  It never pickles anything
 and never touches a process pool: microseconds per cell, on the
 caller's thread.
 """

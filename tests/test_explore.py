@@ -9,8 +9,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.explore import (
     EvolutionarySearch,
     GridSearch,
@@ -25,6 +26,7 @@ from repro.explore import (
     search_space,
 )
 from repro.explore.driver import ExploreDriver, candidate_id
+from repro.explore.space import MAX_RANGE_COUNT, SearchSpace
 from repro.faults.spec import FaultSpec
 from repro.run.runner import Runner
 from repro.run.workloads import workload
@@ -154,6 +156,72 @@ class TestSpaceGrammar:
             parse_space("", "explore_test.bowl")
         with pytest.raises(ConfigurationError):
             parse_space("x=0:3:0", "explore_test.bowl")
+
+    @pytest.mark.parametrize("text", [
+        "x=nan:1:3", "x=1:nan:3", "x=1e309:1:3", "x=-inf:1:3",
+        "x=-1e308:1e308:3",  # finite endpoints, infinite step
+    ])
+    def test_non_finite_range_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            parse_space(text, "explore_test.bowl")
+
+    def test_range_count_is_capped(self):
+        values = parse_space(
+            f"x=0:1:{MAX_RANGE_COUNT}", "explore_test.bowl"
+        ).dimensions[0].values
+        assert len(values) == MAX_RANGE_COUNT
+        with pytest.raises(ConfigurationError, match="range count"):
+            parse_space("x=1:2:100000000000", "explore_test.bowl")
+
+
+#: Pieces the grammar fuzz glues together: the grammar's own
+#: punctuation, dimension names and the numbers that broke it.
+_SPACE_FRAGMENTS = st.sampled_from([
+    "x", "y", "machine.l3_mb", "placement.n_ranks", "machine.nope",
+    "faults", "=", ":", ",", ";", "|", "+", " ", "0", "1", "-1", "2.5",
+    "nan", "inf", "-inf", "1e309", "100000000000", "none", "true",
+    "boot_cpuset", "degrade:latency_factor=4", "seed=3",
+])
+_OBJECTIVE_FRAGMENTS = st.sampled_from([
+    "metric", "mode", "reduce", "quantile", "repeats", "noise", "seed",
+    "constraint", "constraint_min", "constraint_max", "=", ",", " ",
+    "0", "1", "-1", "0.5", "2", "nan", "inf", "-inf", "1e309", "min",
+    "max", "last", "mean",
+])
+
+
+class TestGrammarFuzz:
+    """Any ``--space``/``--objective`` text parses or raises a
+    ``ReproError``: never another exception, never a hang."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_SPACE_FRAGMENTS).map("".join)))
+    def test_any_space_text_parses_or_raises(self, text):
+        try:
+            space = parse_space(text, "explore_test.bowl")
+        except ReproError:
+            return
+        assert isinstance(space, SearchSpace)
+        assert all(dim.values for dim in space.dimensions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_OBJECTIVE_FRAGMENTS).map("".join)))
+    def test_any_objective_text_parses_or_raises(self, text):
+        try:
+            objective = parse_objective(text)
+        except ReproError:
+            return
+        assert isinstance(objective, Objective)
+        assert math.isfinite(objective.quantile)
+        assert math.isfinite(objective.noise)
+
+    @pytest.mark.parametrize("text", [
+        "metric=0,noise=inf", "metric=0,noise=nan",
+        "metric=0,quantile=nan", "metric=0,constraint=1,constraint_max=inf",
+    ])
+    def test_non_finite_objective_numbers_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_objective(text)
 
 
 class TestObjective:

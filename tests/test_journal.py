@@ -1,0 +1,186 @@
+"""The shared JSONL journal core and both of its users: the cell store
+(``ResultCache``'s ``cells.jsonl``) and the explore trail
+(``TrajectoryJournal``).
+
+Any bytes in the file load without raising; a corrupt line never hides
+the records after it; the first record for a key wins; appends after
+whatever a crash left are readable by a fresh reader.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.explore import Objective, search_space
+from repro.explore.driver import TrajectoryJournal
+from repro.explore.optimizers import make_optimizer
+from repro.run import ResultCache, scenario, workload
+from repro.run.cache import CELLS_FILE
+from repro.run.journal import JsonlJournal
+
+
+@workload("journal_test.cell")
+def _cell(x: int = 0) -> list[tuple]:
+    return [(x, x + 1)]
+
+
+_SPACE = search_space("journal_test.cell", {"x": [0, 1, 2]})
+_OBJECTIVE = Objective(metric=1)
+
+
+class _Cells:
+    """The cell store, driven through ``ResultCache``."""
+
+    name = "cells"
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.path = directory / CELLS_FILE
+
+    def reader(self):
+        return ResultCache(self.directory, max_memory_entries=0)
+
+    def put(self, x: int) -> None:
+        self.reader().put(scenario("journal_test.cell", x=x), [(x, "v")])
+
+    def get(self, reader, x: int):
+        return reader.get(scenario("journal_test.cell", x=x))
+
+    def want(self, x: int):
+        return [(x, "v")]
+
+    def key(self, x: int) -> str:
+        return self.reader().key_for(scenario("journal_test.cell", x=x))
+
+
+class _Trail:
+    """The explore trail, driven through ``TrajectoryJournal``."""
+
+    name = "trail"
+
+    def __init__(self, directory):
+        self.path = directory / "trail.jsonl"
+
+    def reader(self):
+        return TrajectoryJournal(
+            self.path, _SPACE, _OBJECTIVE,
+            make_optimizer("random", _SPACE, seed=0),
+        )
+
+    def put(self, x: int) -> None:
+        journal = self.reader()
+        journal.put(str(x), {"key": str(x), "score": x})
+        journal.close()
+
+    def get(self, reader, x: int):
+        return reader.get(str(x))
+
+    def want(self, x: int):
+        return {"key": str(x), "score": x}
+
+    def key(self, x: int) -> str:
+        return str(x)
+
+
+USERS = [_Cells, _Trail]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+#: One line's worth of junk: raw bytes, arbitrary JSON, and records
+#: under cell 1's key (``KEY1``, filled in per user) with an arbitrary
+#: body.
+_junk_lines = (
+    st.binary(max_size=64).map(lambda b: b.replace(b"\n", b""))
+    | _json_values.map(lambda v: json.dumps(v).encode())
+    | _json_values.map(lambda v: json.dumps({"key": "KEY1", "rows": v}).encode())
+)
+_FUZZ = settings(max_examples=100, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("user", USERS, ids=lambda u: u.name)
+class TestJournalFuzz:
+    @_FUZZ
+    @given(with_header=st.booleans(),
+           content=st.binary(max_size=256)
+           | st.lists(_junk_lines, max_size=4).map(b"\n".join))
+    def test_any_bytes_load_without_raising(self, tmp_path_factory, user,
+                                            with_header, content):
+        store = user(tmp_path_factory.mktemp("fuzz"))
+        store.put(0)
+        header = store.path.read_bytes().split(b"\n")[0] + b"\n"
+        store.path.write_bytes(
+            (header if with_header else b"")
+            + content.replace(b"KEY1", store.key(1).encode()))
+        reader = store.reader()
+        for x in range(3):
+            value = store.get(reader, x)
+            if value is None or x != 1:
+                assert value is None
+            elif store.name == "cells":
+                assert all(isinstance(r, tuple) for r in value)
+        # Whatever the crash left, an append lands whole and a fresh
+        # reader finds it.
+        store.put(7)
+        assert store.get(store.reader(), 7) == store.want(7)
+
+    @_FUZZ
+    @given(junk=_junk_lines)
+    def test_corrupt_middle_line_keeps_later_records(self, tmp_path_factory,
+                                                     user, junk):
+        store = user(tmp_path_factory.mktemp("mid"))
+        store.put(0)
+        with open(store.path, "ab") as fh:
+            fh.write(junk.replace(b"KEY1", store.key(1).encode()) + b"\n")
+        store.put(2)
+        reader = store.reader()
+        assert store.get(reader, 0) == store.want(0)
+        assert store.get(reader, 2) == store.want(2)
+
+
+class TestJournalSemantics:
+    HEADER = {"test": 1}
+
+    def _journal(self, path):
+        return JsonlJournal(path, self.HEADER)
+
+    def test_first_record_for_a_key_wins(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        first, second = self._journal(path), self._journal(path)
+        assert second.get("k") is None  # second has read the empty file
+        first.put("k", {"key": "k", "v": 1})
+        second.put("k", {"key": "k", "v": 2})  # sees first's line: skips
+        assert second.get("k")["v"] == 1
+        assert self._journal(path).get("k")["v"] == 1
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_a_miss_reads_lines_other_writers_appended(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        reader, writer = self._journal(path), self._journal(path)
+        writer.put("a", {"key": "a"})
+        assert reader.get("a") == {"key": "a"}
+        writer.put("b", {"key": "b"})
+        assert reader.get("b") == {"key": "b"}
+
+    def test_stale_header_is_ignored_and_rewritten(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"test": 0}\n{"key": "old"}\n')
+        journal = self._journal(path)
+        assert journal.get("old") is None
+        journal.put("new", {"key": "new"})
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            self.HEADER, {"key": "new"}]
+
+    def test_get_never_creates_the_file(self, tmp_path):
+        path = tmp_path / "sub" / "j.jsonl"
+        assert self._journal(path).get("k") is None
+        assert not path.parent.exists()

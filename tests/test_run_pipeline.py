@@ -146,8 +146,9 @@ class TestCache:
         cache = ResultCache(cache_dir=tmp_path)
         sc = scenario("test.echo", x=1, y=2)
         cache.put(sc, [(1, 2, 3)])
-        for cell in tmp_path.rglob("*.json"):
-            cell.write_text("{not json")
+        store = tmp_path / "cells.jsonl"
+        header = store.read_text().splitlines()[0]
+        store.write_text(header + "\n{not json\n")
         assert ResultCache(cache_dir=tmp_path).get(sc) is None
 
     def test_clear(self, tmp_path):
@@ -280,6 +281,32 @@ class TestCLIIntegration:
             ["run", "table1", "--no-cache", "--cache-dir", cache_dir]
         ) == 0
         assert not (tmp_path / "cells").exists()
+
+    def test_unusable_cache_dir_is_a_typed_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        code = main(["run", "table2", "--fast", "--cache-dir", str(blocker)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1"], ["all", "--fast"],
+        ["report", "--output", "out"], ["serve"],
+        ["explore", "--study", "cheapest-bx2"],
+        ["compare", "--machines", "columbia"],
+    ], ids=lambda argv: argv[0])
+    def test_checkpoint_option_is_gone(self, argv, tmp_path, capsys):
+        # --cache-dir is the resumable store; --checkpoint is a usage
+        # error on every command that takes runner options.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--checkpoint", str(tmp_path / "sweep.jsonl")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
 
 
 @workload("test.mpi_ring")

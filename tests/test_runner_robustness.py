@@ -1,7 +1,7 @@
-"""Runner resilience: dead workers, per-cell retries, sweep
-checkpoints, cache canonicalization, and the calibration audit."""
+"""Runner resilience: dead workers, per-cell retries, resuming a sweep
+from its cell store, cache canonicalization, and the calibration
+audit."""
 
-import json
 import os
 import re
 
@@ -129,92 +129,71 @@ class TestRetries:
 
 
 class TestCheckpoint:
+    """A sweep resumes from its cache directory's cell store."""
+
     def test_resume_skips_completed_cells(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
         cells = [
             scenario("test.rr_echo", x=1),
             scenario("test.rr_echo", x=2),
             scenario("test.boom2", x=1),
         ]
-        first = Runner(jobs=1, checkpoint=journal)
+        first = Runner(jobs=1, cache=ResultCache(tmp_path))
         first.run(cells)
         assert first.stats.executed == 3
-        first.checkpoint.close()
 
-        resumed = Runner(jobs=1, checkpoint=journal)
+        resumed = Runner(jobs=1, cache=ResultCache(tmp_path))
         records = resumed.run(cells)
-        # The two successes replay from the journal; the failure
-        # (never journaled) re-runs.
+        # The two successes replay from the store; the failure (never
+        # stored) re-runs.
         assert resumed.stats.cached == 2
         assert resumed.stats.executed == 1
         assert records[0].cached and records[0].rows == ((1, 2),)
         assert not records[2].ok
 
     def test_journal_rows_survive_bit_identical(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
         sc = scenario("test.rr_nested", x=7)
-        (cold,) = Runner(jobs=1, checkpoint=journal).run([sc])
-        (warm,) = Runner(jobs=1, checkpoint=journal).run([sc])
+        (cold,) = Runner(jobs=1, cache=ResultCache(tmp_path)).run([sc])
+        (warm,) = Runner(jobs=1, cache=ResultCache(tmp_path)).run([sc])
         assert warm.cached
         assert warm.rows == cold.rows  # nested tuples, not JSON lists
 
     def test_torn_tail_line_is_ignored(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
         sc1 = scenario("test.rr_echo", x=1)
         sc2 = scenario("test.rr_echo", x=2)
-        runner = Runner(jobs=1, checkpoint=journal)
-        runner.run([sc1, sc2])
-        runner.checkpoint.close()
-        with open(journal, "a") as fh:
+        Runner(jobs=1, cache=ResultCache(tmp_path)).run([sc1, sc2])
+        with open(tmp_path / "cells.jsonl", "a") as fh:
             fh.write('{"key": "abc", "rows": [[1,')  # the crash
-        resumed = Runner(jobs=1, checkpoint=journal)
+        resumed = Runner(jobs=1, cache=ResultCache(tmp_path))
         resumed.run([sc1, sc2])
         assert resumed.stats.cached == 2
 
     def test_resume_after_torn_tail_keeps_the_next_cell(self, tmp_path):
-        # A kill leaves a torn line; the first cell journaled after the
+        # A kill leaves a torn line; the first cell stored after the
         # resume must not be glued onto it (and so lost on reopen).
-        from repro.run.runner import SweepCheckpoint
-
-        journal = tmp_path / "sweep.jsonl"
-        first = SweepCheckpoint(journal)
-        first.put("a", [(1, 2)])
-        first.close()
-        with open(journal, "a") as fh:
+        store = tmp_path / "cells.jsonl"
+        a, b, c = (scenario("test.rr_echo", x=x) for x in (1, 2, 3))
+        ResultCache(tmp_path).put(a, [(1, 2)])
+        with open(store, "a") as fh:
             fh.write('{"key": "b", "ro')  # the crash
-        resumed = SweepCheckpoint(journal)
-        assert resumed.get("b") is None
-        resumed.put("c", [(3, 4)])
-        resumed.close()
-        reopened = SweepCheckpoint(journal)
-        assert reopened.get("a") == ((1, 2),)
-        assert reopened.get("c") == ((3, 4),)
-        assert len(journal.read_text().splitlines()) == 3
+        resumed = ResultCache(tmp_path)
+        assert resumed.get(b) is None
+        resumed.put(c, [(3, 4)])
+        reopened = ResultCache(tmp_path)
+        assert reopened.get(a) == [(1, 2)]
+        assert reopened.get(c) == [(3, 4)]
+        assert len(store.read_text().splitlines()) == 3
 
-    def test_stale_context_invalidates_journal(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+    def test_stale_context_invalidates_journal(self, tmp_path, monkeypatch):
+        # Cells stored under another calibration are never served: the
+        # context is part of every key.
         sc = scenario("test.rr_echo", x=1)
-        runner = Runner(jobs=1, checkpoint=journal)
-        runner.run([sc])
-        runner.checkpoint.close()
-        # Rewrite the header as if an older calibration wrote it.
-        lines = journal.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["context"] = "0.0.0|deadbeef"
-        journal.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        resumed = Runner(jobs=1, checkpoint=journal)
+        with monkeypatch.context() as m:
+            m.setattr("repro.run.cache.calibration_fingerprint",
+                      lambda: "deadbeef")
+            Runner(jobs=1, cache=ResultCache(tmp_path)).run([sc])
+        resumed = Runner(jobs=1, cache=ResultCache(tmp_path))
         resumed.run([sc])
         assert resumed.stats.cached == 0 and resumed.stats.executed == 1
-
-    def test_checkpoint_promotes_into_cache(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        sc = scenario("test.rr_echo", x=9)
-        first = Runner(jobs=1, checkpoint=journal)
-        first.run([sc])
-        first.checkpoint.close()
-        cache = ResultCache(memory_only=True)
-        Runner(jobs=1, cache=cache, checkpoint=journal).run([sc])
-        assert cache.get(sc) is not None
 
 
 class TestCacheCanonicalization:
