@@ -18,8 +18,6 @@ Two real pieces live here:
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from repro.apps.overset.grids import GridBlock, OversetSystem
@@ -31,7 +29,7 @@ __all__ = ["find_overlaps", "trilinear_weights", "interpolate"]
 
 def find_overlaps(system: OversetSystem) -> frozenset[tuple[int, int]]:
     """All unordered block pairs ``(i, j)``, ``i < j``, whose bounding
-    boxes intersect.
+    boxes intersect (block indices are their positions).
 
     Uses a uniform spatial hash over block centers so large systems
     (the 1679-block rotor case) stay fast; candidate pairs from shared
@@ -45,39 +43,67 @@ def find_overlaps(system: OversetSystem) -> frozenset[tuple[int, int]]:
     return _overlaps(system)
 
 
+#: Candidate pairs :func:`_overlaps` expands and tests per step; bounds
+#: the scan's temporary arrays (a few MB) however many pairs a system
+#: has.
+_PAIR_CHUNK = 32768
+
+
 @memo(maxsize=8)
 def _overlaps(system: OversetSystem) -> frozenset[tuple[int, int]]:
     blocks = system.blocks
     if not blocks:
         return frozenset()
+    box = np.array([b.lo + b.hi for b in blocks], dtype=np.float64)
+    lo, hi = box[:, :3], box[:, 3:]
     # Cell size = the largest box side so neighbors share cells.
-    max_extent = max(
-        max(h - l for l, h in zip(b.lo, b.hi)) for b in blocks
-    )
+    max_extent = float((hi - lo).max())
     cell = max_extent if max_extent > 0 else 1.0
-    buckets: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for b in blocks:
-        cx = tuple(int(np.floor((lo + hi) / 2.0 / cell)) for lo, hi in zip(b.lo, b.hi))
-        buckets[cx].append(b.index)
-    overlaps: set[tuple[int, int]] = set()
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    for key, members in buckets.items():
-        candidates = []
-        for off in offsets:
-            candidates.extend(buckets.get((key[0] + off[0], key[1] + off[1], key[2] + off[2]), []))
-        for i in members:
-            bi = blocks[i]
-            for j in candidates:
-                if j <= i:
-                    continue
-                if bi.overlaps(blocks[j]):
-                    overlaps.add((i, j))
-    return frozenset(overlaps)
+    cells = np.floor((lo + hi) / 2.0 / cell).astype(np.int64)
+    # Per axis, the rank of coordinate c + d (d = -1, 0, 1) among the
+    # occupied coordinates, or -1 where no block sits; ranks keep the
+    # cell keys below n**3 however far apart the blocks are.
+    ranks, sizes = [], []
+    for axis in range(3):
+        occupied = np.unique(cells[:, axis])
+        want = cells[:, axis] + np.array([[-1], [0], [1]])
+        rank = np.minimum(occupied.searchsorted(want), len(occupied) - 1)
+        ranks.append(np.where(occupied[rank] == want, rank, -1))
+        sizes.append(len(occupied))
+    rx, ry, rz = ranks
+    # keys[dx, dy, dz, i]: the cell key of block i's neighbor cell.
+    keys = ((rx[:, None, None] * sizes[1] + ry[None, :, None]) * sizes[2]
+            + rz[None, None, :])
+    real = (rx >= 0)[:, None, None] & (ry >= 0)[None, :, None] & (rz >= 0)[None, None, :]
+    # Blocks sorted by their own cell; each occupied cell is one run.
+    own = keys[1, 1, 1]
+    by_cell = own.argsort(kind="stable")
+    cell_keys, first = np.unique(own[by_cell], return_index=True)
+    run_end = np.append(first[1:], len(blocks))
+    src = np.broadcast_to(np.arange(len(blocks)), keys.shape)[real]
+    near = keys[real]
+    slot = np.minimum(cell_keys.searchsorted(near), len(cell_keys) - 1)
+    hit = cell_keys[slot] == near
+    src, slot = src[hit], slot[hit]
+    start, count = first[slot], run_end[slot] - first[slot]
+    # Expand (block, neighbor cell) runs into candidate pairs a chunk
+    # at a time and keep the pairs i < j whose boxes intersect.
+    ends = np.cumsum(count)
+    pairs: list[tuple[int, int]] = []
+    done = 0
+    while done < len(count):
+        base = ends[done - 1] if done else 0
+        stop = max(done + 1, int(ends.searchsorted(base + _PAIR_CHUNK, "right")))
+        c = count[done:stop]
+        i = np.repeat(src[done:stop], c)
+        offset = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c)
+        j = by_cell[np.repeat(start[done:stop], c) + offset]
+        keep = j > i
+        i, j = i[keep], j[keep]
+        hit = ((lo[i] < hi[j]) & (lo[j] < hi[i])).all(axis=1)
+        pairs.extend(zip(i[hit].tolist(), j[hit].tolist()))
+        done = stop
+    return frozenset(pairs)
 
 
 def trilinear_weights(frac: np.ndarray) -> np.ndarray:

@@ -44,6 +44,11 @@ _REDUCERS = ("last", "first", "min", "max", "mean", "sum")
 #: objective seed (same spirit as the fault injector's seed derivation).
 _SEED_STRIDE = 1_000_003
 
+#: Most replicate cells one candidate may fan into: replicas are built
+#: as scenarios up front, and a larger count (a typo such as
+#: ``repeats=1000000000``) would exhaust memory at explore time.
+MAX_REPEATS = 10_000
+
 
 def _reduce(values: Sequence[float], how: str) -> float:
     if how == "last":
@@ -107,9 +112,10 @@ class Objective:
             raise ConfigurationError(
                 f"objective quantile must be in [0, 1], got {self.quantile}"
             )
-        if self.repeats < 1:
+        if not 1 <= self.repeats <= MAX_REPEATS:
             raise ConfigurationError(
-                f"objective repeats must be >= 1, got {self.repeats}"
+                f"objective repeats must be in 1..{MAX_REPEATS}, "
+                f"got {self.repeats}"
             )
         if self.noise < 0.0:
             raise ConfigurationError(

@@ -323,19 +323,29 @@ def search_space(
 
 
 def _parse_scalar(text: str) -> Any:
-    """One grammar value: bool, None, int, float, or string."""
+    """One grammar value: bool, None, int, finite float, or string.
+
+    A float spelling that is not finite (``nan``, ``inf``, ``1e309``)
+    is rejected: a NaN value never equals itself, so a space holding
+    one could not be matched or de-duplicated.
+    """
     if text in ("true", "True"):
         return True
     if text in ("false", "False"):
         return False
     if text in ("none", "None"):
         return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        number = float(text)
+    except ValueError:
+        return text
+    if not math.isfinite(number):
+        raise ConfigurationError(f"value {text!r} is not finite")
+    return number
 
 
 def _parse_range(text: str, name: str) -> list[Any] | None:

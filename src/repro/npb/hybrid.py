@@ -67,9 +67,18 @@ def thread_efficiency(threads: int) -> float:
 @memo(maxsize=128)
 def _lpt_assignment(benchmark: str, cls: str, n_ranks: int) -> Assignment:
     """The LPT zone-to-process assignment of one problem (memoized:
-    every placement of a sweep with this rank count shares it)."""
-    weights = [float(z.points) for z in mz_problem(benchmark, cls).zones]
-    return bin_pack(weights, n_ranks)
+    every placement of a sweep with this rank count shares it).
+
+    The weights are ``float(zone.points)`` in zone order, taken from
+    one outer product of the 1D zone sizes (exact integer products)
+    instead of from the :class:`~repro.npb.multizone.Zone` objects.
+    """
+    # Imported here: importing the timing model must not pay for NumPy.
+    import numpy as np
+
+    problem = mz_problem(benchmark, cls)
+    points = np.outer(problem.ys, problem.xs) * problem.spec.agg_z
+    return bin_pack(points.ravel().astype(np.float64).tolist(), n_ranks)
 
 
 @dataclass

@@ -127,23 +127,38 @@ def zone_sizes_1d(total: int, n_zones: int, ratio: float) -> list[int]:
 class MZProblem:
     """A fully instantiated multi-zone problem.
 
-    Its aggregate sums are cached on first use: problems are memoized
-    (:func:`mz_problem`) and every timing-model call reads them.
+    The zone grid is the outer product of the 1D zone sizes ``xs``
+    (along x) and ``ys`` (along y), every zone ``agg_z`` deep; zone
+    ``j * zones_x + i`` is ``xs[i] x ys[j] x agg_z``.  The aggregate
+    sums are exact integers in closed form, and the :class:`Zone`
+    objects are built only when :attr:`zones` is first read.
     """
 
     benchmark: str  # "bt-mz" or "sp-mz"
     cls: str
     spec: MZClassSpec
-    zones: tuple[Zone, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    @cached_property
+    def zones(self) -> tuple[Zone, ...]:
+        nz = self.spec.agg_z
+        return tuple(
+            Zone(index=j * len(self.xs) + i, nx=nx, ny=ny, nz=nz)
+            for j, ny in enumerate(self.ys)
+            for i, nx in enumerate(self.xs)
+        )
 
     @cached_property
     def total_points(self) -> int:
-        return sum(z.points for z in self.zones)
+        return sum(self.xs) * sum(self.ys) * self.spec.agg_z
 
     @cached_property
     def total_boundary_points(self) -> int:
         """Sum of every zone's :attr:`Zone.boundary_points`."""
-        return sum(z.boundary_points for z in self.zones)
+        return 2 * self.spec.agg_z * (
+            len(self.ys) * sum(self.xs) + len(self.xs) * sum(self.ys)
+        )
 
     @property
     def flops_per_step(self) -> float:
@@ -154,8 +169,7 @@ class MZProblem:
     @property
     def size_imbalance(self) -> float:
         """Largest zone / smallest zone (≈20 for BT-MZ, 1 for SP-MZ)."""
-        pts = [z.points for z in self.zones]
-        return max(pts) / min(pts)
+        return (max(self.xs) * max(self.ys)) / (min(self.xs) * min(self.ys))
 
     @property
     def memory_bytes(self) -> float:
@@ -182,8 +196,5 @@ def mz_problem(benchmark: str, cls: str) -> MZProblem:
     ratio = BTMZ_SIZE_RATIO**0.5 if benchmark == "bt-mz" else 1.0
     xs = zone_sizes_1d(spec.agg_x, spec.zones_x, ratio)
     ys = zone_sizes_1d(spec.agg_y, spec.zones_y, ratio)
-    zones = []
-    for j, ny in enumerate(ys):
-        for i, nx in enumerate(xs):
-            zones.append(Zone(index=j * spec.zones_x + i, nx=nx, ny=ny, nz=spec.agg_z))
-    return MZProblem(benchmark=benchmark, cls=cls.upper(), spec=spec, zones=tuple(zones))
+    return MZProblem(benchmark=benchmark, cls=cls.upper(), spec=spec,
+                     xs=tuple(xs), ys=tuple(ys))

@@ -6,7 +6,7 @@ Both the cell store (:class:`repro.run.cache.ResultCache`'s disk level,
 line 1 is a header binding the journal to its context (a journal whose
 header differs is ignored and rewritten on the first append); each
 later line is one record, a JSON object with a ``"key"``, written as
-one whole line.  The first record for a key wins.
+one whole line.  The first record for a key that decodes wins.
 
 Several processes and threads may share one file.  An append holds a
 ``threading.Lock`` and ``fcntl.flock(LOCK_EX)``; under the lock it
@@ -16,10 +16,11 @@ killed mid-append — before its own line goes on.  Readers take no file
 lock: they consume whole lines only, and a writer only ever cuts bytes
 after the last newline.  A miss reads the lines appended since the last
 read.  A whole line that does not parse is skipped and never hides the
-records after it.  The index maps key to the byte span of its line,
-and a hit re-reads that one line with ``os.pread``.  The file opens on
-the first :meth:`~JsonlJournal.get` or :meth:`~JsonlJournal.put`; a
-get never creates it.
+records after it, and a record that parses but does not decode never
+hides a later copy of its key.  The index maps key to the byte spans
+of its lines, and a hit re-reads one line with ``os.pread``.  The file
+opens on the first :meth:`~JsonlJournal.get` or
+:meth:`~JsonlJournal.put`; a get never creates it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class JsonlJournal:
         self._reset()
 
     def _reset(self) -> None:
-        #: key -> (offset, length) of its record line, newline excluded.
-        self._spans: dict[str, tuple[int, int]] = {}
+        #: key -> (offset, length) of each of its record lines, in file
+        #: order, newline excluded; lines that failed to decode are gone.
+        self._spans: dict[str, list[tuple[int, int]]] = {}
         #: bytes consumed so far: always the end of a whole line.
         self._read_to = 0
         #: whether line 1 is this journal's header.
@@ -109,8 +111,8 @@ class JsonlJournal:
                     key = json.loads(line)["key"]
                 except _CORRUPT:
                     key = None
-                if isinstance(key, str) and key not in self._spans:
-                    self._spans[key] = (pos, len(line))
+                if isinstance(key, str):
+                    self._spans.setdefault(key, []).append((pos, len(line)))
             pos += len(line) + 1
         self._read_to = pos
         return size
@@ -118,24 +120,29 @@ class JsonlJournal:
     def get(self, key: str) -> Any:
         """The decoded record journaled under ``key``, or None."""
         with self._lock:
-            span = self._spans.get(key)
-            if span is None:
+            spans = self._spans.get(key)
+            if spans is None:
                 fd = self._open(create=False)
                 if fd is None:
                     return None
                 self._catch_up(fd)
-                span = self._spans.get(key)
-                if span is None:
+                spans = self._spans.get(key)
+                if spans is None:
                     return None
-            offset, length = span
-            try:
-                record = json.loads(os.pread(self._fh.fileno(), length, offset))
-                if record["key"] == key:
-                    return self._decode(record)
-            except _CORRUPT:
-                pass
-            # Undecodable (bit rot, or a file cleared under us): a miss,
-            # and the next put journals the key afresh.
+            while spans:
+                offset, length = spans[0]
+                try:
+                    record = json.loads(
+                        os.pread(self._fh.fileno(), length, offset))
+                    if record["key"] == key:
+                        return self._decode(record)
+                except _CORRUPT:
+                    pass
+                # Undecodable (bit rot, or a file cleared under us):
+                # fall through to the key's next line.
+                del spans[0]
+            # No line decodes: a miss, and the next put journals the
+            # key afresh.
             del self._spans[key]
             return None
 
@@ -168,7 +175,7 @@ class JsonlJournal:
                         end = len(head)
                     _write_all(fd, line)
                     self._valid = True
-                    self._spans[key] = (end, len(line) - 1)
+                    self._spans[key] = [(end, len(line) - 1)]
                     self._read_to = end + len(line)
                 finally:
                     fcntl.flock(fd, fcntl.LOCK_UN)

@@ -203,6 +203,8 @@ class TestGrammarFuzz:
             return
         assert isinstance(space, SearchSpace)
         assert all(dim.values for dim in space.dimensions)
+        assert all(math.isfinite(v) for dim in space.dimensions
+                   for v in dim.values if isinstance(v, float))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), st.lists(_OBJECTIVE_FRAGMENTS).map("".join)))
@@ -222,6 +224,28 @@ class TestGrammarFuzz:
     def test_non_finite_objective_numbers_rejected(self, text):
         with pytest.raises(ConfigurationError, match="finite"):
             parse_objective(text)
+
+    @pytest.mark.parametrize("text", [
+        "x=nan,inf,1e309", "x=nan", "x=1,inf", "x=-inf", "x=2,1e309",
+        "x=1;y=NaN",
+    ])
+    def test_non_finite_space_values_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_space(text, "explore_test.bowl")
+
+    def test_repeats_capped_before_any_replica(self, monkeypatch):
+        from repro.explore import objective
+
+        built = []
+        monkeypatch.setattr(objective.Objective, "replicas",
+                            lambda self, *a: built.append(a))
+        with pytest.raises(ConfigurationError, match="repeats"):
+            parse_objective("metric=0,repeats=1000000000")
+        with pytest.raises(ConfigurationError, match="repeats"):
+            Objective(metric=0, repeats=objective.MAX_REPEATS + 1)
+        assert built == []
+        assert Objective(metric=0, repeats=objective.MAX_REPEATS).repeats \
+            == objective.MAX_REPEATS
 
 
 class TestObjective:

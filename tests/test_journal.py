@@ -3,7 +3,7 @@
 (``TrajectoryJournal``).
 
 Any bytes in the file load without raising; a corrupt line never hides
-the records after it; the first record for a key wins; appends after
+the records after it; the first record for a key that decodes wins; appends after
 whatever a crash left are readable by a fresh reader.
 """
 
@@ -179,6 +179,21 @@ class TestJournalSemantics:
         lines = path.read_text().splitlines()
         assert [json.loads(line) for line in lines] == [
             self.HEADER, {"key": "new"}]
+
+    def test_undecodable_record_falls_through_to_a_later_copy(self, tmp_path):
+        """A record that parses but whose rows do not decode must not
+        hide a good copy of its key from a fresh process, which would
+        then re-run the cell and journal one more copy."""
+        store = _Cells(tmp_path)
+        store.put(1)
+        header, good = store.path.read_bytes().splitlines()
+        bad = json.dumps({"key": store.key(1), "rows": "bad"}).encode()
+        store.path.write_bytes(b"\n".join([header, bad, good]) + b"\n")
+        cache = store.reader()
+        assert store.get(cache, 1) == store.want(1)
+        cache.put(scenario("journal_test.cell", x=1), store.want(1))
+        assert store.get(store.reader(), 1) == store.want(1)
+        assert len(store.path.read_bytes().splitlines()) == 3
 
     def test_get_never_creates_the_file(self, tmp_path):
         path = tmp_path / "sub" / "j.jsonl"

@@ -2,6 +2,7 @@
 
 from heapq import heappop, heappush
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +13,9 @@ from repro.machine.infiniband import MPTVersion
 from repro.machine.node import NodeType
 from repro.machine.placement import Placement, PinningMode
 from repro.npb.hybrid import MZTimingModel, mz_gflops_per_cpu, thread_efficiency
-from repro.npb.loadbalance import Assignment, bin_pack, block_partition, round_robin
-from repro.npb.multizone import MZ_CLASSES, mz_problem, zone_sizes_1d
+from repro.npb.loadbalance import (
+    Assignment, _finish, bin_pack, block_partition, round_robin)
+from repro.npb.multizone import MZ_CLASSES, MZProblem, mz_problem, zone_sizes_1d
 
 
 class TestZones:
@@ -48,15 +50,47 @@ class TestZones:
                 spec = p.spec
                 assert p.total_points == spec.agg_x * spec.agg_y * spec.agg_z
 
-    @pytest.mark.parametrize("bm, cls", [("bt-mz", "C"), ("sp-mz", "E")])
+    @pytest.mark.parametrize("bm, cls", [
+        (bm, cls) for bm in ("bt-mz", "sp-mz") for cls in MZ_CLASSES])
     def test_cached_sums_equal_direct_sums(self, bm, cls):
+        """The closed-form sums equal the sums over the zones, for
+        every class."""
         p = mz_problem(bm, cls)
+        assert [z.index for z in p.zones] == list(range(p.spec.n_zones))
         assert p.total_points == sum(z.nx * z.ny * z.nz for z in p.zones)
         assert p.total_boundary_points == sum(
             2 * (z.nx + z.ny) * z.nz for z in p.zones)
+        pts = [z.points for z in p.zones]
+        assert p.size_imbalance == max(pts) / min(pts)
         # Cached on the problem: a second read is the same object.
         assert p.total_points is p.total_points
         assert p.total_boundary_points is p.total_boundary_points
+
+    def test_lpt_weights_are_the_zone_points(self):
+        from repro.npb import hybrid
+
+        p = mz_problem("bt-mz", "C")
+        weights = [float(z.points) for z in p.zones]
+        assert (hybrid._lpt_assignment.__wrapped__("bt-mz", "C", 64)
+                == bin_pack(weights, 64))
+
+    def test_healthy_fig11_sweep_builds_no_zone_objects(self, monkeypatch):
+        """The timing model reads closed-form sums and the LPT reads
+        one outer product: a cold fig11 sweep materializes no Zone."""
+        from repro.core.registry import resolve_experiment
+        from repro.memo import clear_memos
+        from repro.run import Runner
+
+        built = []
+        zones = MZProblem.__dict__["zones"]
+        monkeypatch.setattr(MZProblem, "zones", property(
+            lambda self: built.append(self) or zones.func(self)))
+        clear_memos()
+        try:
+            result = resolve_experiment("fig11").run(runner=Runner(jobs=1))
+        finally:
+            clear_memos()
+        assert result.rows and built == []
 
     def test_unknown_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -94,6 +128,34 @@ def reference_bin_pack(weights, n_bins):
         heappush(heap, (load + weights[z], b))
     return Assignment(bins=tuple(tuple(b) for b in bins),
                       loads=tuple(sum(weights[z] for z in b) for b in bins))
+
+
+@st.composite
+def lpt_inputs(draw):
+    """Multi-round LPT inputs: up to ~2,000 zones into up to ~300
+    bins, with heavy ties, zeros, one heavy zone over many tiny ones,
+    and geometric and lognormal weights."""
+    n = draw(st.integers(1, 2000))
+    n_bins = draw(st.integers(1, min(n, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(
+        ["ties", "zeros", "heavy", "geometric", "lognormal", "mixed"]))
+    if shape == "ties":
+        w = rng.integers(0, draw(st.integers(1, 4)), n).astype(float)
+    elif shape == "zeros":
+        w = np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), 0.0,
+                     rng.random(n))
+    elif shape == "heavy":
+        w = np.full(n, draw(st.sampled_from([1e-3, 1.0, 0.0])))
+        w[rng.integers(n)] = 1e6
+    elif shape == "geometric":
+        w = draw(st.floats(0.3, 0.999)) ** np.arange(n, dtype=float)
+        rng.shuffle(w)
+    elif shape == "lognormal":
+        w = rng.lognormal(0.0, draw(st.floats(0.1, 4.0)), n)
+    else:
+        w = rng.choice([0.0, 0.5, 1.0, 3.0, 1e16, 5e-324], n)
+    return w.tolist(), n_bins
 
 
 class TestLoadBalance:
@@ -141,6 +203,35 @@ class TestLoadBalance:
     def test_bin_pack_matches_reference_lpt(self, weights, data):
         n_bins = data.draw(st.integers(1, len(weights)))
         assert bin_pack(weights, n_bins) == reference_bin_pack(weights, n_bins)
+
+    @given(lpt_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_rounds_match_reference_lpt(self, case):
+        weights, n_bins = case
+        assert bin_pack(weights, n_bins) == reference_bin_pack(weights, n_bins)
+
+    @pytest.mark.parametrize("weights, n_bins", [
+        ([0.0] * 16384, 2560),
+        ([float(1 + z % 7) for z in range(3000)] + [0.0] * 16384, 2560),
+        ([1.0] * 100 + [0.0] * 16384, 300),
+    ], ids=["all-zero", "positive-then-zeros", "equal-then-zeros"])
+    def test_zero_tails_match_reference_lpt(self, weights, n_bins):
+        assert bin_pack(weights, n_bins) == reference_bin_pack(weights, n_bins)
+
+    @pytest.mark.parametrize("weights, n_bins", [
+        ([0.0, 0.0, 0.0, 0.0], 3),
+        ([2.0, 0.0, 0.0, 1.0], 3),
+        ([3, 1, 2, 2], 2),
+        ([5.0, 1.0, 1.0, 1.0, 0.5], 4),
+    ])
+    def test_loads_match_finish_in_value_and_type(self, weights, n_bins):
+        a = bin_pack(weights, n_bins)
+        want = _finish([list(b) for b in a.bins], weights).loads
+        assert a.loads == want
+        assert [type(x) for x in a.loads] == [type(x) for x in want]
+        for load, members in zip(a.loads, a.bins):
+            if not members:  # only zero weights leave a bin empty
+                assert load == 0 and type(load) is int
 
     def test_bin_of(self):
         a = bin_pack(self.WEIGHTS, 3)
