@@ -19,6 +19,7 @@ connectivity machinery has real geometry to chew on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,9 +43,11 @@ class GridBlock:
     hi: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if any(s < 2 for s in self.shape):
+        # Spelled out for the three axes: a system builds 1679 blocks.
+        if min(self.shape) < 2:
             raise ConfigurationError(f"block {self.index}: degenerate {self.shape}")
-        if any(h <= l for l, h in zip(self.lo, self.hi)):
+        lo, hi = self.lo, self.hi
+        if lo[0] >= hi[0] or lo[1] >= hi[1] or lo[2] >= hi[2]:
             raise ConfigurationError(f"block {self.index}: empty bounding box")
 
     @property
@@ -117,6 +120,11 @@ class OversetSystem:
         return max(pts) / (sum(pts) / len(pts))
 
 
+#: Largest point total a system may have: block sizes are rounded
+#: through int64.
+_MAX_POINTS = 2**62
+
+
 @memo(maxsize=8)
 def _synthetic_system(
     name: str,
@@ -133,41 +141,85 @@ def _synthetic_system(
     lattice sized so that spatial neighbors overlap.  Memoized: the
     result is frozen and a pure function of the arguments, and every
     OVERFLOW-D/INS3D cell of a sweep asks for the same system.
+
+    Built in bulk, with the same values a block-at-a-time loop gets:
+    block ``i`` drew three aspect ratios then three jitters, so row
+    ``i`` of one ``(n_blocks, 6)`` draw holds them in that order,
+    mapped as ``Generator.uniform`` maps a draw.  The two cube roots
+    stay scalar Python ``**`` (C ``pow``): NumPy's vectorized power
+    and ``cbrt`` can differ from it in the last bit.
     """
-    if n_blocks < 1 or total_points < 8 * n_blocks:
-        raise ConfigurationError("unbuildable overset system")
+    if seed < 0:
+        raise ConfigurationError(f"overset seed must be >= 0, got {seed}")
     rng = make_rng(seed)
+    pts = _point_budget(rng, n_blocks, total_points, skew_sigma, max_block_fraction)
+    u = rng.random((n_blocks, 6))
+    ar = 0.7 + (1.4 - 0.7) * u[:, :3]
+    jitter = -0.2 + (0.2 - -0.2) * u[:, 3:]
+    # Shapes: roughly cubic with mild anisotropy.  Reconciling the
+    # product to ~n is not needed: points bookkeeping uses the shape
+    # product.
+    base = np.array([n ** (1.0 / 3.0) for n in pts.tolist()])
+    aniso = np.array([p ** (1.0 / 3.0) for p in (ar[:, 0] * ar[:, 1] * ar[:, 2]).tolist()])
+    dims = np.maximum(2, np.round(base[:, None] * ar / aniso[:, None])).astype(int)
+    side = int(np.ceil(n_blocks ** (1.0 / 3.0)))
+    spacing = 1.0
+    i = np.arange(n_blocks)
+    gx = np.stack([i % side, (i // side) % side, i // (side * side)], axis=1)
+    center = gx.astype(float) * spacing + jitter
+    half = 0.5 * spacing * 1.3 * (dims / dims.max(axis=1, keepdims=True))  # overlap neighbors
+    blocks = tuple(
+        GridBlock(index=b, shape=tuple(shape), lo=tuple(lo), hi=tuple(hi))
+        for b, (shape, lo, hi) in enumerate(
+            zip(dims.tolist(), (center - half).tolist(), (center + half).tolist())
+        )
+    )
+    return OversetSystem(name=name, blocks=blocks)
+
+
+def _point_budget(
+    rng: np.random.Generator,
+    n_blocks: int,
+    total_points: int,
+    skew_sigma: float,
+    max_block_fraction: float,
+) -> np.ndarray:
+    """Per-block point counts: lognormal sizes with the tail capped at
+    ``max_block_fraction`` of the total, rounded to sum to exactly
+    ``total_points`` with at least 8 points each.  Draws from ``rng``."""
+    if n_blocks < 1 or not 8 * n_blocks <= total_points <= _MAX_POINTS:
+        raise ConfigurationError(
+            f"unbuildable overset system: {total_points} points in {n_blocks} blocks"
+        )
+    if not 0 <= skew_sigma < math.inf:
+        raise ConfigurationError(f"skew_sigma must be finite and >= 0, got {skew_sigma}")
+    if not 0 < max_block_fraction < 1:
+        raise ConfigurationError(
+            f"max_block_fraction must lie in (0, 1), got {max_block_fraction}"
+        )
     raw = rng.lognormal(mean=0.0, sigma=skew_sigma, size=n_blocks)
     # Cap the tail so no block exceeds the requested fraction of total.
     raw = np.minimum(raw, raw.sum() * max_block_fraction / (1.0 - max_block_fraction))
-    pts = raw / raw.sum() * total_points
+    capped = raw.sum()
+    if not 0 < capped < math.inf:
+        raise ConfigurationError(f"skew_sigma {skew_sigma} overflows the block sizes")
+    pts = raw / capped * total_points
     pts = np.maximum(8, pts.astype(np.int64))
     # Fix rounding drift on the largest block.
     drift = total_points - int(pts.sum())
-    pts[int(np.argmax(pts))] += drift
-    # Shapes: roughly cubic with mild anisotropy.
-    blocks = []
-    side = int(np.ceil(n_blocks ** (1.0 / 3.0)))
-    spacing = 1.0
-    for i in range(n_blocks):
-        n = int(pts[i])
-        base = n ** (1.0 / 3.0)
-        ar = rng.uniform(0.7, 1.4, size=3)
-        dims = np.maximum(2, np.round(base * ar / np.prod(ar) ** (1.0 / 3.0))).astype(int)
-        # Reconcile the product to ~n (exactness is irrelevant here;
-        # points bookkeeping uses the shape product).
-        gx = (i % side, (i // side) % side, i // (side * side))
-        center = np.array(gx, dtype=float) * spacing + rng.uniform(-0.2, 0.2, 3)
-        half = 0.5 * spacing * 1.3 * (dims / dims.max())  # overlap neighbors
-        blocks.append(
-            GridBlock(
-                index=i,
-                shape=(int(dims[0]), int(dims[1]), int(dims[2])),
-                lo=tuple(center - half),
-                hi=tuple(center + half),
-            )
+    largest = int(np.argmax(pts))
+    pts[largest] += drift
+    if pts[largest] < 8:
+        raise ConfigurationError(
+            f"{total_points} points leave a block below 8 at skew_sigma {skew_sigma}"
         )
-    return OversetSystem(name=name, blocks=tuple(blocks))
+    return pts
+
+
+def _scaled(points: int, scale: float) -> int:
+    if not 0 < scale < math.inf:
+        raise ConfigurationError(f"scale must be positive and finite, got {scale}")
+    return int(points * scale)
 
 
 def turbopump_system(scale: float = 1.0, seed: int = 42) -> OversetSystem:
@@ -182,7 +234,7 @@ def turbopump_system(scale: float = 1.0, seed: int = 42) -> OversetSystem:
     return _synthetic_system(
         name="turbopump",
         n_blocks=267,
-        total_points=int(66_000_000 * scale),
+        total_points=_scaled(66_000_000, scale),
         skew_sigma=1.0,
         seed=seed,
         max_block_fraction=0.012,
@@ -201,7 +253,7 @@ def rotor_system(scale: float = 1.0, seed: int = 43) -> OversetSystem:
     return _synthetic_system(
         name="rotor",
         n_blocks=1679,
-        total_points=int(75_000_000 * scale),
+        total_points=_scaled(75_000_000, scale),
         skew_sigma=1.3,
         seed=seed,
         max_block_fraction=0.013,

@@ -15,16 +15,17 @@ provided for the ablation benchmark.
 A grouping is a pure function of ``(system, n_groups, strategy)``, so
 :func:`group_blocks` is memoized on exactly those three arguments and
 every model of a sweep shares one frozen :class:`Assignment` per
-content.  The global least-loaded fallback is a lazy heap of
-``(load, group)`` entries, O(log G) per block instead of a scan of all
-G groups: an entry whose load no longer equals its group's load is
-stale and popped, and ties go to the lowest group index, as a
-``min(range(G))`` scan would.
+content; the blocks' neighbor lists are memoized per system, so the
+groupings of one system at several sizes build them once.  The global
+least-loaded fallback is a lazy heap of ``(load, group)`` entries,
+O(log G) per block instead of a scan of all G groups: an entry whose
+load no longer equals its group's load is stale and popped, and ties
+go to the lowest group index, as a ``min(range(G))`` scan would.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.apps.overset.connectivity import find_overlaps
 from repro.apps.overset.grids import OversetSystem
@@ -65,11 +66,7 @@ def _grouping(system: OversetSystem, n_groups: int, strategy: str) -> Assignment
         raise ConfigurationError(
             f"{len(weights)} blocks cannot fill {n_groups} groups"
         )
-    neighbors: dict[int, set[int]] = {i: set() for i in range(len(weights))}
-    for a, b in find_overlaps(system):
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
+    neighbors = _neighbors(system)
     mean_load = sum(weights) / n_groups
     loads = [0.0] * n_groups
     # Lazy min-heap of (load, group): one live entry per group, the one
@@ -95,16 +92,37 @@ def _grouping(system: OversetSystem, n_groups: int, strategy: str) -> Assignment
         loads[g] += weights[z]
         heappush(lightest, (loads[g], g))
         group_of[z] = g
-    # Guarantee no empty group (swap in spare blocks from the fullest).
+    # Guarantee no empty group: each empty group, in index order, takes
+    # the lightest block of the group then holding the most blocks
+    # (lowest index on ties), if that group can spare one.  Lazy heap
+    # of (-count, group): counts only fall, except an empty group's
+    # 0 -> 1, so an entry whose count is not its group's is stale.
+    fullest = [(-len(b), g) for g, b in enumerate(bins)]
+    heapify(fullest)
     for g in range(n_groups):
-        if not bins[g]:
-            donor = max(range(n_groups), key=lambda gi: len(bins[gi]))
-            if len(bins[donor]) > 1:
-                moved = min(bins[donor], key=lambda z: weights[z])
-                bins[donor].remove(moved)
-                loads[donor] -= weights[moved]
-                bins[g].append(moved)
-                loads[g] += weights[moved]
-                group_of[moved] = g
+        if bins[g]:
+            continue
+        while -fullest[0][0] != len(bins[fullest[0][1]]):
+            heappop(fullest)
+        donor = fullest[0][1]
+        if len(bins[donor]) > 1:
+            moved = min(bins[donor], key=lambda z: weights[z])
+            bins[donor].remove(moved)
+            bins[g].append(moved)
+            heappush(fullest, (-len(bins[donor]), donor))
+            heappush(fullest, (-1, g))
     final_loads = tuple(sum(weights[z] for z in b) for b in bins)
     return Assignment(bins=tuple(tuple(b) for b in bins), loads=final_loads)
+
+
+@memo(maxsize=8)
+def _neighbors(system: OversetSystem) -> tuple[tuple[int, ...], ...]:
+    """Each block's overlap partners, in the iteration order of the set
+    the pairs build for it: the grouping's ``min`` over connected
+    groups breaks ties by that order.  Built once per system and shared
+    by all of its groupings."""
+    neighbors: list[set[int]] = [set() for _ in system.blocks]
+    for a, b in find_overlaps(system):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return tuple(map(tuple, neighbors))

@@ -59,6 +59,7 @@ class TestDiscipline:
             "repro.apps.overset.grids._synthetic_system",
             "repro.apps.overset.connectivity._overlaps",
             "repro.apps.overset.grouping._grouping",
+            "repro.apps.overset.grouping._neighbors",
             "repro.npb.multizone.mz_problem",
             "repro.npb.hybrid._lpt_assignment",
         } <= set(info)
@@ -86,6 +87,16 @@ class TestSharedBuilders:
         assert find_overlaps(system) is find_overlaps(rotor_system(scale=0.01))
         a, b = OverflowModel(system=system), OverflowModel(system=system)
         assert a._grouping(64) is b._grouping(64) is group_blocks(system, 64, "binpack")
+
+    def test_groupings_of_one_system_build_one_neighbor_table(self):
+        from repro.apps.overset.grids import rotor_system
+        from repro.apps.overset.grouping import _neighbors, group_blocks
+
+        system = rotor_system()
+        clear_memos()
+        for groups in (36, 64, 128, 256, 508):
+            group_blocks(system, groups, "binpack-connectivity")
+        assert _neighbors.cache_info().misses == 1
 
     def test_mz_problem_and_assignment_are_shared(self):
         from repro.npb.hybrid import MZTimingModel

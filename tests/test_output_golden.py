@@ -27,7 +27,7 @@ assignments); regenerate it with::
     PYTHONPATH=src python -c 'import sys; from repro.cli import main
     [main(["run", n, "--no-cache"]) for n in sys.argv[1:]]' \
         ablation_grouping table2 table3 table6 fig11 ext_class_f \
-        ext_ins3d_multinode > tests/golden/partition_full.txt
+        ext_ins3d_multinode table4 > tests/golden/partition_full.txt
 
 ``tests/golden/ext_noise_full.txt`` pins the full OS-noise extension
 (up to 512 ranks); regenerate it with::
@@ -245,12 +245,17 @@ import repro.apps.overset.connectivity as connectivity
 import repro.apps.overset.grouping as grouping
 from repro.machine.placement import Placement
 
-asked = {"overlaps": set(), "groupings": set()}
+asked = {"overlaps": set(), "neighbors": set(), "groupings": set()}
 scans = connectivity._overlaps
 def asked_overlaps(system):
     asked["overlaps"].add((system.name, system.blocks))
     return scans(system)
 connectivity._overlaps = asked_overlaps
+neighbor_lists = grouping._neighbors
+def asked_neighbors(system):
+    asked["neighbors"].add((system.name, system.blocks))
+    return neighbor_lists(system)
+grouping._neighbors = asked_neighbors
 groupings = grouping._grouping
 def asked_grouping(system, n_groups, strategy):
     asked["groupings"].add((system.name, system.blocks, n_groups, strategy))
@@ -276,11 +281,12 @@ def counted_cpu_of(self, *args):
 Placement.cpu_of = counted_cpu_of
 
 for name in ("ablation_grouping", "table2", "table3", "table6", "fig11",
-             "ext_class_f", "ext_ins3d_multinode"):
+             "ext_class_f", "ext_ins3d_multinode", "table4"):
     if main(["run", name, "--no-cache"]):
         sys.exit(1)
 print(json.dumps({
     "overlaps": [scans.cache_info().misses, len(asked["overlaps"])],
+    "neighbors": [neighbor_lists.cache_info().misses, len(asked["neighbors"])],
     "groupings": [groupings.cache_info().misses, len(asked["groupings"])],
     "content_keys": [keys["built"], keys["cpu_of"]],
 }), file=sys.stderr)
@@ -289,13 +295,14 @@ print(json.dumps({
 
 def test_full_partition_sweeps_match_golden():
     """The partition sweeps print the golden; each overlap scan and
-    each grouping runs once per distinct ``(system, n_groups,
-    strategy)`` content; placement content keys are closed-form."""
+    each neighbor table runs once per distinct system and each grouping
+    once per distinct ``(system, n_groups, strategy)`` content;
+    placement content keys are closed-form."""
     run = _repro(script=_PARTITION_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout == PARTITION_GOLDEN.read_text()
     counts = json.loads(run.stderr.strip().splitlines()[-1])
-    for name in ("overlaps", "groupings"):
+    for name in ("overlaps", "neighbors", "groupings"):
         ran, distinct = counts[name]
         assert 0 < ran == distinct, (name, counts)
     built, cpu_of_calls = counts["content_keys"]

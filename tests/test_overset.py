@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from repro.apps.overset import (
     GridBlock,
@@ -19,7 +19,8 @@ from repro.apps.overset import (
     trilinear_weights,
 )
 from repro.apps.overset.connectivity import interpolate
-from repro.apps.overset.grids import OversetSystem
+from repro.apps.overset.grids import OversetSystem, _point_budget, _synthetic_system
+from repro.apps.overset.grouping import _neighbors
 from repro.errors import ConfigurationError
 from repro.npb.loadbalance import Assignment
 from repro.sim.rng import make_rng
@@ -40,6 +41,51 @@ def small_systems(draw, max_blocks=24):
         shape = draw(st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 3, 3), (4, 2, 3)]))
         blocks.append(GridBlock(i, shape, lo, tuple(l + d for l, d in zip(lo, size))))
     return OversetSystem(name="random", blocks=tuple(blocks))
+
+
+def reference_synthetic_system(name, n_blocks, total_points, skew_sigma, seed,
+                               max_block_fraction):
+    """The block-at-a-time builder (two RNG calls and a handful of
+    NumPy scalar operations per block), kept as the oracle for the
+    bulk one."""
+    rng = make_rng(seed)
+    raw = rng.lognormal(mean=0.0, sigma=skew_sigma, size=n_blocks)
+    raw = np.minimum(raw, raw.sum() * max_block_fraction / (1.0 - max_block_fraction))
+    pts = raw / raw.sum() * total_points
+    pts = np.maximum(8, pts.astype(np.int64))
+    drift = total_points - int(pts.sum())
+    pts[int(np.argmax(pts))] += drift
+    blocks = []
+    side = int(np.ceil(n_blocks ** (1.0 / 3.0)))
+    spacing = 1.0
+    for i in range(n_blocks):
+        n = int(pts[i])
+        base = n ** (1.0 / 3.0)
+        ar = rng.uniform(0.7, 1.4, size=3)
+        dims = np.maximum(2, np.round(base * ar / np.prod(ar) ** (1.0 / 3.0))).astype(int)
+        gx = (i % side, (i // side) % side, i // (side * side))
+        center = np.array(gx, dtype=float) * spacing + rng.uniform(-0.2, 0.2, 3)
+        half = 0.5 * spacing * 1.3 * (dims / dims.max())
+        blocks.append(GridBlock(
+            index=i,
+            shape=(int(dims[0]), int(dims[1]), int(dims[2])),
+            lo=tuple(center - half),
+            hi=tuple(center + half),
+        ))
+    return OversetSystem(name=name, blocks=tuple(blocks))
+
+
+def assert_same_system(system, reference):
+    assert system.name == reference.name
+    assert len(system.blocks) == len(reference.blocks)
+    for block, ref in zip(system.blocks, reference.blocks):
+        assert block.index == ref.index
+        assert block.shape == ref.shape
+        assert block.lo == ref.lo and block.hi == ref.hi
+        # Python floats now, NumPy scalars in the oracle: equal values.
+        assert all(type(x) is float for x in block.lo + block.hi)
+    assert system == reference
+    assert hash(system) == hash(reference)
 
 
 def reference_connectivity_grouping(system, n_groups):
@@ -163,6 +209,110 @@ class TestSystems:
         run = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(s),
                              capture_output=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr.decode()
+
+
+class TestBulkBuilder:
+    """The bulk builder against the block-at-a-time oracle."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05, 0.01])
+    @pytest.mark.parametrize("build, args", [
+        (rotor_system, ("rotor", 1679, 75_000_000, 1.3, 43, 0.013)),
+        (turbopump_system, ("turbopump", 267, 66_000_000, 1.0, 42, 0.012)),
+    ])
+    def test_paper_systems_match_reference(self, build, args, scale):
+        name, n_blocks, points, sigma, seed, fraction = args
+        assert_same_system(
+            build(scale=scale),
+            reference_synthetic_system(name, n_blocks, int(points * scale), sigma,
+                                       seed, fraction),
+        )
+
+    @given(
+        n_blocks=st.integers(1, 400),
+        points_per_block=st.integers(8, 10**6),
+        skew_sigma=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32),
+        max_block_fraction=st.floats(1e-4, 0.999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_builder(self, n_blocks, points_per_block, skew_sigma,
+                                       seed, max_block_fraction):
+        args = ("random", n_blocks, n_blocks * points_per_block, skew_sigma, seed,
+                max_block_fraction)
+        try:
+            system = _synthetic_system(*args)
+        except ConfigurationError:
+            # The point total cannot give every block 8 points: the
+            # oracle builds a block from a budget below 8 (or below 0).
+            assume(False)
+        assert_same_system(system, reference_synthetic_system(*args))
+
+
+class TestBuilderErrors:
+    """Bad builder inputs raise ConfigurationError, not NumPy's errors
+    or a system of garbage point counts."""
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("build", [rotor_system, turbopump_system])
+    def test_bad_scale(self, build, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            build(scale=scale)
+
+    def test_scale_beyond_the_point_limit(self):
+        with pytest.raises(ConfigurationError, match="unbuildable"):
+            rotor_system(scale=1e12)
+
+    @pytest.mark.parametrize("build", [rotor_system, turbopump_system])
+    def test_negative_seed(self, build):
+        with pytest.raises(ConfigurationError, match="seed"):
+            build(seed=-1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.5, float("inf")])
+    def test_bad_skew_sigma(self, sigma):
+        with pytest.raises(ConfigurationError, match="skew_sigma"):
+            _synthetic_system("s", 64, 64_000, sigma, 1, 0.1)
+
+    def test_skew_sigma_that_overflows(self):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            _synthetic_system("s", 64, 64_000, 1e6, 1, 0.1)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_bad_max_block_fraction(self, fraction):
+        with pytest.raises(ConfigurationError, match="max_block_fraction"):
+            _synthetic_system("s", 64, 64_000, 1.0, 1, fraction)
+
+    def test_total_too_small_for_the_skew(self):
+        # 80 points in 10 blocks: every block rounded up to 8 leaves
+        # the drift to take the largest below 8.
+        with pytest.raises(ConfigurationError, match="below 8"):
+            _synthetic_system("s", 10, 80, 1.0, 0, 0.3)
+
+    @given(
+        n_blocks=st.integers(-2, 300),
+        total_points=st.one_of(st.integers(-10, 10**7), st.integers(0, 2**64)),
+        skew_sigma=st.one_of(st.floats(0, 5), st.floats()),
+        seed=st.integers(-3, 2**64),
+        max_block_fraction=st.one_of(st.floats(0, 1), st.floats()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_builds_exactly_the_total_or_raises(self, n_blocks, total_points,
+                                                skew_sigma, seed, max_block_fraction):
+        args = (n_blocks, total_points, skew_sigma, seed, max_block_fraction)
+        try:
+            system = _synthetic_system("random", *args)
+        except ConfigurationError:
+            event("rejected")
+            return
+        event("built")
+        # Block shapes only approximate each block's point budget; the
+        # budgets are exact.
+        budget = _point_budget(make_rng(seed), n_blocks, total_points, skew_sigma,
+                               max_block_fraction)
+        assert int(budget.sum()) == total_points
+        assert budget.min() >= 8
+        assert system.n_blocks == n_blocks
+        assert [b.index for b in system.blocks] == list(range(n_blocks))
+        assert all(np.isfinite(b.lo + b.hi).all() for b in system.blocks)
 
 
 class TestConnectivity:
@@ -322,3 +472,20 @@ class TestGrouping:
         s = rotor_system(scale=0.05)
         assert (group_blocks(s, groups, "binpack-connectivity")
                 == reference_connectivity_grouping(s, groups))
+
+    @pytest.mark.parametrize("groups", [16, 508])
+    def test_matches_reference_on_full_rotor(self, groups):
+        # At 16 groups three blocks see connected groups tied on load:
+        # the neighbor lists keep the set order that breaks those ties.
+        s = rotor_system()
+        assert (group_blocks(s, groups, "binpack-connectivity")
+                == reference_connectivity_grouping(s, groups))
+
+    def test_neighbor_lists_keep_set_order(self):
+        s = rotor_system(scale=0.05)
+        sets = [set() for _ in s.blocks]
+        for a, b in find_overlaps(s):
+            sets[a].add(b)
+            sets[b].add(a)
+        assert _neighbors(s) == tuple(tuple(x) for x in sets)
+        assert _neighbors(s) is _neighbors(s)
