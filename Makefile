@@ -1,6 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
+## Exit 0 iff the Python expression $(2) holds over `s`, the dict of the
+## `stats {json}` line a runner verb printed to stderr (captured in $(1)).
+STATS_CHECK = $(PYTHON) -c "import json,sys; s=[json.loads(l[6:]) for l in open('$(1)') if l.startswith('stats ')][-1]; sys.exit(0 if $(2) else 1)"
+
 .PHONY: test bench bench-check bench-quick bench-baseline check
 
 test:
@@ -51,9 +55,7 @@ FAULTS_SMOKE_DIR := /tmp/repro-faults-smoke
 FAULTS_SMOKE_RUN := $(PYTHON) -m repro run fig9 --fast \
 	  --faults "drop:probability=0.02;jitter:amplitude=0.001;seed=7" \
 	  --cache-dir $(FAULTS_SMOKE_DIR)/cache
-## "<total> total, <cached> cached, <executed> executed" from a stats
-## file, checked by a Python expression over t, c and e.
-FAULTS_SMOKE_STATS = $(PYTHON) -c "import re,sys; m=re.search(r'(\d+) total, (\d+) cached, (\d+) executed', open('$(FAULTS_SMOKE_DIR)/$(1)').read()); t,c,e=map(int,m.groups()) if m else (0,0,-1); sys.exit(0 if $(2) else 1)"
+FAULTS_SMOKE_REPLAYED := s['runner.cached'] == s['runner.cells'] and s['runner.executed'] == 0
 
 ## Injected-fault sweep into a fresh cell store, then a second pass
 ## that must resume entirely from the store (0 cells re-executed) and
@@ -69,18 +71,18 @@ faults-smoke:
 	@cat $(FAULTS_SMOKE_DIR)/warm_stats.txt
 	@diff $(FAULTS_SMOKE_DIR)/cold.txt $(FAULTS_SMOKE_DIR)/warm.txt \
 	  || { echo 'faults-smoke FAILED: resumed run differs from original'; exit 1; }
-	@$(call FAULTS_SMOKE_STATS,warm_stats.txt,c == t and e == 0) \
+	@$(call STATS_CHECK,$(FAULTS_SMOKE_DIR)/warm_stats.txt,$(FAULTS_SMOKE_REPLAYED)) \
 	  || { echo 'faults-smoke FAILED: resume re-executed cells instead of replaying the store'; exit 1; }
 	$(PYTHON) -c "import os; p='$(FAULTS_SMOKE_DIR)/cache/cells.jsonl'; os.truncate(p, os.path.getsize(p) - 20)"
 	$(FAULTS_SMOKE_RUN) >$(FAULTS_SMOKE_DIR)/torn.txt 2>$(FAULTS_SMOKE_DIR)/torn_stats.txt
 	@cat $(FAULTS_SMOKE_DIR)/torn_stats.txt
-	@$(call FAULTS_SMOKE_STATS,torn_stats.txt,e >= 1) \
+	@$(call STATS_CHECK,$(FAULTS_SMOKE_DIR)/torn_stats.txt,s['runner.executed'] >= 1) \
 	  || { echo 'faults-smoke FAILED: torn store re-executed no cell'; exit 1; }
 	$(FAULTS_SMOKE_RUN) >$(FAULTS_SMOKE_DIR)/healed.txt 2>$(FAULTS_SMOKE_DIR)/healed_stats.txt
 	@cat $(FAULTS_SMOKE_DIR)/healed_stats.txt
 	@diff $(FAULTS_SMOKE_DIR)/cold.txt $(FAULTS_SMOKE_DIR)/healed.txt \
 	  || { echo 'faults-smoke FAILED: run after a torn store differs from original'; exit 1; }
-	@$(call FAULTS_SMOKE_STATS,healed_stats.txt,c == t and e == 0) \
+	@$(call STATS_CHECK,$(FAULTS_SMOKE_DIR)/healed_stats.txt,$(FAULTS_SMOKE_REPLAYED)) \
 	  || { echo 'faults-smoke FAILED: the cell after a torn tail was lost from the store'; exit 1; }
 	@echo "faults-smoke ok: faulted sweep completed, resumed from the cell store and healed a torn tail"
 
@@ -104,7 +106,7 @@ compare-smoke:
 	  || { echo 'compare-smoke FAILED: two runs rendered different tables'; exit 1; }
 	@grep -q "crossovers" $(COMPARE_SMOKE_DIR)/a.txt \
 	  || { echo 'compare-smoke FAILED: no crossover section in the table'; exit 1; }
-	@$(PYTHON) -c "import re,sys; t=open('$(COMPARE_SMOKE_DIR)/b_stats.txt').read(); m=re.search(r'(\d+) surrogate, (\d+) escalated', t); ok=bool(m) and int(m.group(1)) > 0 and int(m.group(2)) == 0; sys.exit(0 if ok else 1)" \
+	@$(call STATS_CHECK,$(COMPARE_SMOKE_DIR)/b_stats.txt,s['runner.fast'] > 0 and s['runner.escalated'] == 0) \
 	  || { echo 'compare-smoke FAILED: cells escaped the analytic tier'; exit 1; }
 	@echo "compare-smoke ok: cross-machine table stable and fully surrogate-served"
 
@@ -118,6 +120,6 @@ smoke:
 	$(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE) >/dev/null
 	$(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE) >/dev/null 2>$(SMOKE_CACHE)/stats.txt
 	@cat $(SMOKE_CACHE)/stats.txt
-	@$(PYTHON) -c "import re,sys; t=open('$(SMOKE_CACHE)/stats.txt').read(); m=re.search(r'(\d+) total, (\d+) cached', t); ok=bool(m) and int(m.group(2)) >= 0.9*int(m.group(1)); sys.exit(0 if ok else 1)" \
+	@$(call STATS_CHECK,$(SMOKE_CACHE)/stats.txt,s['runner.cached'] >= 0.9 * s['runner.cells']) \
 	  || { echo 'smoke FAILED: warm pass below 90% cache hits'; exit 1; }
 	@echo "smoke ok: warm pass served >=90% from cache"

@@ -11,9 +11,7 @@
   (Tables 2 and 4);
 * :mod:`repro.apps.overflow` — OVERFLOW-D rotor-wake performance
   model (Tables 3, 4 and 6).
+
+The package imports none of them: ``import repro.apps.md`` loads the
+MD code alone.
 """
-
-from repro.apps.ins3d import INS3DModel
-from repro.apps.overflow import OverflowModel
-
-__all__ = ["INS3DModel", "OverflowModel"]

@@ -54,6 +54,7 @@ for; ``--refuse-escalation`` fails them instead).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.core import experiment_specs, run_experiment
@@ -443,12 +444,13 @@ def _run_explore(args) -> int:
             )
         result = driver.run()
         print(result.report())
-        # Machine-readable accounting (same contract as `repro run`).
-        print(result.stats.summary(), file=sys.stderr)
-        print(runner.stats.summary(), file=sys.stderr)
     finally:
         runner.close()
-    return _report_failures(runner, args)
+    return _finish(runner, args, {
+        f"explore.{name}": value
+        for name, value in vars(result.stats).items()
+        if isinstance(value, int)
+    })
 
 
 def _run_compare(args) -> int:
@@ -475,10 +477,9 @@ def _run_compare(args) -> int:
             fidelity=getattr(args, "fidelity", None) or "analytic",
         )
         print(result.format())
-        print(runner.stats.summary(), file=sys.stderr)
     finally:
         runner.close()
-    return _report_failures(runner, args)
+    return _finish(runner, args)
 
 
 def _run_calibrate(args) -> int:
@@ -539,6 +540,16 @@ def _run_calibrate(args) -> int:
     return 0
 
 
+def _finish(runner, args, extra: dict | None = None) -> int:
+    """End a runner verb: one ``stats {json}`` line on stderr (the
+    runner's snapshot plus ``extra``, keys sorted), then the failures;
+    returns the exit code."""
+    stats = runner.snapshot()
+    stats.update(extra or {})
+    print("stats " + json.dumps(stats, sort_keys=True), file=sys.stderr)
+    return _report_failures(runner, args)
+
+
 def _report_failures(runner, args) -> int:
     """Print ``FAILED <scenario-id>: <error>`` lines; pick exit code."""
     for line in runner.stats.failure_lines():
@@ -559,24 +570,24 @@ def main(argv: list[str] | None = None) -> int:
                 )
         elif args.command == "run":
             runner = _build_runner(args)
-            result = run_experiment(
-                args.experiment_id, fast=args.fast, runner=runner
-            )
-            runner.close()
+            try:
+                result = run_experiment(
+                    args.experiment_id, fast=args.fast, runner=runner
+                )
+            finally:
+                runner.close()
             print(_render(result, args.format))
-            # Machine-readable cell accounting (parsed by `make faults-smoke`).
-            print(runner.stats.summary(), file=sys.stderr)
-            return _report_failures(runner, args)
+            return _finish(runner, args)
         elif args.command == "all":
             runner = _build_runner(args)
-            for spec in experiment_specs():
-                result = spec.run(fast=args.fast, runner=runner)
-                print(result.format())
-                print()
-            runner.close()
-            # Machine-readable cell accounting (parsed by `make smoke`).
-            print(runner.stats.summary(), file=sys.stderr)
-            return _report_failures(runner, args)
+            try:
+                for spec in experiment_specs():
+                    result = spec.run(fast=args.fast, runner=runner)
+                    print(result.format())
+                    print()
+            finally:
+                runner.close()
+            return _finish(runner, args)
         elif args.command == "trace":
             from repro.obs.trace_run import trace_experiment
 
@@ -611,9 +622,14 @@ def main(argv: list[str] | None = None) -> int:
             from repro.core.suite import write_report
 
             runner = _build_runner(args)
-            files = write_report(args.output, fast=args.fast, runner=runner)
+            try:
+                files = write_report(
+                    args.output, fast=args.fast, runner=runner
+                )
+            finally:
+                runner.close()
             print(f"wrote {len(files)} files to {args.output}")
-            return _report_failures(runner, args)
+            return _finish(runner, args)
         elif args.command == "advise":
             from repro.machine.advisor import advise
             from repro.machine.cluster import multinode, single_node

@@ -66,7 +66,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Default bound on the per-process memory mirror of a disk-backed
 #: cache.  Every disk hit used to be mirrored forever — an unbounded
 #: leak in a long-lived ``repro serve``; past this many entries the
-#: least recently used row list is dropped (the disk copy stays).
+#: least recently used row list is dropped (the disk copy stays).  The
+#: mirror pays for itself on repeated hits: a hit re-read from the file
+#: parses and canonicalizes its line, several times the cost.
 DEFAULT_MEMORY_ENTRIES = 4096
 
 #: The cell store's file name inside the cache directory.

@@ -95,6 +95,12 @@ class RunRecord:
         return self.error is None
 
 
+#: How many ``RunStats.failures`` entries are kept; later failures are
+#: still counted in ``RunStats.errors``, so a long-lived ``repro serve``
+#: fed failing cells holds a bounded list.
+MAX_FAILURES = 100
+
+
 @dataclass
 class RunStats:
     """Aggregate cell accounting across a runner's lifetime."""
@@ -107,46 +113,16 @@ class RunStats:
     fast: int = 0
     #: non-``full`` cells transparently escalated to the full path.
     escalated: int = 0
-    #: ``"<scenario-id>: <error>"`` per failed cell, sweep order.
+    #: ``"<scenario-id>: <error>"`` per failed cell, sweep order; the
+    #: first :data:`MAX_FAILURES` only.
     failures: list[str] = field(default_factory=list)
-    #: the live counters of the runner's :class:`ResultCache`
-    #: (hits/misses/writes), aliased at construction so the summary
-    #: can report cache-level traffic next to the cell-level
-    #: accounting; ``None`` when the runner has no cache.
-    cache: "object | None" = None
 
     @property
     def total(self) -> int:
         return self.executed + self.cached
 
-    @property
-    def hit_rate(self) -> float:
-        return self.cached / self.total if self.total else 0.0
-
-    def summary(self) -> str:
-        base = (
-            f"cells: {self.total} total, {self.cached} cached, "
-            f"{self.executed} executed, {self.errors} failed "
-            f"({100.0 * self.hit_rate:.1f}% cache hits)"
-        )
-        if self.fast or self.escalated:
-            base += (
-                f" [{self.fast} surrogate, {self.escalated} escalated]"
-            )
-        cache = self.cache
-        if cache is not None:
-            # The "cache: H hits, M misses, W writes" prefix is parsed
-            # by the Makefile smokes; extend only past it.
-            base += (
-                f"; cache: {cache.hits} hits, {cache.misses} misses, "
-                f"{cache.writes} writes"
-            )
-            if getattr(cache, "evictions", 0):
-                base += f", {cache.evictions} evictions"
-        return base
-
     def failure_lines(self) -> list[str]:
-        """``FAILED <scenario-id>: <error>`` per failed cell."""
+        """``FAILED <scenario-id>: <error>`` per kept failed cell."""
         return [f"FAILED {f}" for f in self.failures]
 
 
@@ -331,9 +307,7 @@ class Runner:
             raise ConfigurationError(f"retries must be >= 0: {retries}")
         self.retries = int(retries)
         self.retry_backoff = retry_backoff
-        self.stats = RunStats(
-            cache=cache.stats if cache is not None else None
-        )
+        self.stats = RunStats()
         #: the worker pool, built by the first parallel :meth:`run`.
         self._pool: ProcessPoolExecutor | None = None
         #: guards ``stats``: the serve tier resolves fast cells on the
@@ -364,6 +338,25 @@ class Runner:
             changes["fidelity"] = self.fidelity
         return replace(sc, **changes) if changes else sc
 
+    def snapshot(self) -> dict[str, int]:
+        """Every runner and cache counter as one flat ``{name: number}``
+        dict: ``runner.*`` always, and each :class:`CacheStats` field
+        as ``cache.*`` when there is a cache."""
+        stats = self.stats
+        with self._stats_lock:
+            out = {
+                "runner.cells": stats.total,
+                "runner.cached": stats.cached,
+                "runner.executed": stats.executed,
+                "runner.errors": stats.errors,
+                "runner.fast": stats.fast,
+                "runner.escalated": stats.escalated,
+            }
+        if self.cache is not None:
+            for name, value in vars(self.cache.stats).items():
+                out[f"cache.{name}"] = value
+        return out
+
     def close(self) -> None:
         """Release the worker pool and the cache's open file."""
         self._discard_pool()
@@ -375,15 +368,21 @@ class Runner:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def _lookup(self, sc: Scenario, trace_dir: str | None):
-        """Cache probe for one cell; ``None`` on a miss.
+    def _lookup(self, sc: Scenario, trace_dir: str | None) -> RunRecord | None:
+        """Cache probe for one cell: its cached record, counted, or
+        ``None`` on a miss.
 
         Tracing forces execution: a cache hit would skip the
         instrumented layers and record nothing.
         """
         if trace_dir is not None or self.cache is None:
             return None
-        return self.cache.get(sc)
+        rows = self.cache.get(sc)
+        if rows is None:
+            return None
+        with self._stats_lock:
+            self.stats.cached += 1
+        return RunRecord(sc, tuple(rows), cached=True)
 
     def _surrogate_permit(self, sc: Scenario) -> tuple[bool, str]:
         """May the surrogate serve this non-``full`` cell?
@@ -431,7 +430,8 @@ class Runner:
                 self.stats.escalated += 1
             if error is not None:
                 self.stats.errors += 1
-                self.stats.failures.append(f"{sc.describe()}: {error}")
+                if len(self.stats.failures) < MAX_FAILURES:
+                    self.stats.failures.append(f"{sc.describe()}: {error}")
         if error is not None:
             return RunRecord(
                 sc, (), error=error, duration_s=dt, escalated=escalated
@@ -441,33 +441,37 @@ class Runner:
             self.cache.put(sc, list(rows))
         return record
 
-    def run_fast_cell(self, sc: Scenario) -> RunRecord | None:
+    def run_fast_cell(
+        self, sc: Scenario, trace_dir: str | None = None
+    ) -> RunRecord | None:
         """Resolve one cell entirely on the calling thread, or return
-        ``None`` when it needs the batch path.
+        ``None`` when it needs the full path.
 
-        The serve tier's inline entry point: a non-``full`` cell the
-        permit policy vouches for is cache-probed and (on a miss)
-        surrogate-evaluated right here — microseconds, no queue, no
-        pool, no pickling.  ``None`` means "not mine": the cell is
-        ``full`` fidelity, or it must escalate — the caller sends it
-        through :meth:`run` unchanged.  Under the ``refuse`` policy an
-        unservable cell returns an error record instead of escalating.
-        ``sc`` must already be effective (:meth:`effective_scenario`);
-        a raw scenario would silently lose the runner's fault overlay.
+        The one path for non-``full`` cells, from :meth:`run` and from
+        the serve tier's inline entry: a cell the permit policy vouches
+        for is cache-probed and (on a miss) surrogate-evaluated right
+        here — microseconds, no queue, no pool, no pickling.  ``None``
+        means "not mine": the cell is ``full`` fidelity, or it must
+        escalate (a cache miss the surrogate cannot vouch for).  Under
+        the ``refuse`` policy an unservable cell returns an error
+        record instead of escalating.  ``trace_dir`` defaults to the
+        runner's.  ``sc`` must already be effective
+        (:meth:`effective_scenario`); a raw scenario would silently
+        lose the runner's fault overlay.
         """
         if sc.fidelity == "full":
             return None
-        rows = self._lookup(sc, self.trace_dir)
-        if rows is not None:
-            with self._stats_lock:
-                self.stats.cached += 1
-            return RunRecord(sc, tuple(rows), cached=True)
+        if trace_dir is None:
+            trace_dir = self.trace_dir
+        record = self._lookup(sc, trace_dir)
+        if record is not None:
+            return record
         permitted, reason = self._surrogate_permit(sc)
         if not permitted:
             if self.surrogate_policy == "refuse":
                 return self._finish_cell(sc, None, reason, 0.0)
             return None
-        rows, error, dt = _run_fast_cell(sc, self.trace_dir)
+        rows, error, dt = _run_fast_cell(sc, trace_dir)
         return self._finish_cell(sc, rows, error, dt, fast=True)
 
     def run(
@@ -477,8 +481,11 @@ class Runner:
     ) -> list[RunRecord]:
         """All cells, as records in input order.
 
-        Cache misses fan out to the runner's worker pool when
-        ``jobs > 1`` and more than one cell misses.  ``trace_dir``
+        Non-``full`` cells go through :meth:`run_fast_cell`; the ones it
+        hands back escalate to the full path, flagged.  Full-path cache
+        misses fan out to the runner's worker pool when ``jobs > 1`` and
+        more than one cell misses — fast cells never count toward that,
+        so an all-analytic sweep spins up no workers.  ``trace_dir``
         overrides the runner-level trace directory for this call only,
         which is how the serve layer honors per-request ``--trace``.
         Not thread-safe: one call at a time per runner (the serve
@@ -490,36 +497,17 @@ class Runner:
         records: list[RunRecord | None] = [None] * len(scenarios)
 
         pending: list[int] = []
-        fast: list[int] = []
         escalated: set[int] = set()
         for i, sc in enumerate(scenarios):
-            rows = self._lookup(sc, trace_dir)
-            if rows is not None:
-                records[i] = RunRecord(sc, tuple(rows), cached=True)
-                with self._stats_lock:
-                    self.stats.cached += 1
-            elif sc.fidelity != "full":
-                # The dispatch layer: analytic/hybrid cells go to the
-                # in-process surrogate; cells it cannot vouch for
-                # escalate to the full path (flagged) or are refused,
-                # per policy.  Fast cells never count toward pool
-                # sizing — an all-analytic sweep spins up no workers.
-                permitted, reason = self._surrogate_permit(sc)
-                if permitted:
-                    fast.append(i)
-                elif self.surrogate_policy == "refuse":
-                    records[i] = self._finish_cell(sc, None, reason, 0.0)
-                else:
-                    escalated.add(i)
-                    pending.append(i)
-            else:
-                pending.append(i)
-
-        for i in fast:
-            rows, error, dt = _run_fast_cell(scenarios[i], trace_dir)
-            records[i] = self._finish_cell(
-                scenarios[i], rows, error, dt, fast=True
+            fast = sc.fidelity != "full"
+            records[i] = (
+                self.run_fast_cell(sc, trace_dir) if fast
+                else self._lookup(sc, trace_dir)
             )
+            if records[i] is None:
+                pending.append(i)
+                if fast:
+                    escalated.add(i)
 
         if len(pending) > 1 and self.jobs > 1:
             outcomes = self._run_parallel(

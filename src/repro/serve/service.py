@@ -30,8 +30,8 @@ with the three mechanisms a long-lived scenario service needs:
 Everything observable is counted in one plain dict of totals
 (:attr:`ScenarioService.counts`: ``serve.requests``,
 ``serve.coalesced``, ``serve.batch_occupancy``, ``serve.rejected`` and
-friends), reported with live queue depths and p50/p99 request latency
-by :meth:`ScenarioService.stats`.
+friends), reported with live queue depths, p50/p99 request latency
+and the runner's own snapshot by :meth:`ScenarioService.stats`.
 
 The service never executes *full-fidelity* cells on the event loop:
 batches run in a worker thread (``asyncio.to_thread``) so the loop
@@ -480,13 +480,17 @@ class ScenarioService:
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Counter totals plus latency percentiles and live depths.
+        """Counter totals, latency percentiles and live depths, merged
+        with the runner's :meth:`~repro.run.runner.Runner.snapshot`.
 
         Latency percentiles come combined (``serve.latency_p50_s`` /
         ``..._p99_s``, the pre-fidelity keys) *and* per tier
         (``serve.analytic.latency_p50_s``, ...) for every tier that
         has served at least one request; per-tier request counts are
-        the ``serve.requests.<fidelity>`` counters.
+        the ``serve.requests.<fidelity>`` counters.  The runner and
+        cache counters let a remote stats call prove the execution
+        story: executed-exactly-once shows up as ``runner.executed``
+        == distinct cells.
         """
         out = {name: float(n) for name, n in sorted(self.counts.items())}
 
@@ -506,20 +510,7 @@ class ScenarioService:
         out["serve.inflight"] = float(self._inflight)
         out["serve.latency_p50_s"] = pct(combined, 0.50)
         out["serve.latency_p99_s"] = pct(combined, 0.99)
-        # Runner- and cache-level gauges ride along so a remote stats
-        # call can prove the execution story: executed-exactly-once
-        # shows up as runner.executed == distinct cells.
-        rstats = self.runner.stats
-        out["runner.executed"] = float(rstats.executed)
-        out["runner.cached"] = float(rstats.cached)
-        out["runner.errors"] = float(rstats.errors)
-        cstats = rstats.cache
-        if cstats is not None:
-            out["cache.hits"] = float(cstats.hits)
-            out["cache.misses"] = float(cstats.misses)
-            out["cache.writes"] = float(cstats.writes)
-            out["cache.evictions"] = float(cstats.evictions)
-            out["cache.evicted_bytes"] = float(cstats.evicted_bytes)
+        out.update(self.runner.snapshot())
         return out
 
     # -- dispatch -------------------------------------------------------------

@@ -6,14 +6,14 @@ or a CLI run beside ``repro serve``) shares its one cell file,
 These tests pin what makes that safe: absolute-path anchoring, the
 bounded LRU memory mirror (and its eviction accounting) under
 concurrent threads, corrupt records read as misses, and torn-free
-concurrent put/get through the ``flock``ed append.
+concurrent put/get through the ``flock``ed append; and the cache
+counters in the runner's stats snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import re
 import sys
 import threading
 
@@ -92,23 +92,38 @@ class TestLRUBound:
         with pytest.raises(ConfigurationError):
             ResultCache(tmp_path, max_memory_entries=-1)
 
-    def test_summary_keeps_prefix_and_appends_evictions(self, tmp_path):
+
+class TestSnapshot:
+    RUNNER_KEYS = [
+        "runner.cached", "runner.cells", "runner.errors",
+        "runner.escalated", "runner.executed", "runner.fast",
+    ]
+
+    def test_snapshot_keys_with_cache(self, tmp_path):
         runner = Runner(jobs=1, cache=ResultCache(tmp_path,
                                                   max_memory_entries=1))
         runner.run(_cells(3))
-        summary = runner.stats.summary()
-        # The exact prefix the Makefile smoke regexes parse:
-        m = re.search(
-            r"cache: (\d+) hits, (\d+) misses, (\d+) writes", summary
-        )
-        assert m, summary
-        assert int(m.group(3)) == 3
-        assert re.search(r"writes, (\d+) evictions", summary), summary
+        runner.run(_cells(2))
+        runner.close()
+        snap = runner.snapshot()
+        assert sorted(snap) == sorted(self.RUNNER_KEYS + [
+            "cache.evicted_bytes", "cache.evictions", "cache.hits",
+            "cache.misses", "cache.writes",
+        ])
+        assert snap["runner.cells"] == 5 and snap["runner.cached"] == 2
+        assert snap["runner.executed"] == 3
+        assert snap["cache.hits"] == 2 and snap["cache.misses"] == 3
+        assert snap["cache.writes"] == 3
+        # Three puts and two disk hits through a one-entry mirror.
+        assert snap["cache.evictions"] == 4 and snap["cache.evicted_bytes"] > 0
 
-    def test_summary_omits_evictions_when_none(self, tmp_path):
-        runner = Runner(jobs=1, cache=ResultCache(tmp_path))
-        runner.run(_cells(1))
-        assert "evictions" not in runner.stats.summary()
+    def test_snapshot_keys_without_cache(self):
+        runner = Runner(jobs=1, cache=None)
+        runner.run(_cells(2))
+        snap = runner.snapshot()
+        assert sorted(snap) == self.RUNNER_KEYS
+        assert snap["runner.cells"] == snap["runner.executed"] == 2
+        assert all(type(v) is int for v in snap.values())
 
 
 class TestKeys:

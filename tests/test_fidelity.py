@@ -269,7 +269,7 @@ class TestRunnerDispatch:
         assert [r.rows for r in fast_records] == [r.rows for r in full_records]
         assert fast.stats.fast == 2 and fast.stats.escalated == 0
         assert all(not r.escalated for r in fast_records)
-        assert "2 surrogate" in fast.stats.summary()
+        assert fast.snapshot()["runner.fast"] == 2
 
     def test_all_analytic_sweep_never_builds_a_pool(self, monkeypatch):
         """Satellite 1: with jobs>1 and every cell non-full, worker
@@ -294,7 +294,7 @@ class TestRunnerDispatch:
         assert record.ok and record.rows == ((3, 4),)
         assert record.escalated
         assert runner.stats.escalated == 1 and runner.stats.fast == 0
-        assert "1 escalated" in runner.stats.summary()
+        assert runner.snapshot()["runner.escalated"] == 1
 
     def test_refuse_policy_records_error_instead(self):
         runner = Runner(

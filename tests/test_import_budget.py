@@ -27,6 +27,21 @@ print(",".join(m for m in {heavy!r} if sys.modules.get(m) is not None))
 """
 
 
+def _loaded(imports: str, modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    running ``imports``, comma-separated."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _SCRIPT.format(imports=imports, heavy=modules)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
 @pytest.mark.parametrize("imports", [
     "import repro.cli",
     "import repro.api",
@@ -34,13 +49,13 @@ print(",".join(m for m in {heavy!r} if sys.modules.get(m) is not None))
     "import repro.core.registry, repro.run",
 ])
 def test_entry_point_loads_no_heavy_package(imports):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", _SCRIPT.format(imports=imports, heavy=HEAVY)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "", f"{imports} loaded {run.stdout.strip()}"
+    loaded = _loaded(imports, HEAVY)
+    assert loaded == "", f"{imports} loaded {loaded}"
+
+
+def test_md_app_loads_no_cfd_model():
+    """Every ``table5`` cell imports ``repro.apps.md``; the package must
+    not drag in the overset substrate or the two CFD models with it."""
+    cfd = ("repro.apps.overset", "repro.apps.ins3d", "repro.apps.overflow")
+    loaded = _loaded("import repro.apps.md", cfd)
+    assert loaded == "", f"repro.apps.md loaded {loaded}"

@@ -88,15 +88,21 @@ def _repro_all_fast(cache_dir: Path) -> subprocess.CompletedProcess:
     )
 
 
+def _stats(stderr: str) -> dict:
+    """The one ``stats {json}`` line a runner verb prints on stderr."""
+    (line,) = [ln for ln in stderr.splitlines() if ln.startswith("stats ")]
+    return json.loads(line[len("stats "):])
+
+
 def test_repro_all_fast_matches_golden_cold_and_warm(tmp_path):
     golden = GOLDEN.read_text()
     cold = _repro_all_fast(tmp_path)
     assert cold.returncode == 0, cold.stderr
-    assert "0 cached" in cold.stderr
+    assert _stats(cold.stderr)["runner.cached"] == 0
     assert cold.stdout == golden
     warm = _repro_all_fast(tmp_path)
     assert warm.returncode == 0, warm.stderr
-    assert "0 executed" in warm.stderr
+    assert _stats(warm.stderr)["runner.executed"] == 0
     assert warm.stdout == golden
     assert "heavy modules: none" in warm.stderr
 

@@ -393,3 +393,67 @@ class TestFailureReporting:
         args = argparse.Namespace(keep_going=False)
         assert _report_failures(runner, args) == 0
         assert capsys.readouterr().err == ""
+
+    def test_failures_list_is_capped_errors_keep_counting(self):
+        from repro.run.runner import MAX_FAILURES
+
+        runner = Runner(jobs=1)
+        extra = 7
+        runner.run([
+            scenario("test.boom", x=i) for i in range(MAX_FAILURES + extra)
+        ])
+        assert runner.stats.errors == MAX_FAILURES + extra
+        assert len(runner.stats.failures) == MAX_FAILURES
+        # The first failures are the ones kept, in sweep order.
+        assert "x=0" in runner.stats.failures[0]
+        assert f"x={MAX_FAILURES - 1}" in runner.stats.failures[-1]
+
+
+class TestStatsLine:
+    """Every runner verb ends with exactly one ``stats {json}`` line on
+    stderr: the runner's snapshot, keys sorted (``repro all`` is pinned
+    by tests/test_output_golden.py)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1"],
+        ["report", "--fast", "--output", "{tmp}/report"],
+        ["compare", "--machines", "fat_numa,gpu_node",
+         "--experiments", "dgemm"],
+        ["explore", "--study", "cheapest-bx2", "--max-cells", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_verb_prints_one_stats_line(self, argv, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv + ["--no-cache"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err and err[-1].startswith("stats ")
+        assert [ln for ln in err if ln.startswith("stats ")] == err[-1:]
+        body = err[-1][len("stats "):]
+        stats = json.loads(body)
+        assert list(stats) == sorted(stats)
+        assert stats["runner.cells"] > 0 and stats["runner.errors"] == 0
+        assert "cache.hits" not in stats  # --no-cache
+        if argv[0] == "explore":
+            assert stats["explore.candidates"] == 10
+            assert stats["explore.cells_submitted"] == stats["runner.cells"]
+        else:
+            assert not any(k.startswith("explore.") for k in stats)
+
+    def test_report_closes_its_runner(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.run import runner as runner_mod
+
+        closed = []
+        close = runner_mod.Runner.close
+
+        def spy(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(runner_mod.Runner, "close", spy)
+        argv = ["report", "--fast", "--no-cache", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(closed) == 1

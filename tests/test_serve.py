@@ -596,13 +596,16 @@ class TestStatsKeys:
                 assert escalated.ok and escalated.escalated
                 with pytest.raises(ServeRejected):
                     await service.submit(full, client_id="a")
-            return service.stats()
+            return service.stats(), service.runner.snapshot()
 
-        stats = asyncio.run(drive())
+        stats, snapshot = asyncio.run(drive())
+        # The runner's snapshot rides along verbatim.
+        assert {k: stats[k] for k in snapshot} == snapshot
         assert sorted(stats) == [
             "cache.evicted_bytes", "cache.evictions", "cache.hits",
             "cache.misses", "cache.writes",
-            "runner.cached", "runner.errors", "runner.executed",
+            "runner.cached", "runner.cells", "runner.errors",
+            "runner.escalated", "runner.executed", "runner.fast",
             "serve.analytic.latency_p50_s", "serve.analytic.latency_p99_s",
             "serve.batch_cells", "serve.batch_occupancy", "serve.batches",
             "serve.coalesced", "serve.completed", "serve.escalated",
