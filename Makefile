@@ -111,15 +111,26 @@ compare-smoke:
 	@echo "compare-smoke ok: cross-machine table stable and fully surrogate-served"
 
 SMOKE_CACHE := /tmp/repro-smoke-cache
+SMOKE_RUN := $(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE)
 
-## End-to-end cold-then-warm run of the whole characterization: the
-## second pass must be served >= 90% from the cell result cache.
+## End-to-end run of the whole characterization: two concurrent cold
+## passes share one fresh cell store, then a warm pass must replay
+## every cell from it (0 executed).  All three print the golden report,
+## and the store journals each cell once.
 .PHONY: smoke
 smoke:
-	rm -rf $(SMOKE_CACHE)
-	$(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE) >/dev/null
-	$(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE) >/dev/null 2>$(SMOKE_CACHE)/stats.txt
+	rm -rf $(SMOKE_CACHE) && mkdir -p $(SMOKE_CACHE)
+	$(SMOKE_RUN) >$(SMOKE_CACHE)/cold1.txt 2>$(SMOKE_CACHE)/cold1_stats.txt & \
+	  $(SMOKE_RUN) >$(SMOKE_CACHE)/cold2.txt 2>$(SMOKE_CACHE)/cold2_stats.txt; status=$$?; \
+	  wait $$! && exit $$status
+	$(SMOKE_RUN) >$(SMOKE_CACHE)/warm.txt 2>$(SMOKE_CACHE)/stats.txt
 	@cat $(SMOKE_CACHE)/stats.txt
-	@$(call STATS_CHECK,$(SMOKE_CACHE)/stats.txt,s['runner.cached'] >= 0.9 * s['runner.cells']) \
-	  || { echo 'smoke FAILED: warm pass below 90% cache hits'; exit 1; }
-	@echo "smoke ok: warm pass served >=90% from cache"
+	@for pass in cold1 cold2 warm; do \
+	  diff tests/golden/repro_all_fast.txt $(SMOKE_CACHE)/$$pass.txt \
+	  || { echo "smoke FAILED: $$pass pass differs from the golden report"; exit 1; }; \
+	done
+	@$(call STATS_CHECK,$(SMOKE_CACHE)/stats.txt,s['runner.executed'] == 0) \
+	  || { echo 'smoke FAILED: warm pass executed cells'; exit 1; }
+	@$(PYTHON) -c "import json,sys; k=[json.loads(l)['key'] for l in open('$(SMOKE_CACHE)/cells.jsonl').readlines()[1:]]; print(len(k), 'lines,', len(set(k)), 'keys'); sys.exit(0 if len(k) == len(set(k)) else 1)" \
+	  || { echo 'smoke FAILED: a cell is journaled twice'; exit 1; }
+	@echo "smoke ok: concurrent cold passes and the warm replay match the golden report"

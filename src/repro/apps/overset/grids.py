@@ -197,7 +197,8 @@ def _point_budget(
         raise ConfigurationError(
             f"max_block_fraction must lie in (0, 1), got {max_block_fraction}"
         )
-    raw = rng.lognormal(mean=0.0, sigma=skew_sigma, size=n_blocks)
+    # abs() turns -0.0, which passes the check above, into the 0.0 numpy accepts.
+    raw = rng.lognormal(mean=0.0, sigma=abs(skew_sigma), size=n_blocks)
     # Cap the tail so no block exceeds the requested fraction of total.
     raw = np.minimum(raw, raw.sum() * max_block_fraction / (1.0 - max_block_fraction))
     capped = raw.sum()

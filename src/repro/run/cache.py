@@ -18,15 +18,17 @@ the calibration index or the version; that is already the repo's
 documentation rule for tuned constants, and the cache turns it into a
 correctness rule.
 
-The cache is two-level: a bounded per-process LRU mirror in front of
-one append-only JSONL file, ``<dir>/cells.jsonl``
-(:class:`~repro.run.journal.JsonlJournal`, one line per cell).
-``memory_only=True`` keeps everything in-process — the default for
+The cache has one in-memory level.  A disk cache is one append-only
+JSONL file, ``<dir>/cells.jsonl``
+(:class:`~repro.run.journal.JsonlJournal`, one line per cell), whose
+in-process index already holds every cell's decoded rows, so a hit is
+one dict probe and there is no second mirror to bound or evict.
+``memory_only=True`` keeps a plain dict instead — the default for
 library use, so tests stay hermetic; the CLI passes a directory.
 
 The file is shared by every ``repro`` process pointed at the directory
 (two CLI runs against ``.repro-cache``, or a CLI run beside ``repro
-serve``), each with its own mirror, and it is the resumable store: a
+serve``), each with its own index, and it is the resumable store: a
 sweep killed part-way re-runs with the same ``--cache-dir`` and
 replays every finished cell.  The journal makes that safe — appends
 are ``flock``ed, a torn tail left by a killed writer is cut before the
@@ -41,10 +43,8 @@ at construction.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,14 +62,6 @@ __all__ = [
 
 #: Environment override for the CLI's on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Default bound on the per-process memory mirror of a disk-backed
-#: cache.  Every disk hit used to be mirrored forever — an unbounded
-#: leak in a long-lived ``repro serve``; past this many entries the
-#: least recently used row list is dropped (the disk copy stays).  The
-#: mirror pays for itself on repeated hits: a hit re-read from the file
-#: parses and canonicalizes its line, several times the cost.
-DEFAULT_MEMORY_ENTRIES = 4096
 
 #: The cell store's file name inside the cache directory.
 CELLS_FILE = "cells.jsonl"
@@ -131,68 +123,37 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    #: memory-mirror entries dropped by the LRU bound (disk copies,
-    #: when they exist, are untouched).
-    evictions: int = 0
-    #: approximate serialized payload bytes of the evicted entries —
-    #: the "how much memory did the bound actually reclaim" number.
-    evicted_bytes: int = 0
 
 
-def _approx_bytes(rows) -> int:
-    """Approximate serialized size of one entry's rows (the same JSON
-    form the disk level stores); computed only on eviction, so the
-    put/get hot paths never pay for it."""
-    try:
-        return len(json.dumps(rows))
-    except (TypeError, ValueError):  # pragma: no cover - rows are JSON-safe
-        return 0
-
-
-def _decode_cell(record: dict) -> list[tuple]:
-    """A cell record's rows, canonicalized; raises on anything that is
-    not a list of lists of scalars."""
-    rows = record["rows"]
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-        raise ValueError("cell rows must be a list of lists")
-    return [canonical_value(r) for r in rows]
+def _canonical_rows(rows, what: str = "value ") -> list[tuple]:
+    """``rows`` as a list of canonical tuples; raises on anything that
+    is not a list of sequences of scalars."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise ConfigurationError("cell rows must be a list of sequences")
+    return [canonical_value(r, what) for r in rows]
 
 
 class ResultCache:
-    """Two-level (memory + disk) cache of cell rows.
+    """Cache of cell rows: a plain dict, or one shared cell file.
 
     ``get``/``put`` speak :class:`Scenario` in and row lists out; the
     key derivation and serialization live entirely here.
-
-    ``max_memory_entries`` bounds the in-process mirror: ``None``
-    picks the default policy (:data:`DEFAULT_MEMORY_ENTRIES` for a
-    disk-backed cache, unbounded for ``memory_only`` — where the
-    dict *is* the store and eviction would be data loss), ``0``
-    disables mirroring entirely (every hit reads disk — the setting
-    the cross-process stress tests use to force visibility), any
-    other value is an explicit LRU entry cap.
     """
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         memory_only: bool = False,
-        max_memory_entries: int | None = None,
     ) -> None:
         self.memory_only = memory_only
         #: absolute directory of the disk level (``None`` when
         #: memory-only); resolved once here so later ``chdir``s
         #: cannot split one logical store into disjoint relative ones.
         self.cache_dir = None if memory_only else resolve_cache_dir(cache_dir)
-        if max_memory_entries is not None and max_memory_entries < 0:
-            raise ConfigurationError(
-                f"max_memory_entries must be >= 0, got {max_memory_entries}"
-            )
-        if max_memory_entries is None:
-            max_memory_entries = None if memory_only else DEFAULT_MEMORY_ENTRIES
-        self.max_memory_entries = max_memory_entries
-        self._memory: OrderedDict[str, list[tuple]] = OrderedDict()
-        #: guards the mirror and the stats: the serve tier reaches one
+        #: the store of a memory-only cache.
+        self._memory: dict[str, list[tuple]] = {}
+        #: guards the store and the stats: the serve tier reaches one
         #: cache from the event loop and from a worker thread at once.
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -201,12 +162,12 @@ class ResultCache:
         self._context = (
             f"{_package_version()}|{calibration_fingerprint()}"
         )
-        #: the disk level (``None`` when memory-only); no I/O until
-        #: the first get or put.
+        #: the store of a disk cache (``None`` when memory-only); no
+        #: I/O until the first get or put.
         self._journal = (
             None if self.cache_dir is None
             else JsonlJournal(self.cache_dir / CELLS_FILE, _CELLS_HEADER,
-                              decode=_decode_cell)
+                              lambda record: _canonical_rows(record["rows"]))
         )
 
     # -- keys -----------------------------------------------------------------
@@ -216,37 +177,14 @@ class ResultCache:
         blob = f"{scenario.key()}|{self._context}"
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    # -- the bounded memory mirror --------------------------------------------
-
-    def _remember(self, key: str, rows: list[tuple]) -> None:
-        """Mirror one entry in memory, evicting LRU past the bound."""
-        cap = self.max_memory_entries
-        if cap == 0:
-            return
-        memory = self._memory
-        if key in memory:
-            memory[key] = rows
-            memory.move_to_end(key)
-            return
-        memory[key] = rows
-        if cap is not None and len(memory) > cap:
-            _, evicted = memory.popitem(last=False)
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += _approx_bytes(evicted)
-
     # -- access ---------------------------------------------------------------
 
     def get(self, scenario: Scenario) -> list[tuple] | None:
         """Cached rows for ``scenario``, or None on a miss."""
         key = self.key_for(scenario)
         with self._lock:
-            rows = self._memory.get(key)
-            if rows is not None:
-                self._memory.move_to_end(key)  # LRU touch
-            elif self._journal is not None:
-                rows = self._journal.get(key)
-                if rows is not None:
-                    self._remember(key, rows)
+            store = self._memory if self._journal is None else self._journal
+            rows = store.get(key)
             if rows is None:
                 self.stats.misses += 1
                 return None
@@ -254,25 +192,26 @@ class ResultCache:
         return list(rows)
 
     def put(self, scenario: Scenario, rows: list[tuple]) -> None:
-        """Store ``rows`` for ``scenario`` (memory, then disk).
+        """Store ``rows`` for ``scenario``.
 
         Rows are canonicalized (nested sequences to nested tuples)
-        *before* the memory store, so a warm in-process hit returns
-        exactly what a cold disk hit would after the JSON round-trip —
-        callers never see type drift between the two levels.
+        first, so a hit in this process returns exactly what another
+        process decodes from the file after the JSON round-trip —
+        callers never see type drift between the two.
         """
         key = self.key_for(scenario)
-        rows = [canonical_value(r, "cached row value ") for r in rows]
+        rows = _canonical_rows(list(rows), "cached row value ")
         with self._lock:
-            self._remember(key, rows)
             self.stats.writes += 1
-            if self._journal is not None:
+            if self._journal is None:
+                self._memory[key] = rows
+            else:
                 self._journal.put(key, {
                     "key": key,
                     "workload": scenario.workload,
                     "cell": scenario.describe(),
                     "rows": rows,
-                })
+                }, rows)
 
     def close(self) -> None:
         """Close the cell file; the next get or put reopens it."""

@@ -17,10 +17,11 @@ lock: they consume whole lines only, and a writer only ever cuts bytes
 after the last newline.  A miss reads the lines appended since the last
 read.  A whole line that does not parse is skipped and never hides the
 records after it, and a record that parses but does not decode never
-hides a later copy of its key.  The index maps key to the byte spans
-of its lines, and a hit re-reads one line with ``os.pread``.  The file
-opens on the first :meth:`~JsonlJournal.get` or
-:meth:`~JsonlJournal.put`; a get never creates it.
+hides a later copy of its key.  Each line is parsed and decoded once,
+as it is read: the index maps each key to its decoded value, so a hit
+is one dict probe and the file is the only other copy.  The file opens
+on the first :meth:`~JsonlJournal.get` or :meth:`~JsonlJournal.put`; a
+get never creates it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class JsonlJournal:
     """Keyed records in an append-only, header-bound JSONL file.
 
     ``decode`` maps a parsed record line to the value :meth:`get`
-    returns (identity by default); a record it rejects reads as a
-    miss.  :meth:`put` is idempotent per key.
+    returns (identity by default; it never returns None); a record it
+    rejects reads as a miss.  :meth:`put` is idempotent per key.
     """
 
     def __init__(
@@ -66,9 +67,8 @@ class JsonlJournal:
         self._reset()
 
     def _reset(self) -> None:
-        #: key -> (offset, length) of each of its record lines, in file
-        #: order, newline excluded; lines that failed to decode are gone.
-        self._spans: dict[str, list[tuple[int, int]]] = {}
+        #: key -> the decoded value of its first record that decodes.
+        self._index: dict[str, Any] = {}
         #: bytes consumed so far: always the end of a whole line.
         self._read_to = 0
         #: whether line 1 is this journal's header.
@@ -99,20 +99,19 @@ class JsonlJournal:
         if size == self._read_to:
             return size
         data = os.pread(fd, size - self._read_to, self._read_to)
+        index = self._index
         pos = self._read_to
         for line in data.split(b"\n")[:-1]:
-            if pos == 0:
-                try:
-                    self._valid = json.loads(line) == self.header
-                except _CORRUPT:
-                    self._valid = False
-            elif self._valid:
-                try:
-                    key = json.loads(line)["key"]
-                except _CORRUPT:
-                    key = None
-                if isinstance(key, str):
-                    self._spans.setdefault(key, []).append((pos, len(line)))
+            try:
+                record = json.loads(line)
+                if pos == 0:
+                    self._valid = record == self.header
+                elif self._valid:
+                    key = record["key"]
+                    if isinstance(key, str) and key not in index:
+                        index[key] = self._decode(record)
+            except _CORRUPT:
+                pass  # skipped; an unparsable header leaves it invalid
             pos += len(line) + 1
         self._read_to = pos
         return size
@@ -120,39 +119,26 @@ class JsonlJournal:
     def get(self, key: str) -> Any:
         """The decoded record journaled under ``key``, or None."""
         with self._lock:
-            spans = self._spans.get(key)
-            if spans is None:
-                fd = self._open(create=False)
-                if fd is None:
-                    return None
+            value = self._index.get(key)
+            if value is None and (fd := self._open(create=False)) is not None:
                 self._catch_up(fd)
-                spans = self._spans.get(key)
-                if spans is None:
-                    return None
-            while spans:
-                offset, length = spans[0]
-                try:
-                    record = json.loads(
-                        os.pread(self._fh.fileno(), length, offset))
-                    if record["key"] == key:
-                        return self._decode(record)
-                except _CORRUPT:
-                    pass
-                # Undecodable (bit rot, or a file cleared under us):
-                # fall through to the key's next line.
-                del spans[0]
-            # No line decodes: a miss, and the next put journals the
-            # key afresh.
-            del self._spans[key]
-            return None
+                value = self._index.get(key)
+            return value
 
-    def put(self, key: str, record: dict[str, Any]) -> None:
+    def put(self, key: str, record: dict[str, Any], value: Any = None) -> None:
         """Journal one record (its ``"key"`` is ``key``) unless ``key``
-        is already journaled, here or by another process."""
+        is already journaled, here or by another process.
+
+        ``value`` is what :meth:`get` returns for ``key`` from then on;
+        it must equal what a fresh reader decodes from the record's
+        line, and by default it is exactly that.
+        """
         with self._lock:
-            if key in self._spans:
+            if key in self._index:
                 return
             line = _encode(record)
+            if value is None:
+                value = self._decode(json.loads(line))
             try:
                 fd = self._open(create=True)
                 fcntl.flock(fd, fcntl.LOCK_EX)
@@ -163,7 +149,7 @@ class JsonlJournal:
                         # process may have rewritten a stale file since.
                         self._reset()
                         size = self._catch_up(fd)
-                    if key in self._spans:
+                    if key in self._index:
                         return
                     end = self._read_to if self._valid else 0
                     if size != end:
@@ -175,7 +161,7 @@ class JsonlJournal:
                         end = len(head)
                     _write_all(fd, line)
                     self._valid = True
-                    self._spans[key] = [(end, len(line) - 1)]
+                    self._index[key] = value
                     self._read_to = end + len(line)
                 finally:
                     fcntl.flock(fd, fcntl.LOCK_UN)

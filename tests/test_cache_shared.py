@@ -4,10 +4,10 @@ Every ``repro`` process pointed at one cache directory (two CLI runs,
 or a CLI run beside ``repro serve``) shares its one cell file,
 ``cells.jsonl``, and the serve tier reaches one cache from two threads.
 These tests pin what makes that safe: absolute-path anchoring, the
-bounded LRU memory mirror (and its eviction accounting) under
-concurrent threads, corrupt records read as misses, and torn-free
-concurrent put/get through the ``flock``ed append; and the cache
-counters in the runner's stats snapshot.
+journal's shared in-process index under concurrent threads, corrupt
+records read as misses, and torn-free concurrent put/get through the
+``flock``ed append; and the cache counters in the runner's stats
+snapshot.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.run import Runner, scenario, workload
-from repro.run.cache import (
-    CELLS_FILE,
-    DEFAULT_MEMORY_ENTRIES,
-    ResultCache,
-    resolve_cache_dir,
-)
+from repro.run.cache import CELLS_FILE, ResultCache, resolve_cache_dir
 
 
 @workload("cache_shared.cell")
@@ -38,61 +33,6 @@ def _cells(n: int):
     return [scenario("cache_shared.cell", x=i) for i in range(n)]
 
 
-class TestLRUBound:
-    def test_memory_mirror_is_bounded_and_counts_evictions(self, tmp_path):
-        cache = ResultCache(tmp_path, max_memory_entries=3)
-        for i, sc in enumerate(_cells(5)):
-            cache.put(sc, [(i, "x" * 64)])
-        assert len(cache._memory) == 3
-        assert cache.stats.evictions == 2
-        assert cache.stats.evicted_bytes > 0
-        # Evicted entries are only gone from the mirror; disk serves
-        # them back (and re-mirrors them, evicting something else).
-        rows = cache.get(scenario("cache_shared.cell", x=0))
-        assert rows == [(0, "x" * 64)]
-        assert cache.stats.hits == 1
-        assert len(cache._memory) == 3
-
-    def test_lru_order_touch_on_hit(self, tmp_path):
-        cache = ResultCache(tmp_path, max_memory_entries=2)
-        a, b, c = _cells(3)
-        cache.put(a, [(0,)])
-        cache.put(b, [(1,)])
-        assert cache.get(a) == [(0,)]  # a is now most recent
-        cache.put(c, [(2,)])  # evicts b, not a
-        assert cache.key_for(a) in cache._memory
-        assert cache.key_for(b) not in cache._memory
-        assert cache.stats.evictions == 1
-
-    def test_disk_backed_default_cap(self, tmp_path):
-        assert (
-            ResultCache(tmp_path).max_memory_entries
-            == DEFAULT_MEMORY_ENTRIES
-        )
-
-    def test_memory_only_is_unbounded_by_default(self):
-        # The mirror IS the store for a memory-only cache; evicting
-        # from it would silently lose results.
-        cache = ResultCache(memory_only=True)
-        assert cache.max_memory_entries is None
-        for i, sc in enumerate(_cells(DEFAULT_MEMORY_ENTRIES + 1)):
-            cache.put(sc, [(i,)])
-        assert cache.stats.evictions == 0
-        assert cache.get(scenario("cache_shared.cell", x=0)) == [(0,)]
-
-    def test_zero_cap_disables_mirroring(self, tmp_path):
-        cache = ResultCache(tmp_path, max_memory_entries=0)
-        sc = _cells(1)[0]
-        cache.put(sc, [(0,)])
-        assert not cache._memory
-        assert cache.get(sc) == [(0,)]  # straight from disk
-        assert not cache._memory
-
-    def test_negative_cap_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ResultCache(tmp_path, max_memory_entries=-1)
-
-
 class TestSnapshot:
     RUNNER_KEYS = [
         "runner.cached", "runner.cells", "runner.errors",
@@ -100,22 +40,18 @@ class TestSnapshot:
     ]
 
     def test_snapshot_keys_with_cache(self, tmp_path):
-        runner = Runner(jobs=1, cache=ResultCache(tmp_path,
-                                                  max_memory_entries=1))
+        runner = Runner(jobs=1, cache=ResultCache(tmp_path))
         runner.run(_cells(3))
         runner.run(_cells(2))
         runner.close()
         snap = runner.snapshot()
         assert sorted(snap) == sorted(self.RUNNER_KEYS + [
-            "cache.evicted_bytes", "cache.evictions", "cache.hits",
-            "cache.misses", "cache.writes",
+            "cache.hits", "cache.misses", "cache.writes",
         ])
         assert snap["runner.cells"] == 5 and snap["runner.cached"] == 2
         assert snap["runner.executed"] == 3
         assert snap["cache.hits"] == 2 and snap["cache.misses"] == 3
         assert snap["cache.writes"] == 3
-        # Three puts and two disk hits through a one-entry mirror.
-        assert snap["cache.evictions"] == 4 and snap["cache.evicted_bytes"] > 0
 
     def test_snapshot_keys_without_cache(self):
         runner = Runner(jobs=1, cache=None)
@@ -175,7 +111,7 @@ class TestAbsolutePaths:
         other = tmp_path / "elsewhere"
         other.mkdir()
         monkeypatch.chdir(other)
-        fresh = ResultCache(tmp_path / "relcache", max_memory_entries=0)
+        fresh = ResultCache(tmp_path / "relcache")
         assert fresh.get(sc) == [(0,)]
 
     def test_resolve_cache_dir_env_default(self, tmp_path, monkeypatch):
@@ -197,24 +133,24 @@ class TestHygiene:
     def test_corrupt_cell_unlinked_on_read(self, tmp_path):
         # A corrupt record is skipped by every reader, and the key is
         # fully reusable afterwards: the next put journals a good copy.
-        cache = ResultCache(tmp_path, max_memory_entries=0)
+        cache = ResultCache(tmp_path)
         sc = _cells(1)[0]
         cache.put(sc, [(0,)])
         _rewrite_record(cache, b"}torn{")
-        fresh = ResultCache(tmp_path, max_memory_entries=0)
+        fresh = ResultCache(tmp_path)
         assert fresh.get(sc) is None
         fresh.put(sc, [(0,)])
         assert fresh.get(sc) == [(0,)]
-        assert ResultCache(tmp_path, max_memory_entries=0).get(sc) == [(0,)]
+        assert ResultCache(tmp_path).get(sc) == [(0,)]
 
     def test_missing_rows_key_is_corruption(self, tmp_path):
-        cache = ResultCache(tmp_path, max_memory_entries=0)
+        cache = ResultCache(tmp_path)
         sc = _cells(1)[0]
         cache.put(sc, [(0,)])
         key = cache.key_for(sc)
         _rewrite_record(cache, json.dumps(
             {"key": key, "workload": "cache_shared.cell"}).encode())
-        fresh = ResultCache(tmp_path, max_memory_entries=0)
+        fresh = ResultCache(tmp_path)
         assert fresh.get(sc) is None
         fresh.put(sc, [(0,)])
         assert fresh.get(sc) == [(0,)]
@@ -228,14 +164,24 @@ class TestHygiene:
     ], ids=["non-utf8", "deep-nesting", "scalar-rows", "string-rows",
             "object-rows"])
     def test_malformed_cell_is_a_miss_and_unlinked(self, tmp_path, content):
-        cache = ResultCache(tmp_path, max_memory_entries=0)
+        cache = ResultCache(tmp_path)
         sc = _cells(1)[0]
         cache.put(sc, [(0,)])
         _rewrite_record(
             cache, content.replace(b"KEY", cache.key_for(sc).encode()))
-        fresh = ResultCache(tmp_path, max_memory_entries=0)
+        fresh = ResultCache(tmp_path)
         assert fresh.get(sc) is None
         assert fresh.stats.hits == 0
+
+    @pytest.mark.parametrize("memory_only", [False, True])
+    def test_put_rejects_rows_a_reader_could_not_decode(self, tmp_path,
+                                                        memory_only):
+        # A scalar row would read back in the writing process but be a
+        # miss for every other reader of the file.
+        cache = ResultCache(tmp_path, memory_only=memory_only)
+        with pytest.raises(ConfigurationError):
+            cache.put(_cells(1)[0], [1, 2])
+        assert cache.get(_cells(1)[0]) is None
 
     def test_construction_does_no_io(self, tmp_path):
         # The store opens on the first get/put: constructing a cache
@@ -249,7 +195,7 @@ class TestHygiene:
     def test_runner_close_releases_the_file_and_a_later_get_reopens(
         self, tmp_path
     ):
-        cache = ResultCache(tmp_path, max_memory_entries=0)
+        cache = ResultCache(tmp_path)
         runner = Runner(jobs=1, cache=cache)
         runner.run(_cells(1))
         assert cache._journal._fh is not None
@@ -269,34 +215,44 @@ class TestHygiene:
 
 class TestThreads:
     def test_mirror_survives_two_threads(self, tmp_path):
-        """Two threads share one disk-backed cache whose mirror holds 2
-        of 3 cells, so a key one thread found in the mirror is often
-        evicted by the other before the LRU touch.  Every get must
-        still return that cell's rows, never raise."""
-        cache = ResultCache(tmp_path, max_memory_entries=2)
-        cells = _cells(3)
-        for i, sc in enumerate(cells):
+        """Two threads share one disk-backed cache, whose journal index
+        mirrors the cell file, while a second cache appends new cells
+        to that file: each thread's miss on a new cell catches the
+        shared index up while the other thread probes it.  Every get
+        must return that cell's rows, never raise or miss."""
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        rounds, appends, gets = 3, 40, 20_000
+        cells = _cells(3 + rounds * 2 * appends)
+        for i, sc in enumerate(cells[:3]):
             cache.put(sc, [(i, i * i)])
         errors: list = []
 
-        def hammer(order):
+        def hammer(order, new):
             try:
-                for j in range(20_000):
+                for j in range(gets):
                     i = order[j % len(order)]
+                    if j % (gets // appends) == 0:
+                        x = next(new)
+                        other.put(cells[x], [(x, x * x)])
+                        if cache.get(cells[x]) != [(x, x * x)]:
+                            errors.append((x, "new cell missed"))
+                            return
                     rows = cache.get(cells[i])
                     if rows != [(i, i * i)]:
                         errors.append(rows)
                         return
-            except Exception as exc:  # the race shows up as KeyError
+            except Exception as exc:
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):
+            for r in range(rounds):
                 threads = [
-                    threading.Thread(target=hammer, args=(order,))
-                    for order in ([0, 1, 0, 2], [1, 2, 1, 0])
+                    threading.Thread(target=hammer, args=(order, iter(range(
+                        3 + (2 * r + t) * appends,
+                        3 + (2 * r + t + 1) * appends))))
+                    for t, order in enumerate(([0, 1, 0, 2], [1, 2, 1, 0]))
                 ]
                 for t in threads:
                     t.start()
@@ -307,7 +263,11 @@ class TestThreads:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert cache.stats.hits == 3 * 2 * 20_000  # no lost update
+        # No lost update, and every new cell was one catch-up's hit.
+        assert cache.stats.hits == rounds * 2 * (gets + appends)
+        assert cache.stats.misses == 0
+        lines = (tmp_path / CELLS_FILE).read_bytes().splitlines()
+        assert len(lines) == 1 + len(cells)
 
 
 def _payload(value: int, x: int) -> str:
@@ -317,14 +277,14 @@ def _payload(value: int, x: int) -> str:
 def _writer_proc(cache_dir: str, value: int, rounds: int) -> None:
     # Both writers append the same keys, x = 0..rounds-1, in step: each
     # round is a race for one key, against readers catching up.
-    cache = ResultCache(cache_dir, max_memory_entries=0)
+    cache = ResultCache(cache_dir)
     for x in range(rounds):
         cache.put(scenario("cache_shared.cell", x=x),
                   [(value, _payload(value, x))])
 
 
 def _reader_proc(cache_dir: str, rounds: int, queue) -> None:
-    cache = ResultCache(cache_dir, max_memory_entries=0)
+    cache = ResultCache(cache_dir)
     bad = []
     for i in range(rounds * 4):
         x = i % rounds
@@ -341,7 +301,7 @@ def _reader_proc(cache_dir: str, rounds: int, queue) -> None:
 
 
 def _fresh_reader_proc(cache_dir: str, x: int, queue) -> None:
-    queue.put(ResultCache(cache_dir, max_memory_entries=0).get(
+    queue.put(ResultCache(cache_dir).get(
         scenario("cache_shared.cell", x=x)))
 
 
@@ -406,7 +366,7 @@ class TestCrossProcess:
         torn = b'{"key": "deadwriter", "rows": [[0'
         with open(store, "ab") as fh:
             fh.write(torn)
-        assert ResultCache(tmp_path, max_memory_entries=0).get(first) == [(0,)]
+        assert ResultCache(tmp_path).get(first) == [(0,)]
         ResultCache(tmp_path).put(second, [(1,)])
         data = store.read_bytes()
         assert torn not in data and data.startswith(whole)

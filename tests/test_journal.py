@@ -41,7 +41,7 @@ class _Cells:
         self.path = directory / CELLS_FILE
 
     def reader(self):
-        return ResultCache(self.directory, max_memory_entries=0)
+        return ResultCache(self.directory)
 
     def put(self, x: int) -> None:
         self.reader().put(scenario("journal_test.cell", x=x), [(x, "v")])
@@ -195,7 +195,77 @@ class TestJournalSemantics:
         assert store.get(store.reader(), 1) == store.want(1)
         assert len(store.path.read_bytes().splitlines()) == 3
 
+    def test_first_decodable_copy_wins_on_read(self, tmp_path):
+        """Two decodable copies of a key (say, from two builds that
+        journaled without seeing each other): every reader takes the
+        first, after skipping any copy before it that does not decode."""
+        store = _Cells(tmp_path)
+        store.put(1)
+        header, good = store.path.read_bytes().splitlines()
+        record = json.loads(good)
+        bad = json.dumps({**record, "rows": "bad"}).encode()
+        later = json.dumps({**record, "rows": [[1, "later"]]}).encode()
+        store.path.write_bytes(b"\n".join([header, bad, good, later]) + b"\n")
+        assert store.get(store.reader(), 1) == store.want(1)
+
     def test_get_never_creates_the_file(self, tmp_path):
         path = tmp_path / "sub" / "j.jsonl"
         assert self._journal(path).get("k") is None
         assert not path.parent.exists()
+
+
+class TestIndex:
+    """The index holds decoded values: a hit is a dict probe, and the
+    writer reads back what a fresh reader decodes from the file."""
+
+    @pytest.mark.parametrize("user", USERS, ids=lambda u: u.name)
+    def test_repeated_hits_read_and_parse_nothing(self, tmp_path, user,
+                                                  monkeypatch):
+        import repro.run.journal as journal_module
+
+        store = user(tmp_path)
+        for x in range(3):
+            store.put(x)
+        reader = store.reader()
+        assert store.get(reader, 0) == store.want(0)  # the one catch-up
+        calls = {"pread": 0, "loads": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(journal_module.os, "pread",
+                            counting("pread", journal_module.os.pread))
+        monkeypatch.setattr(journal_module.json, "loads",
+                            counting("loads", journal_module.json.loads))
+        for _ in range(50):
+            for x in range(3):
+                assert store.get(reader, x) == store.want(x)
+        assert calls == {"pread": 0, "loads": 0}
+
+    def test_cell_rows_read_back_equal_a_fresh_read(self, tmp_path):
+        sc = scenario("journal_test.cell", x=5)
+        rows = [(1, [2, (3, "a")], 0.1, None, True), [-0.0, 1e300]]
+        writer = ResultCache(tmp_path)
+        writer.put(sc, rows)
+        mine, fresh = writer.get(sc), ResultCache(tmp_path).get(sc)
+        assert mine == fresh == [
+            (1, (2, (3, "a")), 0.1, None, True), (-0.0, 1e300)]
+        assert [type(r) for r in mine] == [tuple, tuple]
+        assert type(mine[0][1]) is tuple and type(fresh[0][1]) is tuple
+
+    def test_trail_records_read_back_equal_a_fresh_read(self, tmp_path):
+        store = _Trail(tmp_path)
+        writer = store.reader()
+        record = {"key": "k", "candidate": (1, 2), "assignment": [("a", 3)],
+                  "score": 0.5, "error": None}
+        writer.put("k", record)
+        record["score"] = 99.0  # the caller's dict is not the index's
+        mine, fresh = writer.get("k"), store.reader().get("k")
+        assert mine == fresh == {
+            "key": "k", "candidate": [1, 2], "assignment": [["a", 3]],
+            "score": 0.5, "error": None}
+        assert mine is not record
+        writer.close()

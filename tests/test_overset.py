@@ -281,6 +281,11 @@ class TestBuilderErrors:
         with pytest.raises(ConfigurationError, match="max_block_fraction"):
             _synthetic_system("s", 64, 64_000, 1.0, 1, fraction)
 
+    def test_negative_zero_skew_builds_like_zero(self):
+        a = _synthetic_system("s", 4, 800, -0.0, 0, 0.5)
+        b = _synthetic_system("s", 4, 800, 0.0, 0, 0.5)
+        assert [blk.shape for blk in a.blocks] == [blk.shape for blk in b.blocks]
+
     def test_total_too_small_for_the_skew(self):
         # 80 points in 10 blocks: every block rounded up to 8 leaves
         # the drift to take the largest below 8.

@@ -602,8 +602,7 @@ class TestStatsKeys:
         # The runner's snapshot rides along verbatim.
         assert {k: stats[k] for k in snapshot} == snapshot
         assert sorted(stats) == [
-            "cache.evicted_bytes", "cache.evictions", "cache.hits",
-            "cache.misses", "cache.writes",
+            "cache.hits", "cache.misses", "cache.writes",
             "runner.cached", "runner.cells", "runner.errors",
             "runner.escalated", "runner.executed", "runner.fast",
             "serve.analytic.latency_p50_s", "serve.analytic.latency_p99_s",
