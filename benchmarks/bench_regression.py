@@ -404,12 +404,10 @@ def bench_analytic_serve() -> dict[str, float]:
     """
     from repro.run import Runner, scenario, workload
     from repro.serve import submit
-    from repro.surrogate.registry import register_exact
 
     # Idempotent, like the serve_noop registration above; the exact
-    # surrogate declaration is what routes the cells inline.
-    workload("bench.analytic_noop")(_serve_noop_cell)
-    register_exact("bench.analytic_noop")
+    # fast-form declaration is what routes the cells inline.
+    workload("bench.analytic_noop", fast="exact")(_serve_noop_cell)
     cells = [
         scenario("bench.analytic_noop", fidelity="analytic", i=i)
         for i in range(SERVE_CELLS)
@@ -440,11 +438,9 @@ def bench_explore() -> dict[str, float]:
     """
     from repro.explore import Objective, explore, search_space
     from repro.run import Runner, workload
-    from repro.surrogate.registry import register_exact
 
     # Idempotent, like the serve_noop registration above.
-    workload("bench.explore_noop")(_explore_noop_cell)
-    register_exact("bench.explore_noop")
+    workload("bench.explore_noop", fast="exact")(_explore_noop_cell)
     side = int(EXPLORE_CELLS ** 0.5)
     space = search_space(
         "bench.explore_noop",
@@ -495,16 +491,16 @@ def bench_compare() -> dict[str, float]:
 
 
 def bench_surrogate_eval() -> dict[str, float]:
-    """Single-cell latency of the modeled surrogate evaluator.
+    """Single-cell latency of a modeled fast form.
 
     ``ext_noise.cell`` is the one *modeled* family (everything else is
-    an exact passthrough), so this is the closed-form path: resolve
-    the surrogate, enter the fault context, price the analytic
-    network model.  Microseconds per cell is the design budget the
-    fidelity tier's escalation threshold assumes.
+    an exact passthrough), so this is the closed-form path through
+    :func:`execute_scenario`: resolve the workload's fast form, enter
+    the fault context, price the analytic network model.  Microseconds
+    per cell is the design budget the fidelity tier's escalation
+    threshold assumes.
     """
-    from repro.run import scenario
-    from repro.surrogate import evaluate_scenario
+    from repro.run import execute_scenario, scenario
 
     cell = scenario(
         "ext_noise.cell", fidelity="analytic",
@@ -514,7 +510,7 @@ def bench_surrogate_eval() -> dict[str, float]:
 
     def run_once():
         for _ in range(inner):
-            evaluate_scenario(cell)
+            execute_scenario(cell)
 
     us = _best_time(run_once, repeats=5) / inner * 1e6
     return {"surrogate_eval_us": us}

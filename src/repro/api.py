@@ -18,10 +18,11 @@ The facade groups five seams:
 
 * **scenarios & execution** — :class:`Scenario`, :func:`scenario`,
   :func:`sweep`, :class:`Runner`, :class:`RunRecord`,
-  :class:`ResultCache`, :func:`workload`, :class:`Fidelity` (the
+  :func:`execute_scenario` (one cell, in-process, at its fidelity),
+  :class:`ResultCache`, :func:`workload` (which also declares a
+  workload's fast form), :class:`Fidelity` (the
   ``analytic``/``hybrid``/``full`` execution tiers; see also
-  :func:`calibrate_fidelity` and :func:`evaluate_scenario` in the
-  surrogate seam);
+  :func:`calibrate_fidelity` in the surrogate seam);
 * **experiments** — :func:`run_experiment`, :func:`list_experiments`,
   :class:`ExperimentSpec`, :func:`experiment`,
   :func:`experiment_specs`, :class:`ExperimentResult`;
@@ -32,10 +33,9 @@ The facade groups five seams:
 * **serving** — :class:`ServeClient`, :class:`ServeResult`,
   :func:`submit` (in-process one-shot), :class:`ScenarioService`,
   :class:`QuotaPolicy` (per-client token-bucket admission);
-* **surrogate tier** — :func:`evaluate_scenario` (closed-form cell
-  evaluation), :func:`calibrate_fidelity` and :class:`ErrorTable`
-  (the measured analytic-vs-DES error bound the Runner's
-  escalate/refuse policy consults);
+* **surrogate tier** — :func:`calibrate_fidelity` and
+  :class:`ErrorTable` (the measured analytic-vs-DES error bound the
+  Runner's escalate/refuse policy consults);
 * **exploration** — :class:`SearchSpace`/:func:`search_space`,
   :class:`Objective`, :class:`ExploreDriver`/:func:`explore`,
   :class:`ExploreResult` and :func:`run_study` (design-space search
@@ -87,7 +87,7 @@ from repro.machine.placement import Placement, PinningMode
 from repro.obs.counters import CounterSet
 from repro.obs.spans import Tracer, use_tracer
 from repro.run.cache import ResultCache
-from repro.run.runner import RunRecord, Runner
+from repro.run.runner import RunRecord, Runner, execute_scenario
 from repro.run.scenario import (
     Fidelity,
     MachineSpec,
@@ -105,7 +105,7 @@ from repro.serve import (
     ServeResult,
     submit,
 )
-from repro.surrogate import ErrorTable, evaluate_scenario
+from repro.surrogate import ErrorTable
 from repro.surrogate import calibrate as calibrate_fidelity
 
 __all__ = sorted(
@@ -144,7 +144,7 @@ __all__ = sorted(
         "cluster_cost",
         "columbia",
         "compare_scenarios",
-        "evaluate_scenario",
+        "execute_scenario",
         "experiment",
         "explore",
         "experiment_specs",

@@ -511,7 +511,8 @@ def _run_calibrate(args) -> int:
             )
             return 1
         bad = [
-            e for e in table.entries.values() if e.rel_err > table.bound
+            e for e in table.entries.values()
+            if not table.permits(e.family, e.mode)
         ]
         for e in bad:
             print(

@@ -15,8 +15,8 @@ through the ordinary Scenario → Runner → fidelity pipeline and emits
 * a perf-per-cost ranking via the name-free
   :func:`~repro.machine.zoo.cluster_cost` proxy.
 
-Every application here is closed-form (``compare.cell`` is an exact
-surrogate passthrough), so the default analytic tier serves a full
+Every application here is closed-form (``compare.cell`` is declared
+an exact passthrough), so the default analytic tier serves a full
 4-machine comparison in milliseconds, cache- and serve-compatible
 like any other workload.
 """
@@ -29,7 +29,6 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.run.scenario import MachineSpec, Scenario, scenario
 from repro.run.workloads import workload
-from repro.surrogate.registry import register_exact
 
 __all__ = [
     "COMPARE_APPS",
@@ -72,7 +71,7 @@ def _placement(cluster, cpus: int):
     return Placement(cluster, n_ranks=cpus)
 
 
-@workload("compare.cell")
+@workload("compare.cell", fast="exact")
 def _cell(cluster, app: str, cpus: int) -> list[tuple]:
     """One (machine, app, size) cell; the machine arrives as the
     built cluster, so the cell itself is machine-name-free."""
@@ -113,12 +112,6 @@ def _cell(cluster, app: str, cpus: int) -> list[tuple]:
         )
         value = result.total_gflops
     return [(app, cpus, metric, unit, round(value, 4))]
-
-
-# Every branch above is a closed-form model — no DES, no RNG — so the
-# cell is an exact passthrough: the analytic tier serves it inline
-# with rows identical to the full path by construction.
-register_exact("compare.cell")
 
 
 # -- the comparison ----------------------------------------------------------

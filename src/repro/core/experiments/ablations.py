@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@workload("ablation.variant_pair")
+@workload("ablation.variant_pair", fast="exact")
 def _variant_pair_cell(benchmark: str, cpus: int, clock_a: float, l3_a: int,
                        clock_b: float, l3_b: int,
                        gain_digits: int = 2) -> list[tuple]:
@@ -87,7 +87,7 @@ experiment(
 )
 
 
-@workload("ablation.grouping")
+@workload("ablation.grouping", fast="exact")
 def _grouping_cell(groups: int, scale: float) -> list[tuple]:
     from repro.apps.overset.grids import rotor_system
     from repro.apps.overset.grouping import group_blocks
@@ -121,7 +121,7 @@ experiment(
 )
 
 
-@workload("ablation.ibcards")
+@workload("ablation.ibcards", fast="exact")
 def _ibcards_cell(nodes: int) -> list[tuple]:
     from repro.machine.infiniband import max_mpi_procs_per_node
 
@@ -147,7 +147,7 @@ experiment(
 )
 
 
-@workload("ablation.shmem")
+@workload("ablation.shmem", fast="exact")
 def _shmem_cell(message_bytes: int) -> list[tuple]:
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType

@@ -21,7 +21,7 @@ from repro.run import sweep, workload
 __all__ = ["scenarios"]
 
 
-@workload("ext_class_f.capacity")
+@workload("ext_class_f.capacity", fast="exact")
 def _capacity_cell(npb_class: str) -> list[tuple]:
     import math
 
@@ -38,7 +38,7 @@ def _capacity_cell(npb_class: str) -> list[tuple]:
     )]
 
 
-@workload("ext_class_f.run")
+@workload("ext_class_f.run", fast="exact")
 def _run_cell(benchmark: str, threads: int) -> list[tuple]:
     # Class F across the whole machine: 20 nodes x 512 CPUs over IB.
     # The §2 cap at 20 nodes is sqrt(8*64K/19) = 166 processes/node,

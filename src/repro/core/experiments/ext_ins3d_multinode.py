@@ -14,7 +14,7 @@ from repro.run import sweep, workload
 __all__ = ["scenarios"]
 
 
-@workload("ext_ins3d.single")
+@workload("ext_ins3d.single", fast="exact")
 def _single_cell(groups: int, threads: int) -> list[tuple]:
     from repro.apps.ins3d import INS3DModel
     from repro.machine.node import NodeType
@@ -26,7 +26,7 @@ def _single_cell(groups: int, threads: int) -> list[tuple]:
     )]
 
 
-@workload("ext_ins3d.multi")
+@workload("ext_ins3d.multi", fast="exact")
 def _multi_cell(fabric: str, nodes: int, groups_per_node: int,
                 threads: int) -> list[tuple]:
     from repro.apps.ins3d_multinode import INS3DMultinodeModel

@@ -13,6 +13,11 @@ no DES world: each rank's ready time is the DES's own noise draw
 its exact recurrence (:func:`~repro.mpi.collectives.allreduce_times`),
 so the rows are ``==`` to the DES's.  Under DES faults or an enabled
 tracer the step runs on the DES.
+
+The cell is the one workload with a *modeled* fast form
+(:func:`_model`): closed forms for the ``analytic`` and ``hybrid``
+tiers whose error against this DES-exact path ``repro calibrate
+--fidelity`` measures and bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 
 from repro.core.registry import experiment
 from repro.errors import ConfigurationError
+from repro.memo import memo
 from repro.run import sweep, workload
 
 __all__ = ["scenarios"]
@@ -67,7 +73,57 @@ def _step_time(p: int, noise: float, seed: int) -> float:
     return run_mpi(placement, prog, os_noise=noise, noise_seed=seed).elapsed
 
 
-@workload("ext_noise.cell")
+@memo(maxsize=64)
+def _noise_placement(ranks: int):
+    """One placement instance per rank count.  The network model's
+    memos key on placement content, so a fresh instance would hit them
+    too; reusing one also skips rebuilding the cluster value and the
+    placement's content key on every inline evaluation."""
+    from repro.machine.cluster import single_node
+    from repro.machine.node import NodeType
+    from repro.machine.placement import Placement
+
+    return Placement(single_node(NodeType.BX2B), n_ranks=ranks)
+
+
+def _model(mode: str, ranks: int, noise: float, n_seeds: int) -> list[tuple]:
+    """The fast form of :func:`_cell`, same rows and same rejections.
+
+    The full cell runs ``compute(1e-3)`` + an 8-byte allreduce per
+    rank count, quiet vs noisy, averaged over seeds.  Here:
+
+    * network: :func:`~repro.surrogate.models.reduce_broadcast_time` —
+      the analytic critical path of the binomial reduce+broadcast the
+      DES executes;
+    * compute, ``analytic``: expected max-of-exponentials stretch
+      ``1 + noise * H_p`` (no sampling at all);
+    * compute, ``hybrid``: the stretch factors are *executed* — the
+      same seeded draws the DES would make — while the network term
+      stays analytic.
+    """
+    from repro.surrogate.models import (
+        noise_amplification,
+        noisy_max_factor,
+        reduce_broadcast_time,
+    )
+
+    check_cell(noise, n_seeds)
+    net = reduce_broadcast_time(_noise_placement(ranks), ALLREDUCE_BYTES)
+    quiet = WORK + net
+    if mode == "analytic":
+        noisy = WORK * noise_amplification(ranks, noise) + net
+    else:
+        stretches = (
+            noisy_max_factor(ranks, noise, s) for s in range(n_seeds)
+        )
+        noisy = sum(WORK * f + net for f in stretches) / n_seeds
+    return [(
+        ranks, round(quiet * 1e3, 4), round(noisy * 1e3, 4),
+        round(noisy / quiet, 2),
+    )]
+
+
+@workload("ext_noise.cell", fast=_model)
 def _cell(ranks: int, noise: float, n_seeds: int) -> list[tuple]:
     check_cell(noise, n_seeds)
     seeds = range(n_seeds)

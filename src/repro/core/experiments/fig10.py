@@ -31,7 +31,7 @@ def _fits(point: dict) -> bool:
     return not (n_nodes > 1 and cpus < n_nodes)
 
 
-@workload("fig10.cell")
+@workload("fig10.cell", fast="exact")
 def _cell(placement, config: str, n_nodes: int, fabric: str | None,
           cpus: int, max_pairs: int, trials: int) -> list[tuple]:
     from repro.hpcc import natural_ring, pingpong, random_ring

@@ -38,7 +38,7 @@ def _fits(point: dict) -> bool:
     return ranks <= 4096  # class E zone count
 
 
-@workload("fig11.cell")
+@workload("fig11.cell", fast="exact")
 def _cell(benchmark: str, network: str, fabric: str | None,
           mpt: str | None, cpus: int, threads: int) -> list[tuple]:
     from repro.machine.cluster import multinode, single_node

@@ -16,7 +16,7 @@ CPU_COUNTS = (4, 8, 16, 32, 64, 128, 256, 512)
 FAST_CPU_COUNTS = (4, 16, 64)
 
 
-@workload("fig5.cell")
+@workload("fig5.cell", fast="exact")
 def _cell(placement, node_type: str, cpus: int, max_pairs: int,
           trials: int) -> list[tuple]:
     from repro.hpcc import natural_ring, pingpong, random_ring

@@ -15,7 +15,7 @@ CPU_COUNTS = (4, 8, 16, 32, 64, 128, 256)
 FAST_CPU_COUNTS = (4, 32, 256)
 
 
-@workload("fig6.cell")
+@workload("fig6.cell", fast="exact")
 def _cell(benchmark: str, npb_class: str, node_type: str, cpus: int) -> list[tuple]:
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType

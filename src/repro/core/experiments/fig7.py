@@ -28,7 +28,7 @@ def _fits(point: dict) -> bool:
     return ranks <= MZ_CLASSES["C"].n_zones
 
 
-@workload("fig7.cell")
+@workload("fig7.cell", fast="exact")
 def _cell(total_cpus: int, threads_per_proc: int) -> list[tuple]:
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType

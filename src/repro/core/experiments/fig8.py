@@ -12,7 +12,7 @@ THREAD_COUNTS = (4, 8, 16, 32, 64, 128, 256)
 FAST_THREAD_COUNTS = (4, 16, 64)
 
 
-@workload("fig8.cell")
+@workload("fig8.cell", fast="exact")
 def _cell(benchmark: str, threads: int) -> list[tuple]:
     from repro.machine.cluster import single_node
     from repro.machine.compilers import Compiler

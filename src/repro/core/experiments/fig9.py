@@ -25,7 +25,7 @@ def _fits(point: dict) -> bool:
     return p <= MZ_CLASSES["C"].n_zones and p * t <= 512
 
 
-@workload("fig9.cell")
+@workload("fig9.cell", fast="exact")
 def _cell(processes: int, threads: int) -> list[tuple]:
     from repro.machine.cluster import single_node
     from repro.machine.node import NodeType

@@ -14,7 +14,7 @@ from repro.run import scenario, sweep, workload
 __all__ = ["scenarios"]
 
 
-@workload("sec411.cell")
+@workload("sec411.cell", fast="exact")
 def _cell(node_type: str, setting: str) -> list[tuple]:
     from repro.hpcc import predict_dgemm, predict_stream
     from repro.machine.cluster import single_node

@@ -14,7 +14,7 @@ from repro.run import MachineSpec, PlacementSpec, sweep, workload
 __all__ = ["scenarios"]
 
 
-@workload("sec42.cell")
+@workload("sec42.cell", fast="exact")
 def _cell(placement, stride: int, n_ranks: int, max_pairs: int,
           trials: int) -> list[tuple]:
     from repro.hpcc import (

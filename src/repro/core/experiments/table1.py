@@ -8,7 +8,7 @@ from repro.run import scenario, workload
 __all__ = ["scenarios"]
 
 
-@workload("table1.rows")
+@workload("table1.rows", fast="exact")
 def _rows() -> list[tuple]:
     from repro.machine.specs import table1_rows
 

@@ -19,7 +19,7 @@ LAYOUTS = (
 )
 
 
-@workload("table2.cell")
+@workload("table2.cell", fast="exact")
 def _cell(groups: int, threads: int, cpus: int) -> list[tuple]:
     from repro.apps.ins3d import INS3DModel
     from repro.machine.node import NodeType

@@ -11,7 +11,7 @@ __all__ = ["scenarios", "CPU_COUNTS"]
 CPU_COUNTS = (32, 64, 128, 256, 508)
 
 
-@workload("table3.cell")
+@workload("table3.cell", fast="exact")
 def _cell(cpus: int) -> list[tuple]:
     from repro.apps.overflow import OverflowModel
     from repro.machine.cluster import single_node

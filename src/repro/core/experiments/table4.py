@@ -9,7 +9,7 @@ from repro.run import scenario, sweep, workload
 __all__ = ["scenarios"]
 
 
-@workload("table4.ins3d")
+@workload("table4.ins3d", fast="exact")
 def _ins3d_cell() -> list[tuple]:
     from repro.apps.ins3d import INS3DModel
     from repro.machine.compilers import Compiler
@@ -21,7 +21,7 @@ def _ins3d_cell() -> list[tuple]:
     return [("INS3D", 144, round(t71, 1), round(t81, 1), round(t81 / t71, 3))]
 
 
-@workload("table4.overflow")
+@workload("table4.overflow", fast="exact")
 def _overflow_cell(cpus: int) -> list[tuple]:
     from repro.apps.overflow import OverflowModel
     from repro.machine.cluster import single_node

@@ -10,7 +10,7 @@ __all__ = ["scenarios", "PROC_COUNTS"]
 PROC_COUNTS = (1, 8, 64, 252, 504, 1020, 2040)
 
 
-@workload("table5.cell")
+@workload("table5.cell", fast="exact")
 def _cell(processors: int, steps: int) -> list[tuple]:
     from repro.apps.md.scaling import MDScalingModel
 

@@ -15,7 +15,7 @@ CONFIGS = (
 )
 
 
-@workload("table6.cell")
+@workload("table6.cell", fast="exact")
 def _cell(nodes: int, cpus: int) -> list[tuple]:
     from repro.apps.overflow import OverflowModel
     from repro.machine.cluster import multinode

@@ -216,7 +216,9 @@ class ExploreDriver:
             make_optimizer(optimizer, space, seed=seed)
             if isinstance(optimizer, str) else optimizer
         )
-        self.runner = runner
+        #: one runner for every round; a runner the driver builds
+        #: itself is closed when :meth:`run` ends.
+        self.runner = Runner() if runner is None else runner
         self._owned_runner = runner is None
         self.journal = (
             journal
@@ -416,7 +418,7 @@ class ExploreDriver:
         finally:
             if self.journal is not None:
                 self.journal.close()
-            if self._owned_runner and self.runner is not None:
+            if self._owned_runner:
                 self.runner.close()
         return ExploreResult(
             space=self.space, objective=self.objective,

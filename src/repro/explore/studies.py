@@ -40,7 +40,6 @@ from repro.explore.objective import Objective
 from repro.explore.space import SearchSpace, search_space
 from repro.memo import memo
 from repro.run.workloads import workload
-from repro.surrogate.registry import register_exact
 
 __all__ = [
     "STUDIES",
@@ -86,7 +85,7 @@ def _overflow_step(clock_ghz: float, l3_mb: int, cpus: int) -> float:
     return model.best_step_time(cpus).exec
 
 
-@workload("explore.overflow_variant")
+@workload("explore.overflow_variant", fast="exact")
 def _overflow_variant_cell(
     clock_ghz: float, l3_mb: int, cpus: int = 256
 ) -> list[tuple]:
@@ -103,9 +102,6 @@ def _overflow_variant_cell(
         round(step, 4), round(step / stock, 4),
         part_cost(clock_ghz, l3_mb),
     )]
-
-
-register_exact("explore.overflow_variant")
 
 
 def cheapest_bx2_space(cpus: int = 256) -> SearchSpace:
@@ -192,7 +188,7 @@ def _btmz_gflops(config: str, cpus: int) -> float:
     return MZTimingModel("bt-mz", "C", placement).total_gflops()
 
 
-@workload("explore.machine_candidate")
+@workload("explore.machine_candidate", fast="exact")
 def _machine_candidate_cell(cluster, cpus: int = 256) -> list[tuple]:
     """One zoo-machine candidate: BT-MZ rate, ratio to Columbia, cost.
 
@@ -216,9 +212,6 @@ def _machine_candidate_cell(cluster, cpus: int = 256) -> list[tuple]:
         cpus, round(gflops, 4), round(gflops / reference, 4),
         round(cluster_cost(cluster), 4),
     )]
-
-
-register_exact("explore.machine_candidate")
 
 
 def cheapest_machine_space(cpus: int = 256) -> SearchSpace:

@@ -61,7 +61,7 @@ from repro.faults.context import use_faults
 from repro.faults.spec import FaultSpec
 from repro.run.cache import ResultCache
 from repro.run.scenario import Scenario, canonical_value
-from repro.run.workloads import resolve
+from repro.run.workloads import EXACT, _entry
 
 __all__ = [
     "RunRecord",
@@ -148,7 +148,15 @@ def _normalize_rows(scenario: Scenario, rows) -> tuple[tuple, ...]:
 
 
 def execute_scenario(scenario: Scenario) -> tuple[tuple, ...]:
-    """Run one cell: resolve the workload, build machine state, call.
+    """Run one cell at its fidelity: the one executor for every tier.
+
+    A ``full`` cell calls its workload's cell function.  An
+    ``analytic`` or ``hybrid`` cell calls the fast form the workload
+    declared (:func:`repro.run.workloads.workload`): the cell function
+    itself for an exact passthrough, ``form(fidelity, **kwargs)`` for
+    a modeled one; a workload that declared none raises
+    :class:`~repro.errors.ConfigurationError` (the runner escalates
+    such a cell by running its ``full`` twin).
 
     When the scenario declares a machine spec, the built cluster is
     passed as ``cluster=`` — or, if a placement spec is declared too,
@@ -159,7 +167,14 @@ def execute_scenario(scenario: Scenario) -> tuple[tuple, ...]:
     every layer that prices a degraded machine picks the injector up
     ambiently, and the same cell always draws the same fault stream.
     """
-    fn = resolve(scenario.workload)
+    fn, fast = _entry(scenario.workload)
+    mode = scenario.fidelity
+    modeled = mode != "full" and fast != EXACT
+    if modeled and fast is None:
+        raise ConfigurationError(
+            f"{scenario.describe()}: no surrogate declared for workload "
+            f"{scenario.workload!r}; only fidelity='full' can serve it"
+        )
     kwargs = scenario.kwargs()
     # The salt (a sha256 content hash) only matters when an injector
     # is actually built; healthy cells skip the digest entirely.
@@ -175,7 +190,8 @@ def execute_scenario(scenario: Scenario) -> tuple[tuple, ...]:
             raise ConfigurationError(
                 f"{scenario.describe()}: placement spec without machine spec"
             )
-        return _normalize_rows(scenario, fn(**kwargs))
+        rows = fast(mode, **kwargs) if modeled else fn(**kwargs)
+        return _normalize_rows(scenario, rows)
 
 
 def _trace_path(trace_dir: str, scenario: Scenario):
@@ -184,57 +200,32 @@ def _trace_path(trace_dir: str, scenario: Scenario):
     return Path(trace_dir) / f"{scenario.workload}-{scenario.key()[:12]}.trace.json"
 
 
-def _run_cell(
-    scenario: Scenario, trace_dir: str | None = None, evaluate=None
-):
+def _run_cell(scenario: Scenario, trace_dir: str | None = None):
     """Worker entry point: never raises (errors travel in-band).
 
-    ``evaluate`` computes the rows (default :func:`execute_scenario`;
-    the fast path passes the surrogate evaluator).  With ``trace_dir``
-    set, the cell runs under a fresh ambient
+    With ``trace_dir`` set, the cell runs under a fresh ambient
     :class:`~repro.obs.spans.Tracer` and its Chrome trace is written
     to ``<trace_dir>/<workload>-<key12>.trace.json`` (cells whose
     workloads never touch an instrumented layer record nothing and
     write nothing).
     """
     start = time.perf_counter()
-    # Resolved per call, not as a default, so that a patched module
-    # attribute takes effect.
-    if evaluate is None:
-        evaluate = execute_scenario
     try:
         if trace_dir is None:
-            rows = evaluate(scenario)
+            rows = execute_scenario(scenario)
         else:
             from repro.obs.export import write_chrome_trace
             from repro.obs.spans import Tracer, use_tracer
 
             tracer = Tracer()
             with use_tracer(tracer):
-                rows = evaluate(scenario)
+                rows = execute_scenario(scenario)
             if tracer.spans or tracer.messages:
                 write_chrome_trace(tracer, _trace_path(trace_dir, scenario))
         return rows, None, time.perf_counter() - start
     except Exception as exc:  # per-cell capture: one bad cell reports
         err = f"{type(exc).__name__}: {exc}"
         return None, err, time.perf_counter() - start
-
-
-#: Lazily bound :func:`repro.surrogate.evaluator.evaluate_scenario`
-#: (the import would be circular at module load; a per-call import
-#: statement costs ~1 µs on a path budgeted in single microseconds).
-_evaluate_scenario = None
-
-
-def _run_fast_cell(scenario: Scenario, trace_dir: str | None = None):
-    """Fast-path cell execution: :func:`_run_cell` with the surrogate
-    evaluator, on the calling thread — no pickling and no pool."""
-    global _evaluate_scenario
-    if _evaluate_scenario is None:
-        from repro.surrogate.evaluator import evaluate_scenario
-
-        _evaluate_scenario = evaluate_scenario
-    return _run_cell(scenario, trace_dir, _evaluate_scenario)
 
 
 def _resolve_jobs(jobs) -> int:
@@ -314,10 +305,10 @@ class Runner:
         #: event loop while a batch may be finishing in a worker
         #: thread, and both account through :meth:`_finish_cell`.
         self._stats_lock = threading.Lock()
-        #: (workload, fidelity) pairs already vetted by the permit
-        #: policy — a positive verdict is stable for the runner's
-        #: lifetime, and the serve fast path asks per request.
-        self._permit_ok: set[tuple[str, str]] = set()
+        #: (workload, fidelity, machine config) triples already vetted
+        #: by the permit policy — a positive verdict is stable for the
+        #: runner's lifetime, and the serve fast path asks per request.
+        self._permit_ok: set[tuple[str, str, str | None]] = set()
 
     def effective_scenario(self, sc: Scenario) -> Scenario:
         """The scenario as this runner will actually execute it: the
@@ -387,12 +378,16 @@ class Runner:
     def _surrogate_permit(self, sc: Scenario) -> tuple[bool, str]:
         """May the surrogate serve this non-``full`` cell?
 
-        Positive verdicts are memoized per (workload, fidelity):
-        exactness and calibration entries are family-level facts, so
-        one yes covers every cell of the sweep — the per-request cost
-        on the serve fast path is one set probe.
+        Positive verdicts are memoized per (workload, fidelity,
+        machine config), everything the verdict depends on: exactness
+        and calibration entries are per family, and per machine on the
+        zoo, so one yes covers every cell of a sweep — the per-request
+        cost on the serve fast path is one set probe.
         """
-        key = (sc.workload, sc.fidelity)
+        key = (
+            sc.workload, sc.fidelity,
+            None if sc.machine is None else sc.machine.config,
+        )
         if key in self._permit_ok:
             return True, ""
         from repro.surrogate.calibrate import (
@@ -449,15 +444,15 @@ class Runner:
 
         The one path for non-``full`` cells, from :meth:`run` and from
         the serve tier's inline entry: a cell the permit policy vouches
-        for is cache-probed and (on a miss) surrogate-evaluated right
-        here — microseconds, no queue, no pool, no pickling.  ``None``
-        means "not mine": the cell is ``full`` fidelity, or it must
-        escalate (a cache miss the surrogate cannot vouch for).  Under
-        the ``refuse`` policy an unservable cell returns an error
-        record instead of escalating.  ``trace_dir`` defaults to the
-        runner's.  ``sc`` must already be effective
-        (:meth:`effective_scenario`); a raw scenario would silently
-        lose the runner's fault overlay.
+        for is cache-probed and (on a miss) run in its fast form right
+        here by :func:`execute_scenario` — microseconds, no queue, no
+        pool, no pickling.  ``None`` means "not mine": the cell is
+        ``full`` fidelity, or it must escalate (a cache miss the
+        surrogate cannot vouch for).  Under the ``refuse`` policy an
+        unservable cell returns an error record instead of escalating.
+        ``trace_dir`` defaults to the runner's.  ``sc`` must already be
+        effective (:meth:`effective_scenario`); a raw scenario would
+        silently lose the runner's fault overlay.
         """
         if sc.fidelity == "full":
             return None
@@ -471,7 +466,7 @@ class Runner:
             if self.surrogate_policy == "refuse":
                 return self._finish_cell(sc, None, reason, 0.0)
             return None
-        rows, error, dt = _run_fast_cell(sc, trace_dir)
+        rows, error, dt = _run_cell(sc, trace_dir)
         return self._finish_cell(sc, rows, error, dt, fast=True)
 
     def run(
@@ -509,14 +504,18 @@ class Runner:
                 if fast:
                     escalated.add(i)
 
-        if len(pending) > 1 and self.jobs > 1:
-            outcomes = self._run_parallel(
-                [scenarios[i] for i in pending], trace_dir
-            )
+        # An escalated cell runs as its ``full`` twin; its record keeps
+        # the requested tier.
+        todo = [
+            replace(scenarios[i], fidelity="full") if i in escalated
+            else scenarios[i]
+            for i in pending
+        ]
+        if len(todo) > 1 and self.jobs > 1:
+            outcomes = self._run_parallel(todo, trace_dir)
         else:
             outcomes = [
-                self._run_with_retries(scenarios[i], trace_dir=trace_dir)
-                for i in pending
+                self._run_with_retries(sc, trace_dir=trace_dir) for sc in todo
             ]
 
         for i, (rows, error, dt) in zip(pending, outcomes):

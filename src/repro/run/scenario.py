@@ -50,9 +50,10 @@ class Fidelity(str, enum.Enum):
     * ``HYBRID`` — the analytic network model prices communication
       while compute terms are still *executed* (noise draws, timing
       loops) — the predict-then-correct middle tier.
-    * ``ANALYTIC`` — pure closed-form evaluation through
-      :mod:`repro.surrogate`: microseconds per cell, calibrated
-      error bound, never touches a worker process.
+    * ``ANALYTIC`` — pure closed-form evaluation, the fast form the
+      workload declares (:func:`repro.run.workloads.workload`):
+      microseconds per cell, calibrated error bound
+      (:mod:`repro.surrogate`), never touches a worker process.
 
     Values are plain strings (``"analytic"``/``"hybrid"``/``"full"``)
     so they serialize to JSON and the wire protocol unchanged.

@@ -296,8 +296,10 @@ class ScenarioService:
             # deadlock on CPython's per-module import locks, which the
             # import system breaks by handing one of them a partially
             # initialised module.  Load the layers every cell shares
-            # (machine, netmodel, mpi, sim) here, on one thread.
-            import repro.surrogate.families  # noqa: F401
+            # (machine, netmodel, mpi, sim, all imported by the modeled
+            # forms' closed forms) and the permit policy here, on one
+            # thread.
+            import repro.surrogate.models  # noqa: F401
 
             self._task = asyncio.get_running_loop().create_task(
                 self._dispatch_loop(), name="repro-serve-dispatcher"

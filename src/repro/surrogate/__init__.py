@@ -1,23 +1,18 @@
-"""repro.surrogate — the analytic fast path behind fidelity tiers.
+"""repro.surrogate — calibration behind the fidelity tiers.
 
-Promotes the closed-form cost models from a validation tool into a
-serving tier: a scenario submitted at ``fidelity="analytic"`` (or
-``"hybrid"``) is evaluated in-process in microseconds — no pickling,
-no process pool, no DES — with a *calibrated* error bound against
-the full path, and transparent escalation where the bound cannot be
-vouched for.
+A scenario submitted at ``fidelity="analytic"`` (or ``"hybrid"``) runs
+the fast form its workload declares with
+:func:`repro.run.workloads.workload` — the cell itself for an exact
+passthrough, a modeled closed form otherwise — through the one
+executor, :func:`repro.run.runner.execute_scenario`, in-process: no
+pickling, no process pool.  This package holds what makes a modeled
+form trustworthy:
 
-Layout:
-
-* :mod:`~repro.surrogate.registry` — which workloads have a fast
-  path (:func:`resolve_surrogate`, exact vs modeled);
+* :mod:`~repro.surrogate.calibrate` — the error-measurement job, the
+  persisted :class:`ErrorTable`, and the permit policy the Runner
+  consults before it lets a fast form answer;
 * :mod:`~repro.surrogate.models` — DES-matched closed forms shared
-  by modeled surrogates;
-* :mod:`~repro.surrogate.families` — the declarations themselves;
-* :mod:`~repro.surrogate.evaluator` — :func:`evaluate_scenario`,
-  the in-process counterpart of ``execute_scenario``;
-* :mod:`~repro.surrogate.calibrate` — the error-measurement job,
-  the persisted :class:`ErrorTable`, and the permit policy.
+  by modeled fast forms.
 """
 
 from repro.surrogate.calibrate import (
@@ -25,27 +20,15 @@ from repro.surrogate.calibrate import (
     ErrorTable,
     calibrate,
     default_error_table,
-    relative_error,
-)
-from repro.surrogate.evaluator import evaluate_scenario, surrogate_for
-from repro.surrogate.registry import (
-    SurrogateSpec,
-    SurrogateUnavailable,
     family_of,
-    resolve_surrogate,
-    surrogate_specs,
+    relative_error,
 )
 
 __all__ = [
     "DEFAULT_BOUND",
     "ErrorTable",
-    "SurrogateSpec",
-    "SurrogateUnavailable",
     "calibrate",
     "default_error_table",
-    "evaluate_scenario",
     "family_of",
-    "resolve_surrogate",
-    "surrogate_for",
-    "surrogate_specs",
+    "relative_error",
 ]

@@ -1,16 +1,18 @@
-"""Fidelity calibration: measure surrogate error, persist the bound.
+"""Fidelity calibration: measure fast-form error, persist the bound.
 
 ``repro calibrate --fidelity`` drives every registered experiment's
-sweep cells through both the full path (``execute_scenario``) and the
-surrogate (``evaluate_scenario``) and records, per workload *family*
-and fidelity mode, the worst relative error observed.  The resulting
-:class:`ErrorTable` is persisted as JSON keyed by the same
-``version|calibration-fingerprint`` context the result cache uses —
-retune any calibrated constant (or bump the version) and the table
-goes stale, at which point the Runner stops trusting modeled
-surrogates until recalibration (exact passthroughs need no table:
-their rows are identical to the full path by construction, and the
-calibration job *asserts* that instead of assuming it).
+sweep cells whose workload declares a fast form
+(:func:`repro.run.workloads.workload`) through
+:func:`~repro.run.runner.execute_scenario` at ``full`` and at each
+fast tier, and records, per workload *family* and fidelity mode, the
+worst relative error observed.  The resulting :class:`ErrorTable` is
+persisted as JSON keyed by the same ``version|calibration-fingerprint``
+context the result cache uses — retune any calibrated constant (or
+bump the version) and the table goes stale, at which point the Runner
+stops trusting modeled fast forms until recalibration (exact
+passthroughs need no table: their rows are identical to the full path
+by construction, and the calibration job *asserts* that instead of
+assuming it).
 
 The committed default table lives next to this module
 (``calibration.json``) so a fresh checkout serves analytic requests
@@ -33,6 +35,8 @@ __all__ = [
     "ErrorTable",
     "calibrate",
     "default_error_table",
+    "family_of",
+    "permit_scenario",
     "relative_error",
 ]
 
@@ -55,12 +59,21 @@ def _current_context() -> str:
     return f"{_package_version()}|{calibration_fingerprint()}"
 
 
+def family_of(workload_id: str) -> str:
+    """The calibration family of a workload id: the prefix before the
+    first dot (``"fig9.cell"`` → ``"fig9"``) — the granularity the
+    error table is keyed on."""
+    return workload_id.split(".", 1)[0]
+
+
 def relative_error(full_rows, fast_rows) -> float:
     """Worst column-wise relative error between two row sets.
 
     Rows are compared positionally; numeric entries contribute
-    ``|fast - full| / max(|full|, floor)``; non-numeric entries must
-    match exactly (mismatch — or a shape mismatch — is ``inf``).
+    ``|fast - full| / max(|full|, floor)``, and equal values
+    (infinities included) contribute 0.  A NaN on one side only is
+    ``inf``; NaN on both sides counts as equal.  Non-numeric entries
+    must match exactly (mismatch — or a shape mismatch — is ``inf``).
     """
     if len(full_rows) != len(fast_rows):
         return math.inf
@@ -73,7 +86,11 @@ def relative_error(full_rows, fast_rows) -> float:
                 fval, bool
             )
             if numeric and isinstance(sval, (int, float)):
+                if sval == fval or (sval != sval and fval != fval):
+                    continue
                 err = abs(sval - fval) / max(abs(fval), _ERR_FLOOR)
+                if err != err:  # NaN on one side, or an infinite full value
+                    return math.inf
                 worst = max(worst, err)
             elif fval != sval:
                 return math.inf
@@ -154,27 +171,57 @@ class ErrorTable:
 
     @classmethod
     def load(cls, path: str | Path = COMMITTED_TABLE) -> "ErrorTable | None":
-        """Load a table, or ``None`` if missing/corrupt.  A stale
+        """Load a table, or ``None`` if missing, unreadable or malformed
+        (any entry included: an error or bound that is not a finite
+        number ``>= 0``, a cell count that is not a count).  A stale
         context still loads (``table.stale`` flags it) so callers can
         distinguish "never calibrated" from "needs recalibration"."""
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = _object(json.loads(Path(path).read_text()))
             entries = {}
-            for family, modes in payload["families"].items():
-                for mode, e in modes.items():
+            for family, modes in _object(payload["families"]).items():
+                for mode, e in _object(modes).items():
+                    e = _object(e)
+                    cells, exact = e["cells"], e.get("exact", False)
+                    if type(cells) is not int or cells < 0:
+                        raise ValueError(f"bad cell count {cells!r}")
+                    if not isinstance(exact, bool):
+                        raise ValueError(f"bad exact flag {exact!r}")
                     entries[(family, mode)] = FamilyError(
                         family=family, mode=mode,
-                        rel_err=float(e["rel_err"]),
-                        cells=int(e["cells"]),
-                        exact=bool(e.get("exact", False)),
+                        rel_err=_error_value(e["rel_err"]),
+                        cells=cells, exact=exact,
                     )
+            context = payload["context"]
+            if not isinstance(context, str):
+                raise ValueError(f"bad context {context!r}")
             return cls(
-                context=str(payload["context"]),
-                bound=float(payload["bound"]),
+                context=context,
+                bound=_error_value(payload["bound"]),
                 entries=entries,
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (
+            OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError,
+        ):
             return None
+
+
+def _object(value) -> dict:
+    """``value`` if it is a JSON object; anything else is malformed."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _error_value(value) -> float:
+    """A relative error or bound as read from a table: a finite number
+    ``>= 0``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 _default_table: ErrorTable | None = None
@@ -198,10 +245,10 @@ def calibrate(
     modes: tuple[str, ...] = ("analytic", "hybrid"),
     progress=None,
 ) -> ErrorTable:
-    """Measure surrogate-vs-full error across every registered sweep.
+    """Measure fast-form-vs-full error across every registered sweep.
 
-    For each experiment cell whose workload has a surrogate, run the
-    full path once and each requested fidelity mode once, and fold
+    For each experiment cell whose workload declares a fast form, run
+    the full path once and each requested fidelity mode once, and fold
     the relative error into the table per (family, mode).  Exact
     passthroughs *must* come back with error 0.0 — a non-zero error
     there means a workload claimed closed-form actually diverges, and
@@ -209,31 +256,29 @@ def calibrate(
     """
     from repro.core.registry import experiment_specs
     from repro.run.runner import execute_scenario
-    from repro.surrogate.evaluator import evaluate_scenario
-    from repro.surrogate.registry import resolve_surrogate
+    from repro.run.workloads import EXACT, fast_form
 
     table = ErrorTable(context=_current_context(), bound=bound)
     for spec in experiment_specs():
         for cell in spec.scenarios(fast=fast):
-            surr = resolve_surrogate(cell.workload)
-            if surr is None:
+            form = fast_form(cell.workload)
+            if form is None:
                 continue
+            exact = form == EXACT
             full_rows = execute_scenario(cell)
             for mode in modes:
-                if surr.fn is not None and mode not in surr.modes:
-                    continue
-                fast_rows = evaluate_scenario(replace(cell, fidelity=mode))
+                fast_rows = execute_scenario(replace(cell, fidelity=mode))
                 err = relative_error(full_rows, fast_rows)
-                if surr.exact and err != 0.0:
+                if exact and err != 0.0:
                     raise ConfigurationError(
                         f"{cell.describe()}: workload {cell.workload!r} "
                         f"is declared an exact passthrough but its "
                         f"{mode} rows diverge (rel. error {err:.3g})"
                     )
-                for fam in _family_keys(surr.family, cell):
+                for fam in _family_keys(family_of(cell.workload), cell):
                     table.record(FamilyError(
                         family=fam, mode=mode, rel_err=err,
-                        cells=1, exact=surr.exact,
+                        cells=1, exact=exact,
                     ))
                 if progress is not None:
                     progress(cell, mode, err)
@@ -243,9 +288,9 @@ def calibrate(
 def _family_keys(family: str, sc: Scenario) -> tuple[str, ...]:
     """Error-table keys for one cell: the workload family, plus a
     machine-qualified key (``family@config``) when the cell names a
-    zoo machine.  A modeled surrogate calibrated against Columbia
-    sweeps says nothing about its error on ``fat_numa``; per-machine
-    entries keep the permit honest across the zoo."""
+    zoo machine.  A modeled form calibrated against Columbia sweeps
+    says nothing about its error on ``fat_numa``; per-machine entries
+    keep the permit honest across the zoo."""
     config = None if sc.machine is None else sc.machine.config
     if config is None:
         return (family,)
@@ -255,27 +300,33 @@ def _family_keys(family: str, sc: Scenario) -> tuple[str, ...]:
 def permit_scenario(
     sc: Scenario, table: ErrorTable | None
 ) -> tuple[bool, str]:
-    """Policy decision for one non-``full`` cell: may the surrogate
+    """Policy decision for one non-``full`` cell: may its fast form
     serve it?  Returns ``(permitted, reason)``; the reason explains a
     denial (used verbatim in refuse-mode error records).
 
-    Exact passthroughs are always permitted.  Modeled surrogates need
-    a fresh (non-stale) table entry for their family within bound.
+    Exact passthroughs are always permitted.  A modeled form needs a
+    fresh (non-stale) table that :meth:`ErrorTable.permits` its
+    family — on a zoo machine, its ``family@config`` entry.
     """
-    from repro.surrogate.evaluator import surrogate_for
-    from repro.surrogate.registry import SurrogateUnavailable
+    from repro.run.workloads import EXACT, fast_form
 
     try:
-        surr = surrogate_for(sc)
-    except SurrogateUnavailable as exc:
-        return False, str(exc)
-    if surr.exact:
+        form = fast_form(sc.workload)
+    except ConfigurationError as exc:
+        return False, f"{sc.describe()}: {exc}"
+    if form is None:
+        return False, (
+            f"{sc.describe()}: no surrogate declared for workload "
+            f"{sc.workload!r}; only fidelity='full' can serve it"
+        )
+    if form == EXACT:
         return True, ""
+    family = family_of(sc.workload)
     if table is None:
         return False, (
             f"{sc.describe()}: no calibration table — run "
             f"'repro calibrate --fidelity' to enable the "
-            f"{sc.fidelity} tier for {surr.family!r}"
+            f"{sc.fidelity} tier for {family!r}"
         )
     if table.stale:
         return False, (
@@ -283,32 +334,19 @@ def permit_scenario(
             f"constants or version changed since it was written); "
             f"re-run 'repro calibrate --fidelity'"
         )
-    config = None if sc.machine is None else sc.machine.config
-    if config is not None:
-        # Zoo machines need their own permit: a bound measured on
-        # Columbia sweeps does not transfer to different hardware.
-        key = f"{surr.family}@{config}"
-        entry = table.lookup(key, sc.fidelity)
-        if entry is None:
-            return False, (
-                f"{sc.describe()}: family {surr.family!r} has no "
-                f"calibrated {sc.fidelity} entry for machine "
-                f"{config!r} — modeled surrogates need per-machine "
-                f"calibration (re-run 'repro calibrate --fidelity' "
-                f"with a sweep on that machine)"
-            )
-    else:
-        key = surr.family
-        entry = table.lookup(key, sc.fidelity)
-        if entry is None:
-            return False, (
-                f"{sc.describe()}: family {surr.family!r} has no "
-                f"calibrated {sc.fidelity} error entry"
-            )
-    if entry.rel_err > table.bound:
+    # The most specific key: zoo machines need their own permit.
+    key = _family_keys(family, sc)[-1]
+    if table.permits(key, sc.fidelity):
+        return True, ""
+    entry = table.lookup(key, sc.fidelity)
+    if entry is None:
         return False, (
-            f"{sc.describe()}: calibrated {sc.fidelity} error "
-            f"{entry.rel_err:.3g} for {key!r} exceeds "
-            f"the bound {table.bound:g}"
+            f"{sc.describe()}: no calibrated {sc.fidelity} error entry "
+            f"for {key!r} (a zoo machine needs its own: re-run 'repro "
+            f"calibrate --fidelity' with a sweep on that machine)"
         )
-    return True, ""
+    return False, (
+        f"{sc.describe()}: calibrated {sc.fidelity} error "
+        f"{entry.rel_err:.3g} for {key!r} exceeds "
+        f"the bound {table.bound:g}"
+    )

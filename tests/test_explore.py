@@ -30,10 +30,9 @@ from repro.explore.space import MAX_RANGE_COUNT, SearchSpace
 from repro.faults.spec import FaultSpec
 from repro.run.runner import Runner
 from repro.run.workloads import workload
-from repro.surrogate.registry import register_exact
 
 
-@workload("explore_test.bowl")
+@workload("explore_test.bowl", fast="exact")
 def _bowl_cell(x: float, y: float = 0.0, scale: float = 1.0):
     """A quadratic bowl with its optimum at (2, -1); closed form, so
     the analytic tier serves it inline.  Columns:
@@ -44,8 +43,6 @@ def _bowl_cell(x: float, y: float = 0.0, scale: float = 1.0):
     value = scale * ((x - 2.0) ** 2 + (y + 1.0) ** 2)
     return [(x, y, round(value, 6), abs(x))]
 
-
-register_exact("explore_test.bowl")
 
 
 def bowl_space(with_errors=False):
@@ -428,6 +425,17 @@ class TestExploreDriver:
         # Whole fans only: 2 candidates x 3 replicates = 6 <= 7.
         assert result.stats.cells_submitted == 6
         assert result.stats.candidates == 2
+
+    def test_without_a_runner_one_runner_serves_every_round(self):
+        """A driver given no runner builds one for all its rounds (not
+        one per batch) and closes it when the run ends."""
+        driver = ExploreDriver(
+            bowl_space(), Objective(metric=2), optimizer="grid", batch_size=4
+        )
+        result = driver.run()
+        snapshot = driver.runner.snapshot()
+        assert snapshot["runner.cells"] == result.stats.cells_submitted == 12
+        assert snapshot["runner.fast"] == 12
 
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -45,7 +45,8 @@ from repro.mpi.collectives import (
     scatter,
 )
 from repro.run import ResultCache, Runner, execute_scenario, scenario, sweep, workload
-from repro.run.scenario import Fidelity
+from repro.run.scenario import Fidelity, MachineSpec
+from repro.run.workloads import fast_form
 from repro.serve import (
     BackgroundServer,
     ScenarioService,
@@ -53,22 +54,54 @@ from repro.serve import (
     scenario_from_wire,
     scenario_to_wire,
 )
-from repro.surrogate import (
-    ErrorTable,
-    SurrogateUnavailable,
-    default_error_table,
-    evaluate_scenario,
-    family_of,
-    surrogate_for,
+from repro.surrogate import ErrorTable, default_error_table, family_of
+from repro.surrogate.calibrate import (
+    FamilyError,
+    _current_context,
+    permit_scenario,
+    relative_error,
 )
-from repro.surrogate.calibrate import relative_error
 
 
 @workload("fid_test.plain")
 def _plain_cell(x: int = 0) -> list[tuple]:
-    """A workload with *no* surrogate: every non-full request for it
+    """A workload with *no* fast form: every non-full request for it
     must escalate or be refused."""
     return [(x, x + 1)]
+
+
+def _zoo_model(mode: str, x: int = 0, **machine) -> list[tuple]:
+    return [(x, mode)]
+
+
+@workload("fid_test.zoo", fast=_zoo_model)
+def _zoo_cell(cluster, x: int = 0) -> list[tuple]:
+    """A modeled workload on a zoo machine; the second column says
+    which form ran."""
+    return [(x, "full")]
+
+
+@workload("fid_test.salted", fast=_zoo_model)
+def _salted_cell(x: int = 0) -> list[tuple]:
+    """Reports the fault salt it ran under (the scenario key)."""
+    from repro.faults.context import current_injector
+
+    return [(x, current_injector().salt)]
+
+
+def _zoo(config: str, fid: str = "analytic"):
+    return scenario(
+        "fid_test.zoo", x=1, machine=MachineSpec(config=config), fidelity=fid
+    )
+
+
+def _columbia_only_table() -> ErrorTable:
+    """A fresh table that vouches for ``fid_test`` on Columbia only."""
+    key = ("fid_test@columbia", "analytic")
+    return ErrorTable(
+        context=_current_context(),
+        entries={key: FamilyError(*key, rel_err=0.1, cells=1)},
+    )
 
 
 def _fig9(fid: str = "full", processes: int = 16, threads: int = 1):
@@ -191,7 +224,7 @@ class TestSurrogateParity:
         path (no DES anywhere), so rows must be equal, not close."""
         full = execute_scenario(_fig9())
         for fid in ("analytic", "hybrid"):
-            assert evaluate_scenario(_fig9(fid)) == full
+            assert execute_scenario(_fig9(fid)) == full
 
     def test_committed_table_is_fresh_and_covers_ext_noise(self):
         table = default_error_table()
@@ -209,12 +242,12 @@ class TestSurrogateParity:
         table = default_error_table()
         full = execute_scenario(_ext_noise())
         for mode in ("analytic", "hybrid"):
-            fast = evaluate_scenario(_ext_noise(mode))
+            fast = execute_scenario(_ext_noise(mode))
             err = relative_error(full, fast)
             assert err <= table.bound
         # Hybrid executes the actual noise draws, so it sits much
         # closer to the DES than the expectation-based analytic tier.
-        hybrid_err = relative_error(full, evaluate_scenario(_ext_noise("hybrid")))
+        hybrid_err = relative_error(full, execute_scenario(_ext_noise("hybrid")))
         assert hybrid_err < 0.05
 
     @pytest.mark.parametrize("noise,n_seeds", [
@@ -233,7 +266,7 @@ class TestSurrogateParity:
             execute_scenario(cell("full"))
         for mode in ("analytic", "hybrid"):
             with pytest.raises(ConfigurationError, match="ext_noise"):
-                evaluate_scenario(cell(mode))
+                execute_scenario(cell(mode))
 
     def test_exact_families_calibrate_to_zero(self):
         table = default_error_table()
@@ -242,8 +275,12 @@ class TestSurrogateParity:
                 assert entry.rel_err == 0.0, (family, mode)
 
     def test_no_surrogate_raises_unavailable(self):
-        with pytest.raises(SurrogateUnavailable):
-            surrogate_for(scenario("fid_test.plain", x=1, fidelity="analytic"))
+        """A non-full cell of a workload that declared no fast form
+        has nothing to run: the executor raises rather than quietly
+        running the full path under a non-full key."""
+        with pytest.raises(ConfigurationError, match="no surrogate declared"):
+            execute_scenario(
+                scenario("fid_test.plain", x=1, fidelity="analytic"))
 
     def test_family_of(self):
         assert family_of("ext_noise.cell") == "ext_noise"
@@ -254,6 +291,29 @@ class TestSurrogateParity:
         assert relative_error([(1, 2)], [(1, 2), (3, 4)]) == float("inf")
         assert relative_error([(1, "a")], [(1, "b")]) == float("inf")
         assert relative_error([(1.0, 2.0)], [(1.0, 2.2)]) == pytest.approx(0.1)
+
+    def test_relative_error_nan_on_one_side_is_inf(self):
+        """A fast form that returns NaN must not calibrate as exact."""
+        nan, inf = float("nan"), float("inf")
+        assert relative_error([(1.0,)], [(nan,)]) == inf
+        assert relative_error([(nan,)], [(1.0,)]) == inf
+        assert relative_error([(nan, 1.0)], [(nan, 1.0)]) == 0.0
+        assert relative_error([(inf,)], [(inf,)]) == 0.0
+        assert relative_error([(inf,)], [(1.0,)]) == inf
+        assert relative_error([(1.0,)], [(inf,)]) == inf
+
+    def test_nan_entry_is_refused_by_the_one_predicate(self):
+        """``permit_scenario`` and ``ErrorTable.permits`` agree: a NaN
+        error vouches for nothing."""
+        table = ErrorTable(
+            context=_current_context(),
+            entries={("ext_noise", "analytic"): FamilyError(
+                "ext_noise", "analytic", rel_err=float("nan"), cells=1)},
+        )
+        assert not table.permits("ext_noise", "analytic")
+        permitted, reason = permit_scenario(_ext_noise("analytic"), table)
+        assert not permitted
+        assert "exceeds the bound" in reason
 
 
 # -- Runner dispatch ----------------------------------------------------------
@@ -306,6 +366,12 @@ class TestRunnerDispatch:
         assert "no surrogate" in record.error
         assert runner.stats.errors == 1
 
+    def test_unknown_workload_escalates_to_an_error_record(self):
+        runner = Runner(jobs=1, cache=None, fidelity="analytic")
+        record, = runner.run([scenario("fid_test.nope", x=1)])
+        assert not record.ok and record.escalated
+        assert "unknown workload 'fid_test.nope'" in record.error
+
     def test_stale_table_escalates_modeled_but_not_exact(self):
         stale = ErrorTable(context="some-other-version|cafebabe")
         runner = Runner(
@@ -315,6 +381,37 @@ class TestRunnerDispatch:
         assert modeled.ok and modeled.escalated
         assert exact.ok and not exact.escalated
         assert runner.stats.fast == 1 and runner.stats.escalated == 1
+
+    def test_zoo_cell_without_its_machine_entry_escalates(self):
+        runner = Runner(jobs=1, cache=None, fidelity="analytic",
+                        error_table=_columbia_only_table())
+        fat, = runner.run([_zoo("fat_numa")])
+        assert fat.escalated and fat.rows == ((1, "full"),)
+
+    def test_permit_memo_keys_on_the_machine(self):
+        """A Columbia cell's permit must not carry over to a fat_numa
+        cell of the same workload: the verdict depends on the machine's
+        own ``family@config`` entry."""
+        runner = Runner(jobs=1, cache=None, fidelity="analytic",
+                        error_table=_columbia_only_table())
+        columbia, fat = runner.run([_zoo("columbia"), _zoo("fat_numa")])
+        assert not columbia.escalated and columbia.rows == ((1, "analytic"),)
+        assert fat.escalated and fat.rows == ((1, "full"),)
+        assert runner.stats.fast == 1 and runner.stats.escalated == 1
+
+    def test_escalated_cell_runs_its_full_twin(self):
+        """An escalated cell runs as its ``full`` twin: under faults it
+        draws the twin's fault stream, so its rows are the twin's."""
+        from repro.faults.spec import parse_faults
+
+        cell = scenario("fid_test.salted", x=1,
+                        faults=parse_faults("drop:probability=0.1"))
+        full, = Runner(jobs=1, cache=None).run([cell])
+        stale = ErrorTable(context="some-other-version|cafebabe")
+        fast, = Runner(jobs=1, cache=None, fidelity="analytic",
+                       error_table=stale).run([cell])
+        assert fast.escalated
+        assert fast.rows == full.rows == ((1, cell.key()),)
 
     def test_runner_fidelity_fills_default_only(self):
         runner = Runner(jobs=1, cache=None, fidelity="analytic")
@@ -505,3 +602,33 @@ class TestServeTCP:
         assert all(r.ok for r in replies)
         assert stats["serve.requests.full"] == 1
         assert stats["serve.requests.analytic"] == 1
+
+
+# -- declarations -------------------------------------------------------------
+
+
+class TestDeclarations:
+    """Every production sweep's workload declares a fast form, so the
+    default analytic tier of explore and compare, and ``--fidelity
+    analytic`` sweeps, never escalate for want of one."""
+
+    def test_every_reached_workload_declares_a_fast_form(self):
+        from repro.compare import compare_scenarios
+        from repro.core.registry import experiment_specs
+        from repro.explore.studies import STUDIES
+        from repro.machine.zoo import list_machines
+
+        reached = {
+            sc.workload
+            for spec in experiment_specs()
+            for fast in (True, False)
+            for sc in spec.scenarios(fast=fast)
+        }
+        reached |= {sc.workload for sc in compare_scenarios(list_machines())}
+        reached |= {space().workload for space, _, _ in STUDIES.values()}
+        assert {"compare.cell", "explore.machine_candidate",
+                "explore.overflow_variant", "ext_noise.cell"} <= reached
+        undeclared = sorted(w for w in reached if fast_form(w) is None)
+        assert undeclared == []
+        modeled = sorted(w for w in reached if fast_form(w) != "exact")
+        assert modeled == ["ext_noise.cell"]

@@ -5,6 +5,10 @@
 Any bytes in the file load without raising; a corrupt line never hides
 the records after it; the first record for a key that decodes wins; appends after
 whatever a crash left are readable by a fresh reader.
+
+The fidelity calibration table (``ErrorTable.load``), the other JSON
+file the runner trusts at start-up, is fuzzed here too: any content
+loads as a well-formed table or as ``None``.
 """
 
 from __future__ import annotations
@@ -144,6 +148,89 @@ class TestJournalFuzz:
         reader = store.reader()
         assert store.get(reader, 0) == store.want(0)
         assert store.get(reader, 2) == store.want(2)
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+#: near-valid tables: the right shape with junk anywhere in it.
+_tables = st.fixed_dictionaries({
+    "context": _json_scalars,
+    "bound": _json_scalars,
+    "families": _json | st.dictionaries(
+        st.text(max_size=8),
+        _json | st.dictionaries(
+            st.sampled_from(["analytic", "hybrid"]),
+            _json | st.fixed_dictionaries(
+                {"rel_err": _json_scalars, "cells": _json_scalars},
+                optional={"exact": _json_scalars},
+            ),
+            max_size=2,
+        ),
+        max_size=2,
+    ),
+})
+
+
+class TestErrorTableFuzz:
+    @staticmethod
+    def _load(tmp_path_factory, content: bytes):
+        from repro.surrogate import ErrorTable
+
+        path = tmp_path_factory.mktemp("table") / "calibration.json"
+        path.write_bytes(content)
+        return ErrorTable.load(path)
+
+    @staticmethod
+    def _well_formed(table) -> None:
+        assert isinstance(table.context, str)
+        assert 0.0 <= table.bound < float("inf")
+        for (family, mode), entry in table.entries.items():
+            assert (entry.family, entry.mode) == (family, mode)
+            assert 0.0 <= entry.rel_err < float("inf")
+            assert type(entry.cells) is int and entry.cells >= 0
+            assert isinstance(entry.exact, bool)
+
+    @_FUZZ
+    @given(payload=_tables | _json)
+    def test_any_json_loads_well_formed_or_none(self, tmp_path_factory,
+                                                payload):
+        table = self._load(tmp_path_factory, json.dumps(payload).encode())
+        if table is not None:
+            self._well_formed(table)
+
+    @_FUZZ
+    @given(content=st.binary(max_size=256))
+    def test_any_bytes_load_well_formed_or_none(self, tmp_path_factory,
+                                                content):
+        table = self._load(tmp_path_factory, content)
+        if table is not None:
+            self._well_formed(table)
+
+    @pytest.mark.parametrize("families", [
+        [], {"a": [1]}, {"a": {"analytic": {"rel_err": "NaN", "cells": 1}}},
+        {"a": {"analytic": {"rel_err": -0.5, "cells": 1}}},
+        {"a": {"analytic": {"rel_err": 10**400, "cells": 1}}},
+    ])
+    def test_check_reports_a_malformed_table(self, tmp_path, capsys,
+                                             families):
+        from repro.cli import main
+
+        path = tmp_path / "calibration.json"
+        text = json.dumps({"context": "v|f", "bound": 0.5,
+                           "families": families})
+        path.write_text(text.replace('"NaN"', "NaN"))
+        argv = ["calibrate", "--fidelity", "--check", "--output", str(path)]
+        assert main(argv) == 1
+        assert "calibration table missing or unreadable" in (
+            capsys.readouterr().err)
 
 
 class TestJournalSemantics:
