@@ -11,11 +11,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## The default verification path: unit tests, the quick perf gate, and
-## the CLI smokes (cache, tracing, faults, compare).  The serve,
-## explore and fidelity end-to-end checks are tier-1 tests.  Run
+## the CLI smokes (cache, tracing, faults, compare, explore).  The
+## serve and fidelity end-to-end checks are tier-1 tests.  Run
 ## `make bench-check` for the full kernel gate before refreshing
 ## BENCH_kernels.json.
-check: test bench-quick smoke trace-smoke faults-smoke compare-smoke
+check: test bench-quick smoke trace-smoke faults-smoke compare-smoke explore-smoke
 	@echo "check ok: tests, bench guard and all smokes passed"
 
 ## Measure the tracked kernels and refresh the "current" section of
@@ -109,6 +109,38 @@ compare-smoke:
 	@$(call STATS_CHECK,$(COMPARE_SMOKE_DIR)/b_stats.txt,s['runner.fast'] > 0 and s['runner.escalated'] == 0) \
 	  || { echo 'compare-smoke FAILED: cells escaped the analytic tier'; exit 1; }
 	@echo "compare-smoke ok: cross-machine table stable and fully surrogate-served"
+
+EXPLORE_SMOKE_DIR := /tmp/repro-explore-smoke
+EXPLORE_SMOKE_RUN := $(PYTHON) -m repro explore --study worst-faults --no-cache
+EXPLORE_SMOKE_REPLAYED := s['explore.replayed'] == s['explore.candidates'] and s['runner.cells'] == 0
+
+## The explore loop end to end: two cold runs of one study must print
+## byte-identical reports and write byte-identical trajectory
+## journals; a third run resumed from the first journal must replay
+## every candidate (0 cells run) and report the same best candidate.
+.PHONY: explore-smoke
+explore-smoke:
+	rm -rf $(EXPLORE_SMOKE_DIR) && mkdir -p $(EXPLORE_SMOKE_DIR)
+	$(EXPLORE_SMOKE_RUN) --journal $(EXPLORE_SMOKE_DIR)/a.jsonl \
+	  >$(EXPLORE_SMOKE_DIR)/a.txt 2>$(EXPLORE_SMOKE_DIR)/a_stats.txt
+	$(EXPLORE_SMOKE_RUN) --journal $(EXPLORE_SMOKE_DIR)/b.jsonl \
+	  >$(EXPLORE_SMOKE_DIR)/b.txt 2>$(EXPLORE_SMOKE_DIR)/b_stats.txt
+	@diff $(EXPLORE_SMOKE_DIR)/a.txt $(EXPLORE_SMOKE_DIR)/b.txt \
+	  || { echo 'explore-smoke FAILED: two cold runs printed different reports'; exit 1; }
+	@cmp $(EXPLORE_SMOKE_DIR)/a.jsonl $(EXPLORE_SMOKE_DIR)/b.jsonl \
+	  || { echo 'explore-smoke FAILED: two cold runs wrote different journals'; exit 1; }
+	$(EXPLORE_SMOKE_RUN) --journal $(EXPLORE_SMOKE_DIR)/a.jsonl \
+	  >$(EXPLORE_SMOKE_DIR)/resumed.txt 2>$(EXPLORE_SMOKE_DIR)/resumed_stats.txt
+	@cat $(EXPLORE_SMOKE_DIR)/resumed_stats.txt
+	@$(call STATS_CHECK,$(EXPLORE_SMOKE_DIR)/resumed_stats.txt,$(EXPLORE_SMOKE_REPLAYED)) \
+	  || { echo 'explore-smoke FAILED: the resumed run re-ran candidates instead of replaying the journal'; exit 1; }
+	@sed -n '/^best/,$$p' $(EXPLORE_SMOKE_DIR)/a.txt >$(EXPLORE_SMOKE_DIR)/a_best.txt
+	@sed -n '/^best/,$$p' $(EXPLORE_SMOKE_DIR)/resumed.txt >$(EXPLORE_SMOKE_DIR)/resumed_best.txt
+	@test -s $(EXPLORE_SMOKE_DIR)/a_best.txt \
+	  || { echo 'explore-smoke FAILED: the cold run reported no best candidate'; exit 1; }
+	@diff $(EXPLORE_SMOKE_DIR)/a_best.txt $(EXPLORE_SMOKE_DIR)/resumed_best.txt \
+	  || { echo 'explore-smoke FAILED: the resumed run reported a different best candidate'; exit 1; }
+	@echo "explore-smoke ok: cold runs byte-identical, resume replayed every candidate to the same best"
 
 SMOKE_CACHE := /tmp/repro-smoke-cache
 SMOKE_RUN := $(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE)

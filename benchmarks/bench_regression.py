@@ -92,7 +92,7 @@ SEED_GATES = {
 ABS_FLOORS = {
     "analytic_serve_cells_per_sec": 40_000.0,
     #: the explore loop's interactivity contract: a full optimizer
-    #: round-trip per candidate (ask, materialize, serve inline,
+    #: round-trip per candidate (ask, materialize, run inline,
     #: score, tell) must stay north of 10k cells/s, or
     #: thousand-candidate studies stop being interactive.
     "explore_candidates_per_sec": 10_000.0,
@@ -365,23 +365,32 @@ def _explore_noop_cell(i: int = 0, j: int = 0) -> list:
 
 
 def bench_serve() -> dict[str, float]:
-    """End-to-end submission throughput of the serve scheduler.
+    """Queue throughput of the serve scheduler, gathered submits.
 
-    Pushes SERVE_CELLS distinct cells through an in-process
-    :class:`~repro.serve.ScenarioService` (queue, coalescing index,
-    batch formation, ``Runner.run`` hand-off) with a no-op workload, so
-    the cells/sec number is the scheduler's own overhead ceiling —
-    not simulation time.
+    Explains the burst half of the ``serve_mixed`` end-to-end workload
+    (``wall_s``, ``serve.burst_p50_ms``): a burst lands on
+    :meth:`~repro.serve.ScenarioService.submit` as concurrent awaits.
+    SERVE_CELLS distinct full-fidelity no-op cells are submitted at
+    once and gathered (admission, queue, coalescing index, batch
+    formation, ``Runner.run`` hand-off on the batch thread), so the
+    cells/sec number is the scheduler's own overhead ceiling — not
+    simulation time.
     """
+    import asyncio
+
     from repro.run import Runner, scenario, workload
-    from repro.serve import submit
+    from repro.serve import ScenarioService
 
     # Idempotent: re-registering the same function is a no-op.
     workload("bench.serve_noop")(_serve_noop_cell)
     cells = [scenario("bench.serve_noop", i=i) for i in range(SERVE_CELLS)]
 
+    async def session():
+        async with ScenarioService(Runner(jobs=1, cache=None)) as service:
+            return await asyncio.gather(*(service.submit(sc) for sc in cells))
+
     def run_once():
-        results = submit(cells, runner=Runner(jobs=1, cache=None))
+        results = asyncio.run(session())
         assert all(r.ok for r in results)
 
     wall = _best_time(run_once, repeats=5)
@@ -392,18 +401,23 @@ def bench_serve() -> dict[str, float]:
 
 
 def bench_analytic_serve() -> dict[str, float]:
-    """All-analytic sweep throughput through the serve tier.
+    """Analytic request throughput of the serve tier, closed loop.
 
-    The fidelity tier's headline number: SERVE_CELLS analytic cells
-    through :func:`repro.serve.submit` resolve synchronously on the
-    inline fast path — no queue slot, no batch, no worker process —
-    so cells/sec here is the full Scenario -> Runner -> serve
-    per-request overhead, nothing else.  Guarded by an absolute floor
-    (:data:`ABS_FLOORS`): escalation, pool spin-up or a return of
-    per-request task scheduling all cost multiples of the budget.
+    Explains the analytic share of ``serve_mixed``'s interactive
+    connection (``wall_s``, ``serve.latency_p50_ms``): one request at
+    a time, each awaited through
+    :meth:`~repro.serve.ScenarioService.submit` before the next is
+    sent.  The SERVE_CELLS analytic cells resolve on the inline fast
+    path — no queue slot, no batch, no worker process — so cells/sec
+    here is the Scenario -> service admission -> Runner per-request
+    overhead, nothing else.  Guarded by an absolute floor
+    (:data:`ABS_FLOORS`): escalation, pool spin-up or a queue hop per
+    analytic request all cost multiples of the budget.
     """
+    import asyncio
+
     from repro.run import Runner, scenario, workload
-    from repro.serve import submit
+    from repro.serve import ScenarioService
 
     # Idempotent, like the serve_noop registration above; the exact
     # fast-form declaration is what routes the cells inline.
@@ -413,9 +427,14 @@ def bench_analytic_serve() -> dict[str, float]:
         for i in range(SERVE_CELLS)
     ]
     runner = Runner(jobs=1, cache=None)
+
+    async def session():
+        async with ScenarioService(runner) as service:
+            return [await service.submit(sc) for sc in cells]
+
     try:
         def run_once():
-            results = submit(cells, runner=runner)
+            results = asyncio.run(session())
             assert all(r.ok and not r.escalated for r in results)
 
         wall = _best_time(run_once, repeats=9)
@@ -429,12 +448,13 @@ def bench_explore() -> dict[str, float]:
 
     A full grid exploration over EXPLORE_CELLS analytic noop
     candidates: optimizer ask/tell, scenario materialization,
-    replicate fan-out and the serve-tier inline resolution, per
-    candidate cell.  Cells/sec here is the explore loop's own
-    overhead ceiling — the number that makes thousand-candidate
-    studies interactive — so it carries an absolute floor
-    (:data:`ABS_FLOORS`): a worker pool spin-up or per-candidate
-    journal/asyncio overhead costs multiples, never percents.
+    replicate fan-out and the runner's fast-path resolution (one
+    ``Runner.run`` call per round), per candidate cell.  Cells/sec
+    here is the explore loop's own overhead ceiling — the number that
+    makes thousand-candidate studies interactive — so it carries an
+    absolute floor (:data:`ABS_FLOORS`): a worker pool spin-up or
+    per-candidate journal/asyncio overhead costs multiples, never
+    percents.
     """
     from repro.explore import Objective, explore, search_space
     from repro.run import Runner, workload

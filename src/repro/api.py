@@ -31,7 +31,7 @@ The facade groups five seams:
 * **observability** — :class:`Tracer`, :func:`use_tracer`,
   :class:`CounterSet`;
 * **serving** — :class:`ServeClient`, :class:`ServeResult`,
-  :func:`submit` (in-process one-shot), :class:`ScenarioService`,
+  :class:`ScenarioService` (the scheduler behind the TCP server),
   :class:`QuotaPolicy` (per-client token-bucket admission);
 * **surrogate tier** — :func:`calibrate_fidelity` and
   :class:`ErrorTable` (the measured analytic-vs-DES error bound the
@@ -103,7 +103,6 @@ from repro.serve import (
     ServeClient,
     ServeReply,
     ServeResult,
-    submit,
 )
 from repro.surrogate import ErrorTable
 from repro.surrogate import calibrate as calibrate_fidelity
@@ -162,7 +161,6 @@ __all__ = sorted(
         "scenario",
         "search_space",
         "single_node",
-        "submit",
         "sweep",
         "use_faults",
         "use_tracer",

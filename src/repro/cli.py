@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_p.add_argument(
         "--study", default=None, metavar="NAME",
-        help="run a named worked study ('cheapest-bx2' or "
-             "'worst-faults') instead of declaring a space by hand",
+        help="run a named worked study ('cheapest-bx2', "
+             "'worst-faults' or 'cheapest-machine') instead of "
+             "declaring a space by hand",
     )
     explore_p.add_argument(
         "--workload", default=None, metavar="ID",
@@ -402,12 +403,15 @@ def _run_explore(args) -> int:
     from repro.explore.space import _parse_scalar
 
     runner = _build_runner(args)
+    options = dict(
+        seed=args.seed, runner=runner, journal=args.journal,
+        max_cells=args.max_cells, max_seconds=args.max_seconds,
+        batch_size=args.batch,
+    )
     try:
         if args.study is not None:
             driver = study_driver(
-                args.study, seed=args.seed, runner=runner,
-                journal=args.journal, max_cells=args.max_cells,
-                max_seconds=args.max_seconds, optimizer=args.optimizer,
+                args.study, optimizer=args.optimizer, **options
             )
         else:
             if not (args.workload and args.space and args.objective):
@@ -437,10 +441,7 @@ def _run_explore(args) -> int:
             )
             driver = ExploreDriver(
                 space, parse_objective(args.objective),
-                optimizer=args.optimizer or "random", seed=args.seed,
-                runner=runner, journal=args.journal,
-                max_cells=args.max_cells, max_seconds=args.max_seconds,
-                batch_size=args.batch,
+                optimizer=args.optimizer or "random", **options
             )
         result = driver.run()
         print(result.report())

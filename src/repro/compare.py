@@ -65,6 +65,20 @@ def _mz_layout(cpus: int, n_zones: int) -> tuple[int, int]:
     )
 
 
+def mz_gflops(cluster, app: str, cpus: int) -> float:
+    """Class C delivered Gflop/s of one multi-zone benchmark
+    (``"bt-mz"`` or ``"sp-mz"``) on ``cluster`` at ``cpus`` CPUs, laid
+    out by :func:`_mz_layout` — the one rate the compare grid and the
+    cheapest-machine study both price."""
+    from repro.machine.placement import Placement
+    from repro.npb.hybrid import MZTimingModel
+    from repro.npb.multizone import mz_problem
+
+    ranks, threads = _mz_layout(cpus, mz_problem(app, "C").spec.n_zones)
+    placement = Placement(cluster, n_ranks=ranks, threads_per_rank=threads)
+    return MZTimingModel(app, "C", placement).total_gflops()
+
+
 def _placement(cluster, cpus: int):
     from repro.machine.placement import Placement
 
@@ -85,14 +99,7 @@ def _cell(cluster, app: str, cpus: int) -> list[tuple]:
             f"{cpus} CPUs outside cluster of {cluster.total_cpus}"
         )
     if app in ("bt-mz", "sp-mz"):
-        from repro.machine.placement import Placement
-        from repro.npb.hybrid import MZTimingModel
-        from repro.npb.multizone import mz_problem
-
-        n_zones = mz_problem(app, "C").spec.n_zones
-        ranks, threads = _mz_layout(cpus, n_zones)
-        placement = Placement(cluster, n_ranks=ranks, threads_per_rank=threads)
-        value = MZTimingModel(app, "C", placement).total_gflops()
+        value = mz_gflops(cluster, app, cpus)
     elif app == "overflow":
         from repro.apps.overflow import OverflowModel
 

@@ -18,9 +18,9 @@ Four declarative pieces:
   seeded ``random``, and an evolutionary ``evolve`` loop, all
   deterministic from one seed;
 * :class:`ExploreDriver` (:mod:`repro.explore.driver`) — the loop
-  that submits candidate batches through :func:`repro.serve.submit`,
-  enforces cell/wall-clock budgets, and journals the trajectory to a
-  resumable JSONL file.
+  that scores each round of candidates with one
+  :meth:`~repro.run.runner.Runner.run` call, enforces cell/wall-clock
+  budgets, and journals the trajectory to a resumable JSONL file.
 
 Worked studies live in :mod:`repro.explore.studies`; the CLI verb is
 ``repro explore``; the end-to-end checks live in

@@ -1,14 +1,13 @@
-"""The exploration driver: optimizer ↔ serve-tier evaluation loop.
+"""The exploration driver: optimizer ↔ runner evaluation loop.
 
 One :class:`ExploreDriver` wires the three declarative pieces
 together — a :class:`~repro.explore.space.SearchSpace`, an
 :class:`~repro.explore.objective.Objective`, and an
-:class:`~repro.explore.optimizers.Optimizer` — and pumps candidate
-batches through :func:`repro.serve.submit`, the same in-process
-entry the scenario server uses: analytic-fidelity replicate cells
-resolve inline on the surrogate fast path (microseconds each, no
-pool), full-DES cells queue, coalesce and batch to workers.
-Exploration *is* heavy serve-tier traffic, by construction.
+:class:`~repro.explore.optimizers.Optimizer` — and scores each round
+of candidates with one :meth:`~repro.run.runner.Runner.run` call over
+their replicate cells: analytic-fidelity cells resolve on the fast
+path (microseconds each, no pool), full-DES cache misses fan out to
+the runner's worker pool.
 
 Budgets and resumability:
 
@@ -90,7 +89,7 @@ class ExploreStats:
 
     #: candidates scored (replays included).
     candidates: int = 0
-    #: replicate cells submitted through the serve tier.
+    #: replicate cells submitted to the runner.
     cells_submitted: int = 0
     #: candidates served from the trajectory journal.
     replayed: int = 0
@@ -186,8 +185,8 @@ class TrajectoryJournal(JsonlJournal):
 
 
 class ExploreDriver:
-    """Runs one exploration: ask candidates, evaluate through the
-    serve tier, tell losses, track the best, journal the trail."""
+    """Runs one exploration: ask candidates, evaluate them on the
+    runner, tell losses, track the best, journal the trail."""
 
     def __init__(
         self,
@@ -200,7 +199,6 @@ class ExploreDriver:
         max_cells: int | None = None,
         max_seconds: float | None = None,
         batch_size: int = 64,
-        max_batch: int = 32,
     ) -> None:
         if max_cells is not None and max_cells < 1:
             raise ConfigurationError(
@@ -229,12 +227,9 @@ class ExploreDriver:
         )
         self.max_cells = max_cells
         self.max_seconds = max_seconds
-        #: candidates asked per optimizer round; replicate cells are
-        #: submitted to the serve tier in one call per round, so the
-        #: asyncio/service setup amortizes across the whole batch.
+        #: candidates asked per optimizer round; a round's replicate
+        #: cells go to the runner in one :meth:`Runner.run` call.
         self.batch_size = batch_size
-        #: runner micro-batch size inside one serve submission.
-        self.max_batch = max_batch
         #: in-run memo: candidate key → (score, feasible) — the guard
         #: that re-proposed candidates never cost cells.
         self._memo: dict[str, tuple[float | None, bool]] = {}
@@ -244,16 +239,12 @@ class ExploreDriver:
     def _evaluate(
         self, todo: list[tuple[int, ...]], stats: ExploreStats
     ) -> list[ExploreRecord]:
-        """Score a batch of fresh candidates through the serve tier."""
-        from repro.serve import submit as serve_submit
-
+        """Score a batch of fresh candidates with one runner call."""
         fans = [
             self.objective.replicas(self.space.scenario_for(c)) for c in todo
         ]
         cells = [sc for fan in fans for sc in fan]
-        results = serve_submit(
-            cells, runner=self.runner, max_batch=self.max_batch
-        )
+        results = self.runner.run(cells)
         stats.cells_submitted += len(cells)
         records = []
         offset = 0

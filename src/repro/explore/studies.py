@@ -1,8 +1,8 @@
-"""The two worked exploration studies from ROADMAP item 3.
+"""The three worked exploration studies.
 
-Both are full, runnable demonstrations of the explore tier —
-``repro explore --study cheapest-bx2`` / ``--study worst-faults`` —
-and the templates to copy for new studies.
+Each is a full, runnable demonstration of the explore tier —
+``repro explore --study cheapest-bx2`` / ``worst-faults`` /
+``cheapest-machine`` — and a template to copy for new studies.
 
 **cheapest-bx2** — "find the cheapest BX2 variant that keeps
 OVERFLOW-D within 5% of stock."  The paper's ablation experiments
@@ -175,17 +175,10 @@ REL_COLUMBIA_BOUND = 0.95
 def _btmz_gflops(config: str, cpus: int) -> float:
     """BT-MZ class C delivered Gflop/s on one zoo preset (memoized —
     the Columbia reference reprices per candidate otherwise)."""
-    from repro.compare import _mz_layout
-    from repro.machine.placement import Placement
+    from repro.compare import mz_gflops
     from repro.machine.zoo import build_machine
-    from repro.npb.hybrid import MZTimingModel
-    from repro.npb.multizone import mz_problem
 
-    cluster = build_machine(config)
-    n_zones = mz_problem("bt-mz", "C").spec.n_zones
-    ranks, threads = _mz_layout(cpus, n_zones)
-    placement = Placement(cluster, n_ranks=ranks, threads_per_rank=threads)
-    return MZTimingModel("bt-mz", "C", placement).total_gflops()
+    return mz_gflops(build_machine(config), "bt-mz", cpus)
 
 
 @workload("explore.machine_candidate", fast="exact")
@@ -197,16 +190,10 @@ def _machine_candidate_cell(cluster, cpus: int = 256) -> list[tuple]:
     routed through the registry), so the cell itself is name-free —
     the cost proxy reads the hardware, not the label.
     """
-    from repro.compare import _mz_layout
-    from repro.machine.placement import Placement
+    from repro.compare import mz_gflops
     from repro.machine.zoo import cluster_cost
-    from repro.npb.hybrid import MZTimingModel
-    from repro.npb.multizone import mz_problem
 
-    n_zones = mz_problem("bt-mz", "C").spec.n_zones
-    ranks, threads = _mz_layout(cpus, n_zones)
-    placement = Placement(cluster, n_ranks=ranks, threads_per_rank=threads)
-    gflops = MZTimingModel("bt-mz", "C", placement).total_gflops()
+    gflops = mz_gflops(cluster, "bt-mz", cpus)
     reference = _btmz_gflops("columbia", cpus)
     return [(
         cpus, round(gflops, 4), round(gflops / reference, 4),
@@ -245,15 +232,12 @@ STUDIES = {
 
 
 def study_driver(
-    name: str,
-    seed: int = 0,
-    runner=None,
-    journal=None,
-    max_cells: int | None = None,
-    max_seconds: float | None = None,
-    optimizer: str | None = None,
+    name: str, optimizer: str | None = None, **kwargs
 ) -> ExploreDriver:
-    """An :class:`ExploreDriver` for one named study."""
+    """An :class:`ExploreDriver` for one named study; ``optimizer``
+    defaults to the study's own, and every other keyword argument
+    (``seed``, ``runner``, ``journal``, ``batch_size``, the budgets)
+    goes to the driver."""
     from repro.errors import ConfigurationError
 
     entry = STUDIES.get(name)
@@ -264,9 +248,7 @@ def study_driver(
     space_fn, objective_fn, default_opt = entry
     return ExploreDriver(
         space_fn(), objective_fn(),
-        optimizer=optimizer or default_opt, seed=seed,
-        runner=runner, journal=journal,
-        max_cells=max_cells, max_seconds=max_seconds,
+        optimizer=optimizer or default_opt, **kwargs
     )
 
 

@@ -15,18 +15,13 @@ The package splits along the classic service seam:
   (:class:`BackgroundServer`) and the ``repro serve`` loop;
 * :mod:`repro.serve.client` — the blocking :class:`ServeClient`.
 
-For one-shot in-process use (no sockets), :func:`submit` runs a list
-of scenarios through a short-lived service and returns the results in
-input order — same coalescing and batching semantics as the server.
+In-process callers with a list of cells use
+:meth:`repro.run.runner.Runner.run` directly; the service exists for
+the server's concurrent, coalescing request stream.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Iterable, Sequence
-
-from repro.run.runner import Runner
-from repro.run.scenario import Scenario
 from repro.serve.client import ServeClient, ServeReply
 from repro.serve.protocol import (
     DEFAULT_PORT,
@@ -58,54 +53,4 @@ __all__ = [
     "scenario_from_wire",
     "scenario_to_wire",
     "serve_forever",
-    "submit",
 ]
-
-
-def submit(
-    scenarios: Iterable[Scenario],
-    runner: Runner | None = None,
-    priority: int = 0,
-    max_queue: int | None = None,
-    max_batch: int = 32,
-    batch_wait: float = 0.0,
-) -> list[ServeResult]:
-    """Run scenarios through an in-process service, results in order.
-
-    Duplicates in the input coalesce to one execution each, exactly as
-    they would against a live server.  ``max_queue`` defaults to at
-    least the submission count so a one-shot call never rejects
-    itself.
-
-    Cells the inline fast path can own (non-``full`` fidelity, vouched
-    for by the surrogate tier) resolve synchronously via
-    :meth:`ScenarioService.submit_nowait` — an all-analytic burst
-    never pays per-request task scheduling; everything else queues,
-    coalesces and batches concurrently as against a live server.
-    """
-    cells: Sequence[Scenario] = list(scenarios)
-    if max_queue is None:
-        max_queue = max(1024, len(cells))
-    owned = runner is None
-    active = Runner() if owned else runner
-
-    async def _main() -> list[ServeResult]:
-        service = ScenarioService(
-            active, max_queue=max_queue,
-            max_batch=max_batch, batch_wait=batch_wait,
-        )
-        async with service:
-            results = [service.submit_nowait(sc) for sc in cells]
-            pending = [i for i, result in enumerate(results) if result is None]
-            answers = await asyncio.gather(
-                *(service.submit(cells[i], priority=priority) for i in pending)
-            )
-            for i, answer in zip(pending, answers):
-                results[i] = answer
-            return results  # type: ignore[return-value]
-
-    try:
-        return asyncio.run(_main())
-    finally:
-        if owned:
-            active.close()

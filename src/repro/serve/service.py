@@ -45,10 +45,9 @@ evaluation is cheaper than the queue hop.  A fast cell the calibrated
 error table cannot vouch for transparently escalates into the normal
 queue (and its result carries ``escalated=True``).
 
-:meth:`~ScenarioService.submit` and the synchronous
-:meth:`~ScenarioService.submit_nowait` are thin callers of one
-admission step, so a request is counted, quota-charged and keyed the
-same way whichever entry it takes.
+:meth:`~ScenarioService.submit` is the one entry: every request is
+counted, quota-charged and keyed there.  In-process callers holding a
+list of cells call :meth:`Runner.run` directly instead.
 """
 
 from __future__ import annotations
@@ -168,12 +167,6 @@ class ClientQuota:
         raise ServeRejected(
             max(0.05, (1.0 - tokens) / policy.rate), depth, reason="quota"
         )
-
-    def refund(self, client_id: str | None) -> None:
-        """Give back the token the last :meth:`charge` spent."""
-        key = client_id or self.ANONYMOUS
-        tokens, then = self._buckets[key]
-        self._buckets[key] = (min(self.policy.burst, tokens + 1.0), then)
 
 
 @dataclass(frozen=True)
@@ -340,46 +333,6 @@ class ScenarioService:
         request — queue full, or ``client_id``'s token bucket empty
         under a :class:`QuotaPolicy`.
         """
-        outcome = self._admit(scenario, priority, trace_dir, client_id)
-        if isinstance(outcome, ServeResult):
-            return outcome
-        return await outcome
-
-    def submit_nowait(
-        self, scenario: Scenario, client_id: str | None = None
-    ) -> ServeResult | None:
-        """Synchronous submission for cells the inline path can own.
-
-        Resolves the request on the calling thread — no coroutine, no
-        task, no event loop hop — when (and only when) it would have
-        taken the inline fast path anyway: a non-``full``-fidelity
-        cell the surrogate tier vouches for.  Returns ``None`` (and
-        records nothing, quota included) for everything else —
-        full-fidelity cells, and cells that must escalate — which the
-        caller then awaits through :meth:`submit` as usual.
-
-        This is the all-analytic sweep throughput path: callers
-        holding a burst of analytic cells skip the per-request asyncio
-        machinery entirely (see :func:`repro.serve.submit`).
-        """
-        return self._admit(scenario, 0, None, client_id, nowait=True)
-
-    def _admit(
-        self,
-        scenario: Scenario,
-        priority: int,
-        trace_dir: str | None,
-        client_id: str | None,
-        nowait: bool = False,
-    ) -> "ServeResult | asyncio.Future | None":
-        """The one admission step: closed check, quota, counting, then
-        an inline result or the future of a queued (or coalesced)
-        cell's result.
-
-        Each request is counted once and spends at most one quota
-        token; with ``nowait`` a cell that cannot resolve inline gives
-        ``None`` and leaves no trace.
-        """
         if self._closed:
             raise ConfigurationError("service is closed")
         t_in = time.monotonic()
@@ -391,8 +344,6 @@ class ScenarioService:
         effective = self.runner.effective_scenario(scenario)
         fid = effective.fidelity
         inline = fid != "full" and trace_dir is None
-        if nowait and not inline:
-            return None
         counts = self.counts
         if self._quota is not None:
             # Quota gates the inline path too: it protects the
@@ -404,21 +355,18 @@ class ScenarioService:
                 counts["serve.rejected"] += 1
                 counts["serve.quota_rejected"] += 1
                 raise
-        # Inline fast path: the surrogate answers right here on the
-        # event loop — no queue slot, no batch, no thread hop.  ``None``
-        # means the cell must escalate and run the full path.
-        record = self.runner.run_fast_cell(effective) if inline else None
-        if record is None and nowait:
-            if self._quota is not None:
-                self._quota.refund(client_id)
-            return None
         counts["serve.requests"] += 1
         counts[f"serve.requests.{fid}"] += 1
-        if record is not None:
-            counts["serve.inline"] += 1
-            counts["serve.completed" if record.ok else "serve.errors"] += 1
-            return self._result(record, fid, t_in, coalesced=False)
         if inline:
+            # Inline fast path: the surrogate answers right here on the
+            # event loop — no queue slot, no batch, no thread hop.
+            # ``None`` means the cell must escalate and run the full
+            # path.
+            record = self.runner.run_fast_cell(effective)
+            if record is not None:
+                counts["serve.inline"] += 1
+                counts["serve.completed" if record.ok else "serve.errors"] += 1
+                return self._result(record, fid, t_in, coalesced=False)
             counts["serve.escalated"] += 1
 
         key = coalescing_key(effective, trace_dir)
@@ -433,7 +381,7 @@ class ScenarioService:
                 # (the entry dispatches at most once either way).
                 entry.priority = priority
                 heapq.heappush(self._heap, (priority, entry.seq, entry))
-            return future
+            return await future
         if self._queued >= self.max_queue:
             counts["serve.rejected"] += 1
             raise ServeRejected(self.retry_after(), self._queued)
@@ -446,7 +394,7 @@ class ScenarioService:
         heapq.heappush(self._heap, (priority, entry.seq, entry))
         self._queued += 1
         self._work.set()
-        return future
+        return await future
 
     def _result(
         self, record: RunRecord, fid: str, t_in: float, coalesced: bool

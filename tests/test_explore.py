@@ -16,6 +16,7 @@ from repro.explore import (
     EvolutionarySearch,
     GridSearch,
     Objective,
+    STUDIES,
     RandomSearch,
     TrajectoryJournal,
     explore,
@@ -567,3 +568,26 @@ class TestStudies:
 
         with pytest.raises(ConfigurationError):
             study_driver("fastest-coffee")
+
+    def test_study_driver_forwards_driver_options(self):
+        from repro.explore import study_driver
+
+        driver = study_driver("cheapest-bx2", batch_size=4, max_cells=8)
+        assert driver.batch_size == 4
+        assert driver.max_cells == 8
+
+    def test_cli_study_help_names_every_study(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        study = next(
+            action for action in sub.choices["explore"]._actions
+            if action.dest == "study"
+        )
+        for name in STUDIES:
+            assert f"'{name}'" in study.help

@@ -476,16 +476,26 @@ class TestServeInline:
         assert stats.get("serve.batches", 0) == 0  # never touched the queue
 
     def test_analytic_burst_through_submit_is_all_inline(self):
-        from repro.serve import submit
-
         burst = sweep(
             "fig9.cell", {"processes": [1, 2, 4, 8, 16], "threads": [1, 2]},
             fidelity="analytic",
         )
         runner = Runner(jobs=1, cache=None)
-        results = submit(burst, runner=runner)
+
+        async def drive():
+            service = ScenarioService(runner)
+            async with service:
+                results = await asyncio.gather(
+                    *(service.submit(sc) for sc in burst)
+                )
+            return service, results
+
+        service, results = _drive(drive())
         assert all(r.ok and not r.escalated for r in results)
         assert runner.stats.fast == len(burst)
+        stats = service.stats()
+        assert stats["serve.inline"] == len(burst)
+        assert stats.get("serve.batches", 0) == 0
 
     def test_analytic_and_full_twins_do_not_coalesce(self):
         async def drive():

@@ -59,3 +59,14 @@ def test_md_app_loads_no_cfd_model():
     cfd = ("repro.apps.overset", "repro.apps.ins3d", "repro.apps.overflow")
     loaded = _loaded("import repro.apps.md", cfd)
     assert loaded == "", f"repro.apps.md loaded {loaded}"
+
+
+def test_explore_study_loads_no_serve_layer():
+    """An exploration scores its rounds with ``Runner.run``: a whole
+    study runs without the scenario service or an event loop."""
+    loaded = _loaded(
+        "from repro.explore import run_study\n"
+        "run_study('worst-faults')",
+        ("repro.serve", "asyncio"),
+    )
+    assert loaded == "", f"run_study loaded {loaded}"

@@ -21,7 +21,6 @@ from repro.serve import (
     ServeRejected,
     scenario_from_wire,
     scenario_to_wire,
-    submit,
 )
 
 # Executions land here; jobs=1 runners execute in-process, so the
@@ -221,12 +220,17 @@ class TestByteIdentical:
 
         cells = resolve_experiment("fig9").scenarios(fast=True)
         serve_runner = Runner(jobs=2, cache=ResultCache(memory_only=True))
+
+        async def drive():
+            service = ScenarioService(serve_runner, batch_wait=0.02)
+            async with service:
+                return await asyncio.gather(*(
+                    service.submit(sc)
+                    for sc in list(cells) + list(cells[:3])  # duplicates
+                ))
+
         try:
-            served = submit(
-                list(cells) + list(cells[:3]),  # duplicates included
-                runner=serve_runner,
-                batch_wait=0.02,
-            )
+            served = asyncio.run(drive())
         finally:
             serve_runner.close()
         direct = Runner(jobs=1, cache=ResultCache(memory_only=True)).run(cells)
@@ -664,31 +668,7 @@ class TestQuotaSingleService:
 
         asyncio.run(drive())
 
-    def test_escalating_nowait_spends_no_token(self):
-        # submit_nowait of a cell that must escalate returns None; it
-        # used to keep the token it charged, so the follow-up submit
-        # of the same request was rejected for quota.
-        sc = scenario("serve_test.cell", x=3, fidelity="analytic")
-
-        async def drive():
-            service = ScenarioService(
-                Runner(jobs=1, cache=None),
-                quota=QuotaPolicy(rate=0.01, burst=1),
-            )
-            async with service:
-                assert service.submit_nowait(sc, client_id="c") is None
-                assert "serve.requests" not in service.stats()
-                result = await service.submit(sc, client_id="c")
-                assert result.ok and result.escalated
-                with pytest.raises(ServeRejected):
-                    await service.submit(sc, client_id="c")
-                return service.stats()
-
-        totals = asyncio.run(drive())
-        assert totals["serve.requests"] == 2
-        assert totals["serve.quota_rejected"] == 1
-
-    def test_both_entries_count_a_rejection_once(self):
+    def test_inline_quota_rejection_counted_once(self):
         sc = scenario("fig9.cell", processes=4, threads=1,
                       fidelity="analytic")
 
@@ -698,17 +678,17 @@ class TestQuotaSingleService:
                 quota=QuotaPolicy(rate=0.01, burst=1),
             )
             async with service:
-                assert service.submit_nowait(sc, client_id="c").ok
-                with pytest.raises(ServeRejected):
-                    service.submit_nowait(sc, client_id="c")
+                first = await service.submit(sc, client_id="c")
+                assert first.ok and not first.escalated
                 with pytest.raises(ServeRejected):
                     await service.submit(sc, client_id="c")
                 return service.stats()
 
         totals = asyncio.run(drive())
-        assert totals["serve.requests"] == 3
-        assert totals["serve.rejected"] == 2
-        assert totals["serve.quota_rejected"] == 2
+        assert totals["serve.requests"] == 2
+        assert totals["serve.inline"] == 1
+        assert totals["serve.rejected"] == 1
+        assert totals["serve.quota_rejected"] == 1
 
     def test_quota_policy_validation(self):
         with pytest.raises(ConfigurationError):
