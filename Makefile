@@ -11,11 +11,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## The default verification path: unit tests, the quick perf gate, and
-## the CLI smokes (cache, tracing, faults, compare, explore).  The
-## serve and fidelity end-to-end checks are tier-1 tests.  Run
+## the CLI smokes (cache, tracing, faults, compare, explore, serve).
+## The fidelity end-to-end checks are tier-1 tests.  Run
 ## `make bench-check` for the full kernel gate before refreshing
 ## BENCH_kernels.json.
-check: test bench-quick smoke trace-smoke faults-smoke compare-smoke explore-smoke
+check: test bench-quick smoke trace-smoke faults-smoke compare-smoke explore-smoke serve-smoke
 	@echo "check ok: tests, bench guard and all smokes passed"
 
 ## Measure the tracked kernels and refresh the "current" section of
@@ -141,6 +141,18 @@ explore-smoke:
 	@diff $(EXPLORE_SMOKE_DIR)/a_best.txt $(EXPLORE_SMOKE_DIR)/resumed_best.txt \
 	  || { echo 'explore-smoke FAILED: the resumed run reported a different best candidate'; exit 1; }
 	@echo "explore-smoke ok: cold runs byte-identical, resume replayed every candidate to the same best"
+
+SERVE_SMOKE_DIR := /tmp/repro-serve-smoke
+
+## The real `repro serve` process end to end: fig5's full sweep sent
+## cold then warm over TCP must return the rows of a direct Runner.run;
+## the warm pass must form no batch and execute no cell (cache hits are
+## answered on the event loop), and SIGINT must stop the server with
+## exit 0.
+.PHONY: serve-smoke
+serve-smoke:
+	rm -rf $(SERVE_SMOKE_DIR) && mkdir -p $(SERVE_SMOKE_DIR)
+	$(PYTHON) tests/serve_smoke.py $(SERVE_SMOKE_DIR)
 
 SMOKE_CACHE := /tmp/repro-smoke-cache
 SMOKE_RUN := $(PYTHON) -m repro all --fast --jobs auto --cache-dir $(SMOKE_CACHE)

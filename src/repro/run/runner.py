@@ -247,8 +247,11 @@ class Runner:
 
     One runner can serve many experiments (the CLI shares a single
     runner across ``repro all``); ``stats`` accumulates over its
-    lifetime.  See the module docstring for the resilience knobs
-    (``retries``, ``faults``).
+    lifetime.  Every cell is first offered to :meth:`resolve_inline`
+    (a cache hit at any fidelity, or a surrogate-served fast cell, on
+    the calling thread); only what it hands back reaches a backend.
+    See the module docstring for the resilience knobs (``retries``,
+    ``faults``).
     """
 
     def __init__(
@@ -301,9 +304,9 @@ class Runner:
         self.stats = RunStats()
         #: the worker pool, built by the first parallel :meth:`run`.
         self._pool: ProcessPoolExecutor | None = None
-        #: guards ``stats``: the serve tier resolves fast cells on the
-        #: event loop while a batch may be finishing in a worker
-        #: thread, and both account through :meth:`_finish_cell`.
+        #: guards ``stats``: the serve tier resolves cache hits and fast
+        #: cells on the event loop (:meth:`resolve_inline`) while a
+        #: batch may be finishing in a worker thread.
         self._stats_lock = threading.Lock()
         #: (workload, fidelity, machine config) triples already vetted
         #: by the permit policy — a positive verdict is stable for the
@@ -358,22 +361,6 @@ class Runner:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-
-    def _lookup(self, sc: Scenario, trace_dir: str | None) -> RunRecord | None:
-        """Cache probe for one cell: its cached record, counted, or
-        ``None`` on a miss.
-
-        Tracing forces execution: a cache hit would skip the
-        instrumented layers and record nothing.
-        """
-        if trace_dir is not None or self.cache is None:
-            return None
-        rows = self.cache.get(sc)
-        if rows is None:
-            return None
-        with self._stats_lock:
-            self.stats.cached += 1
-        return RunRecord(sc, tuple(rows), cached=True)
 
     def _surrogate_permit(self, sc: Scenario) -> tuple[bool, str]:
         """May the surrogate serve this non-``full`` cell?
@@ -436,31 +423,37 @@ class Runner:
             self.cache.put(sc, list(rows))
         return record
 
-    def run_fast_cell(
+    def resolve_inline(
         self, sc: Scenario, trace_dir: str | None = None
     ) -> RunRecord | None:
         """Resolve one cell entirely on the calling thread, or return
         ``None`` when it needs the full path.
 
-        The one path for non-``full`` cells, from :meth:`run` and from
-        the serve tier's inline entry: a cell the permit policy vouches
-        for is cache-probed and (on a miss) run in its fast form right
+        The first step for every cell, from :meth:`run` and from the
+        serve tier's inline entry.  A cache hit, at any fidelity, is
+        returned as a counted cached record.  A non-``full`` miss the
+        permit policy vouches for is then run in its fast form right
         here by :func:`execute_scenario` — microseconds, no queue, no
-        pool, no pickling.  ``None`` means "not mine": the cell is
-        ``full`` fidelity, or it must escalate (a cache miss the
-        surrogate cannot vouch for).  Under the ``refuse`` policy an
-        unservable cell returns an error record instead of escalating.
-        ``trace_dir`` defaults to the runner's.  ``sc`` must already be
-        effective (:meth:`effective_scenario`); a raw scenario would
-        silently lose the runner's fault overlay.
+        pool, no pickling.  ``None`` means "not mine": a ``full`` miss,
+        or a non-``full`` miss that must escalate (the surrogate cannot
+        vouch for it).  Under the ``refuse`` policy an unservable cell
+        returns an error record instead of escalating.  A set
+        ``trace_dir`` (it defaults to the runner's) skips the cache
+        probe: a hit would skip the instrumented layers and record
+        nothing.  ``sc`` must already be effective
+        (:meth:`effective_scenario`); a raw scenario would silently
+        lose the runner's fault overlay.
         """
-        if sc.fidelity == "full":
-            return None
         if trace_dir is None:
             trace_dir = self.trace_dir
-        record = self._lookup(sc, trace_dir)
-        if record is not None:
-            return record
+        if trace_dir is None and self.cache is not None:
+            rows = self.cache.get(sc)
+            if rows is not None:
+                with self._stats_lock:
+                    self.stats.cached += 1
+                return RunRecord(sc, tuple(rows), cached=True)
+        if sc.fidelity == "full":
+            return None
         permitted, reason = self._surrogate_permit(sc)
         if not permitted:
             if self.surrogate_policy == "refuse":
@@ -476,13 +469,14 @@ class Runner:
     ) -> list[RunRecord]:
         """All cells, as records in input order.
 
-        Non-``full`` cells go through :meth:`run_fast_cell`; the ones it
-        hands back escalate to the full path, flagged.  Full-path cache
-        misses fan out to the runner's worker pool when ``jobs > 1`` and
-        more than one cell misses — fast cells never count toward that,
-        so an all-analytic sweep spins up no workers.  ``trace_dir``
-        overrides the runner-level trace directory for this call only,
-        which is how the serve layer honors per-request ``--trace``.
+        Every cell goes through :meth:`resolve_inline` first; what it
+        hands back runs the full path, a non-``full`` cell flagged as
+        escalated.  Those cells fan out to the runner's worker pool when
+        ``jobs > 1`` and more than one of them is left — fast cells
+        never count toward that, so an all-analytic sweep spins up no
+        workers.  ``trace_dir`` overrides the runner-level trace
+        directory for this call only, which is how the serve layer
+        honors per-request ``--trace``.
         Not thread-safe: one call at a time per runner (the serve
         dispatcher is the single caller).
         """
@@ -494,14 +488,10 @@ class Runner:
         pending: list[int] = []
         escalated: set[int] = set()
         for i, sc in enumerate(scenarios):
-            fast = sc.fidelity != "full"
-            records[i] = (
-                self.run_fast_cell(sc, trace_dir) if fast
-                else self._lookup(sc, trace_dir)
-            )
+            records[i] = self.resolve_inline(sc, trace_dir)
             if records[i] is None:
                 pending.append(i)
-                if fast:
+                if sc.fidelity != "full":
                     escalated.add(i)
 
         # An escalated cell runs as its ``full`` twin; its record keeps

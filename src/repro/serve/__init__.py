@@ -3,8 +3,9 @@
 The package splits along the classic service seam:
 
 * :mod:`repro.serve.service` — the asyncio scheduler
-  (:class:`ScenarioService`): one admission step (quota, inline fast
-  path, bounded priority queue with ``retry_after`` backpressure),
+  (:class:`ScenarioService`): one admission step (quota, the inline
+  path for cache hits and surrogate cells, bounded priority queue
+  with ``retry_after`` backpressure for misses),
   in-flight request coalescing by scenario content hash,
   micro-batching into :meth:`Runner.run`, whose one long-lived worker
   pool runs each batch; one plain counter table for its stats;

@@ -4,9 +4,9 @@
 and a request counter — it has no asyncio of its own, so it drops into
 scripts, notebooks and the smoke harness unchanged.  Pipelining comes
 from the protocol: :meth:`ServeClient.submit_many` writes every
-request before reading any response, letting the server coalesce and
-batch the burst, then collects replies (which arrive in completion
-order) back into submission order.
+request before reading any response, letting the server answer the
+cached cells at once and coalesce and batch the misses, then collects
+replies (which arrive in completion order) back into submission order.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ class ServeClient:
 
         ``fidelity`` overrides the scenario's execution tier for this
         request (``"analytic"`` resolves inline server-side through
-        the surrogate; see ``ServeReply.escalated``).
+        the surrogate; see ``ServeReply.escalated``).  A cell the
+        server's cache holds comes back ``cached`` without queueing.
         """
         return self.submit_many(
             [sc], priority, faults, trace, fidelity, retry
@@ -222,9 +223,9 @@ class ServeClient:
         """Pipeline a burst of cells; results in submission order.
 
         All requests hit the wire before the first response is read —
-        duplicates in the burst coalesce server-side, distinct cells
-        pack into batches, analytic cells resolve inline.  The
-        keyword options are the burst-wide defaults; ``overrides``
+        cached cells and analytic cells resolve inline server-side,
+        duplicate misses coalesce, distinct misses pack into batches.
+        The keyword options are the burst-wide defaults; ``overrides``
         customizes individual requests without giving up pipelining:
         either a mapping ``{index: {option: value}}`` or a sequence
         aligned with ``scenarios`` (``None`` entries = no override),

@@ -12,14 +12,16 @@ Requests
   "faults": "jitter:amplitude=1ms;seed=3" | null, "trace": DIR | null,
   "fidelity": "analytic" | "hybrid" | "full" (optional),
   "client_id": "sweep-7" (optional)}``
-    Run one scenario cell.  ``priority`` sorts the queue (lower runs
-    first); ``faults`` is a ``--faults`` grammar string merged onto
-    the scenario's own spec; ``trace`` asks for a per-cell Chrome
-    trace written server-side into DIR (forces execution);
-    ``fidelity`` overrides the scenario's execution tier for this
-    request (absent = the scenario's own tier, default ``full`` —
-    protocol version 1 messages from older clients decode
-    unchanged).  Non-``full`` requests resolve inline through the
+    Run one scenario cell.  A cell the server's cache already holds
+    is answered at once (``"cached": true``), at any fidelity; only
+    misses queue.  ``priority`` sorts the queue (lower runs first);
+    ``faults`` is a ``--faults`` grammar string merged onto the
+    scenario's own spec; ``trace`` asks for a per-cell Chrome trace
+    written server-side into DIR (forces execution, skipping the
+    cache); ``fidelity`` overrides the scenario's execution tier for
+    this request (absent = the scenario's own tier, default ``full``
+    — protocol version 1 messages from older clients decode
+    unchanged).  Non-``full`` misses resolve inline through the
     surrogate tier; if it cannot vouch for the cell, the response
     carries ``"escalated": true`` and came from the full path.
     ``client_id`` names the submitting principal for per-client
@@ -39,8 +41,9 @@ Responses
 ``{"id": 1, "status": "error", "error": "..."}``
 ``{"id": 1, "status": "rejected", "retry_after": 0.25,
   "reason": "queue" | "quota"}``
-    Admission control refused the request — the queue is full, or the
-    client's token bucket is empty; retry after the hinted delay
+    Admission control refused the request — the queue is full (only
+    a miss needs a slot), or the client's token bucket is empty;
+    retry after the hinted delay
     (:class:`~repro.serve.client.ServeClient` does this
     automatically).
 ``{"id": 2, "status": "stats", "stats": {...}}``

@@ -4,7 +4,7 @@
 with the three mechanisms a long-lived scenario service needs:
 
 * **admission control** — a bounded priority queue; once ``max_queue``
-  distinct cells are waiting, new work is rejected with a
+  distinct cells are waiting, a new miss is rejected with a
   ``retry_after`` hint derived from the observed service rate
   (:class:`ServeRejected`), so a traffic burst degrades into client
   backoff instead of unbounded memory growth.  An optional
@@ -33,17 +33,22 @@ Everything observable is counted in one plain dict of totals
 friends), reported with live queue depths, p50/p99 request latency
 and the runner's own snapshot by :meth:`ScenarioService.stats`.
 
-The service never executes *full-fidelity* cells on the event loop:
+The service never *executes* a full-fidelity cell on the event loop:
 batches run in a worker thread (``asyncio.to_thread``) so the loop
 stays responsive to new submissions — which is exactly what lets late
-duplicates coalesce onto in-flight work.  Non-``full`` requests take
-the **inline fast path** instead: the surrogate resolves them in
-microseconds directly on the event loop
-(:meth:`~repro.run.runner.Runner.run_fast_cell`), bypassing the queue
-and the micro-batcher entirely — there is nothing to batch when the
-evaluation is cheaper than the queue hop.  A fast cell the calibrated
-error table cannot vouch for transparently escalates into the normal
-queue (and its result carries ``escalated=True``).
+duplicates coalesce onto in-flight work.  But every untraced request
+first takes the **inline path**
+(:meth:`~repro.run.runner.Runner.resolve_inline`) right on the event
+loop: a request the cache already holds, at any fidelity, is answered
+from it, and a non-``full`` miss is resolved by the surrogate in
+microseconds.  Either way the request bypasses the queue, the
+micro-batcher and the thread hop entirely — there is nothing to batch
+when the answer is cheaper than the queue hop — so a cached cell is
+answered even while the queue is full.  Only misses queue, coalesce
+and batch; a fast cell the calibrated error table cannot vouch for
+transparently escalates into the normal queue (and its result carries
+``escalated=True``).  A traced request (``trace_dir``, or the
+runner's own) skips the cache, because tracing forces execution.
 
 :meth:`~ScenarioService.submit` is the one entry: every request is
 counted, quota-charged and keyed there.  In-process callers holding a
@@ -324,14 +329,17 @@ class ScenarioService:
     ) -> ServeResult:
         """Run one cell and wait for its result.
 
-        Identical concurrent submissions coalesce: whichever arrives
-        first owns the queue slot; later twins attach to it and every
+        An untraced request the runner resolves inline (a cache hit,
+        or a surrogate-served fast cell) is answered at once.  Misses
+        queue, and identical concurrent misses coalesce: whichever
+        arrives first owns the queue slot; later twins attach to it and every
         waiter resolves from the one execution.  ``priority`` orders
         the queue (lower first; FIFO within a priority); a duplicate
         carrying a better priority promotes the queued cell.  Raises
         :class:`ServeRejected` when admission control refuses the
-        request — queue full, or ``client_id``'s token bucket empty
-        under a :class:`QuotaPolicy`.
+        request — the queue is full (misses only), or ``client_id``'s
+        token bucket is empty under a :class:`QuotaPolicy` (every
+        request, inline ones too).
         """
         if self._closed:
             raise ConfigurationError("service is closed")
@@ -343,31 +351,30 @@ class ScenarioService:
         # cache key away from direct Runner.run.
         effective = self.runner.effective_scenario(scenario)
         fid = effective.fidelity
-        inline = fid != "full" and trace_dir is None
         counts = self.counts
+        counts["serve.requests"] += 1
+        counts[f"serve.requests.{fid}"] += 1
         if self._quota is not None:
             # Quota gates the inline path too: it protects the
             # service's CPU, not just the queue.
             try:
                 self._quota.charge(client_id, self._queued)
             except ServeRejected:
-                counts["serve.requests"] += 1
                 counts["serve.rejected"] += 1
                 counts["serve.quota_rejected"] += 1
                 raise
-        counts["serve.requests"] += 1
-        counts[f"serve.requests.{fid}"] += 1
-        if inline:
-            # Inline fast path: the surrogate answers right here on the
-            # event loop — no queue slot, no batch, no thread hop.
-            # ``None`` means the cell must escalate and run the full
-            # path.
-            record = self.runner.run_fast_cell(effective)
+        if trace_dir is None:
+            # Inline path: a cache hit (any tier) or a surrogate cell
+            # is answered right here on the event loop — no queue slot,
+            # no batch, no thread hop.  ``None`` means the cell needs
+            # the full path: a full miss, or an escalating fast cell.
+            record = self.runner.resolve_inline(effective)
             if record is not None:
                 counts["serve.inline"] += 1
                 counts["serve.completed" if record.ok else "serve.errors"] += 1
                 return self._result(record, fid, t_in, coalesced=False)
-            counts["serve.escalated"] += 1
+            if fid != "full":
+                counts["serve.escalated"] += 1
 
         key = coalescing_key(effective, trace_dir)
         future = asyncio.get_running_loop().create_future()
@@ -437,10 +444,18 @@ class ScenarioService:
         ``..._p99_s``, the pre-fidelity keys) *and* per tier
         (``serve.analytic.latency_p50_s``, ...) for every tier that
         has served at least one request; per-tier request counts are
-        the ``serve.requests.<fidelity>`` counters.  The runner and
-        cache counters let a remote stats call prove the execution
-        story: executed-exactly-once shows up as ``runner.executed``
-        == distinct cells.
+        the ``serve.requests.<fidelity>`` counters, and every request,
+        rejected ones too, counts in its tier and in
+        ``serve.requests``.  ``serve.inline`` counts the requests
+        answered on the event loop (cache hits at any fidelity, and
+        surrogate-served misses); ``serve.escalated`` counts the
+        non-``full`` requests that fell through to the queue.  The
+        runner and cache counters let a remote stats call prove the
+        execution story: executed-exactly-once shows up as
+        ``runner.executed`` == distinct cells.  ``cache.misses``
+        counts probes, not cells: a served miss is probed on submit
+        and again by :meth:`Runner.run` at dispatch (so a cell another
+        process stored meanwhile is still a hit), hence counted twice.
         """
         out = {name: float(n) for name, n in sorted(self.counts.items())}
 

@@ -269,6 +269,127 @@ sys.exit(f"failed cells: {bad[:3]}" if bad else 0)
 """
 
 
+class TestInlineHits:
+    """Every untraced request the cache already holds is answered on
+    the event loop, whatever its fidelity: no queue slot, no batch, no
+    thread hop.  Only misses queue, coalesce and batch."""
+
+    def test_warm_full_request_forms_no_batch(self):
+        sc = scenario("serve_test.cell", x=1000)
+        direct, = _runner().run([sc])
+
+        async def drive():
+            service = ScenarioService(
+                _runner(cache=ResultCache(memory_only=True))
+            )
+            async with service:
+                cold = await service.submit(sc)
+                before = service.stats()
+                warm = await service.submit(sc)
+                return cold, warm, before, service.stats()
+
+        cold, warm, before, after = asyncio.run(drive())
+        assert not cold.cached
+        assert warm.cached and not warm.coalesced
+        assert warm.rows == cold.rows == direct.rows
+        assert after["serve.batches"] == before["serve.batches"] == 1
+        assert after["serve.inline"] == before.get("serve.inline", 0) + 1
+        assert after["runner.cached"] == before["runner.cached"] + 1
+
+    def test_trace_dir_forces_execution_through_the_queue(self, tmp_path):
+        CALLS.clear()
+        sc = scenario("serve_test.cell", x=1001)
+        cache = ResultCache(memory_only=True)
+        _runner(cache=cache).run([sc])  # warm
+
+        async def drive(runner, trace_dir):
+            async with ScenarioService(runner) as service:
+                result = await service.submit(sc, trace_dir=trace_dir)
+            return result, service.stats()
+
+        per_request = asyncio.run(
+            drive(_runner(cache=cache), str(tmp_path))
+        )
+        runner_level = asyncio.run(
+            drive(_runner(cache=cache, trace_dir=str(tmp_path)), None)
+        )
+        assert CALLS == [1001, 1001, 1001]
+        for result, stats in (per_request, runner_level):
+            assert result.ok and not result.cached
+            assert stats["serve.batches"] == 1
+            assert "serve.inline" not in stats
+
+    def test_cached_cell_answered_while_queue_is_full(self):
+        hot = scenario("serve_test.cell", x=1002)
+        cold = [scenario("serve_test.cell", x=1003 + i) for i in range(2)]
+        runner = _runner(cache=ResultCache(memory_only=True))
+        runner.run([hot])
+
+        async def drive():
+            service = ScenarioService(runner, max_queue=1)
+            # dispatcher not started: the queue can only fill
+            queued = asyncio.ensure_future(service.submit(cold[0]))
+            await asyncio.sleep(0)
+            hit = await service.submit(hot)
+            with pytest.raises(ServeRejected) as exc_info:
+                await service.submit(cold[1])
+            assert exc_info.value.reason == "queue"
+            await service.start()
+            first = await queued
+            await service.close()
+            return hit, first
+
+        hit, first = asyncio.run(drive())
+        assert hit.ok and hit.cached and hit.rows == ((1002, 1002 ** 2),)
+        assert first.ok and not first.cached
+
+    def test_quota_is_charged_for_an_inline_hit(self):
+        sc = scenario("serve_test.cell", x=1005)
+        runner = _runner(cache=ResultCache(memory_only=True))
+        runner.run([sc])
+
+        async def drive():
+            service = ScenarioService(
+                runner, quota=QuotaPolicy(rate=0.01, burst=1)
+            )
+            async with service:
+                first = await service.submit(sc, client_id="c")
+                with pytest.raises(ServeRejected) as exc_info:
+                    await service.submit(sc, client_id="c")
+                assert exc_info.value.reason == "quota"
+                return first, service.stats()
+
+        first, stats = asyncio.run(drive())
+        assert first.ok and first.cached
+        assert stats["serve.inline"] == 1
+        assert stats["serve.quota_rejected"] == 1
+
+    def test_miss_coalesces_onto_its_queued_twin(self):
+        CALLS.clear()
+        sc = scenario("serve_test.cell", x=1004)
+        runner = _runner(cache=ResultCache(memory_only=True))
+
+        async def drive():
+            service = ScenarioService(runner)
+            first = asyncio.ensure_future(service.submit(sc))
+            await asyncio.sleep(0)
+            second = asyncio.ensure_future(service.submit(sc))
+            await asyncio.sleep(0)
+            await service.start()
+            results = await asyncio.gather(first, second)
+            await service.close()
+            return results, service.stats()
+
+        results, stats = asyncio.run(drive())
+        assert CALLS == [1004]
+        assert [r.coalesced for r in results] == [False, True]
+        assert stats["serve.coalesced"] == 1
+        assert stats["runner.executed"] == 1
+        # Each request probed the cache on submit, and Runner.run
+        # probed the cell again at dispatch.
+        assert stats["cache.misses"] == 3
+
+
 class TestFirstUseOnTwoThreads:
     def test_cold_service_serves_inline_and_batch_cells_together(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -689,6 +810,43 @@ class TestQuotaSingleService:
         assert totals["serve.inline"] == 1
         assert totals["serve.rejected"] == 1
         assert totals["serve.quota_rejected"] == 1
+
+    def test_tier_counters_sum_to_requests_under_rejections(self):
+        analytic = scenario("fig9.cell", processes=4, threads=1,
+                            fidelity="analytic")
+
+        async def drive():
+            service = ScenarioService(
+                Runner(jobs=1, cache=None), max_queue=1,
+                quota=QuotaPolicy(rate=0.01, burst=1),
+            )
+            # dispatcher not started: the queue can only fill
+            queued = asyncio.ensure_future(
+                service.submit(scenario("serve_test.cell", x=3),
+                               client_id="a")
+            )
+            await asyncio.sleep(0)
+            with pytest.raises(ServeRejected) as full:
+                await service.submit(scenario("serve_test.cell", x=4),
+                                     client_id="b")
+            assert full.value.reason == "queue"
+            assert (await service.submit(analytic, client_id="c")).ok
+            with pytest.raises(ServeRejected) as empty:
+                await service.submit(analytic, client_id="c")
+            assert empty.value.reason == "quota"
+            await service.start()
+            assert (await queued).ok
+            await service.close()
+            return service.stats()
+
+        totals = asyncio.run(drive())
+        assert totals["serve.requests"] == 4
+        assert totals["serve.requests.full"] == 2
+        assert totals["serve.requests.analytic"] == 2
+        assert totals["serve.rejected"] == 2
+        assert sum(
+            n for k, n in totals.items() if k.startswith("serve.requests.")
+        ) == totals["serve.requests"]
 
     def test_quota_policy_validation(self):
         with pytest.raises(ConfigurationError):
